@@ -14,6 +14,7 @@ from gent import (
     SymmetricState,
     bures_entanglement,
     max_fidelity_closed,
+    mode_objective,
     numeric_max_fidelity,
     rel_ent_entanglement,
     rel_entropy_one_mode,
@@ -37,15 +38,11 @@ print(f"E_B = {res.e_b:.9f} = 1 - sqrt(F_max)")
 
 # 2. Relative entropy: golden-section minima vs a staged grid scan
 rel = rel_ent_entanglement(s)
-
-
-def mode_obj(x, kappa_sq):
-    cross = (kappa_sq + 4 * x * x * kt * kt) / (2 * x * kt)
-    return 0.5 * np.log(x + 0.5) * (1 + cross) + 0.5 * np.log(x - 0.5) * (1 - cross)
-
-
-_, m1 = grid_minimize(lambda x: mode_obj(x, s.kappa_plus**2), 0.5 + 1e-9, 50.0)
-_, m2 = grid_minimize(lambda x: mode_obj(x, s.kappa_minus**2), 0.5 + 1e-9, 50.0)
+grid = lambda kappa_sq: grid_minimize(
+    lambda xs: np.array([mode_objective(x, kappa_sq, kt) for x in xs]), 0.5 + 1e-9, 50.0
+)
+_, m1 = grid(s.kappa_plus**2)
+_, m2 = grid(s.kappa_minus**2)
 e_s_grid = m1 + m2 - rel.s_n1 - rel.s_n2
 print(f"\nE_S assembled         = {rel.e_s:.12f}   (x1* = {rel.x1_star:.6f}, x2* = {rel.x2_star:.6f})")
 print(f"E_S grid oracle       = {e_s_grid:.12f}   (gap {abs(e_s_grid - rel.e_s):.2e})")

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 separable/success, 1 parse failure, 2 unphysical state,
-3 entangled, 4 asymmetric input where a symmetric state is required,
-5 support violation in the oracle.
+Exit codes: 0 separable/success, 1 parse failure or a covariance matrix
+too ill-conditioned to decide kappa >= 1/2, 2 unphysical state,
+3 entangled, 4 input with no symmetric standard form (b1 != b2, or
+det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
+where one is required, 5 support violation in the oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, bures, cm_core, fock, relent, standard_forms
-from .errors import GentError, SupportViolation, UnphysicalState
+from .errors import DomainError, GentError, NonPositiveDefinite, NumericalDegeneracy
+from .errors import SupportViolation, UnphysicalState
 from .scalar_min import grid_minimize
 
 EXIT_SEPARABLE = 0
@@ -54,43 +57,48 @@ def _resolve_cm(args) -> np.ndarray:
         try:
             return cm_core.load_cm_json(args.cm)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            _fail_parse(f"--cm: {exc}")
+            _fail(EXIT_PARSE, f"--cm: {exc}")
     if args.b is not None:
         if args.c is None or args.d is None:
-            _fail_parse("--b requires --c and --d")
+            _fail(EXIT_PARSE, "--b requires --c and --d")
         return standard_forms.StandardFormI(args.b, args.b, args.c, args.d).to_cm()
-    if args.r is not None:
-        if args.r < 0:
-            _fail_parse("--r: must be nonnegative")
-        if args.nbar < 0:
-            _fail_parse("--nbar: must be nonnegative")
-        return standard_forms.symmetric_sts(args.r, args.nbar).to_cm()
-    _fail_parse("no state given: use --cm, or --b/--c/--d, or --r [--nbar]")
+    return _resolve_sts(args).to_cm()
 
 
-def _fail_parse(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
+def _resolve_sts(args) -> standard_forms.SymmetricState:
+    if args.r is None:
+        _fail(EXIT_PARSE, "no state given: use --cm, or --b/--c/--d, or --r [--nbar]")
+    if args.r < 0:
+        _fail(EXIT_PARSE, "--r: must be nonnegative")
+    if args.nbar < 0:
+        _fail(EXIT_PARSE, "--nbar: must be nonnegative")
+    return standard_forms.symmetric_sts(args.r, args.nbar)
 
 
-def _symmetric_state_from_cm(v: np.ndarray):
-    """(SymmetricState, spectrum) for a symmetric CM; exits 4/2 otherwise."""
-    inv = cm_core.invariants(v)
-    if abs(inv.det_v1 - inv.det_v2) >= 1e-9:
-        print(
-            f"error: state is not symmetric (det V1 = {inv.det_v1:.9g}, "
-            f"det V2 = {inv.det_v2:.9g})",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_NOT_SYMMETRIC)
+def _resolve_state(args) -> standard_forms.SymmetricState:
+    """The symmetric state the input flags name; exits 4 if it has none, 2 if unphysical."""
+    if args.cm is None and args.b is None:
+        return _resolve_sts(args)
+    v = _resolve_cm(args)
     try:
         form = standard_forms.to_standard_form_I(v)
-        spec = cm_core.symplectic_spectrum(v)
-    except UnphysicalState as exc:
-        print(f"error: unphysical state: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_UNPHYSICAL)
-    state = standard_forms.SymmetricState(form.b1, form.c, abs(form.d))
-    return state, spec
+        tol = cm_core.rounding_tol(cm_core.entry_scale(v))
+        if abs(form.b1 - form.b2) > tol:
+            _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
+        if form.d > tol:
+            _fail(
+                EXIT_NOT_SYMMETRIC,
+                f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
+                "are held in the form d = -|d|",
+            )
+        return standard_forms.SymmetricState(form.b1, form.c, abs(form.d))
+    except (NonPositiveDefinite, DomainError) as exc:
+        _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
+
+
+def _fail(code: int, message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
 
 
 # subcommands ----------------------------------------------------------------
@@ -99,22 +107,23 @@ def _symmetric_state_from_cm(v: np.ndarray):
 def cmd_check(args) -> int:
     v = _resolve_cm(args)
     try:
-        phys = cm_core.is_physical(v)
+        spec = cm_core.symplectic_spectrum(v)
+        sep = cm_core.is_separable(v)
+    except UnphysicalState:
+        sep = None
     except GentError as exc:
-        _fail_parse(f"covariance matrix: {exc}")
-    inv = cm_core.invariants(v)
-    spec = cm_core.symplectic_spectrum(v) if phys else None
-    print(f"physical:           {bool(phys)}  (kappa_minus = {phys.kappa:.9g})")
-    print(f"uncertainty det:    {phys.sp2_value:.9g}")
-    if not phys:
+        _fail(EXIT_PARSE, f"covariance matrix: {exc}")
+    print(f"physical:           {sep is not None}  (kappa_minus = {spec.kappa_minus:.9g})")
+    print(f"uncertainty det:    {cm_core.sp2_value(v):.9g}")
+    if sep is None:
         print("separable:          n/a (unphysical)")
         return EXIT_UNPHYSICAL
-    sep = cm_core.is_separable(v)
     print(f"separable:          {bool(sep)}  (kappa_tilde_minus = {sep.kappa:.9g})")
     print(
         f"kappas:             k+ = {spec.kappa_plus:.9g}  k- = {spec.kappa_minus:.9g}  "
         f"kt+ = {spec.kappa_tilde_plus:.9g}  kt- = {spec.kappa_tilde_minus:.9g}"
     )
+    inv = cm_core.invariants(v)
     print(
         f"invariants:         det V1 = {inv.det_v1:.9g}  det V2 = {inv.det_v2:.9g}  "
         f"det C = {inv.det_c:.9g}  det V = {inv.det_v:.9g}"
@@ -128,13 +137,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bures(args) -> int:
-    v = _resolve_cm(args)
-    state, spec = _symmetric_state_from_cm(v)
-    kt = spec.kappa_tilde_minus
-    if kt >= 0.5:
-        result = bures.BuresResult(0.0, 1.0, kt, 0.0)
-    else:
-        result = bures.bures_entanglement(state)
+    state = _resolve_state(args)
+    result = bures.bures_entanglement(state)
     payload = {
         "version": __version__,
         "command": "bures",
@@ -144,7 +148,7 @@ def cmd_bures(args) -> int:
         "d_bures": result.d_bures,
         "kappa_tilde_minus": result.kappa_tilde_minus,
     }
-    if args.verify and kt < 0.5:
+    if args.verify and not state.is_separable():
         f_star, argmax, u_star = bures.numeric_max_fidelity(state)
         payload["verify"] = {
             "f_star": f_star,
@@ -156,13 +160,9 @@ def cmd_bures(args) -> int:
 
 
 def cmd_relent(args) -> int:
-    v = _resolve_cm(args)
-    state, spec = _symmetric_state_from_cm(v)
-    kt = spec.kappa_tilde_minus
-    if kt >= 0.5:
-        result = relent.RelEntResult(0.0, spec.kappa_plus, spec.kappa_minus, 0.0, 0.0, 0.0, 0.0)
-    else:
-        result = relent.rel_ent_entanglement(state)
+    state = _resolve_state(args)
+    result = relent.rel_ent_entanglement(state)
+    kt = state.kappa_tilde_minus
     payload = {
         "version": __version__,
         "command": "relent",
@@ -176,21 +176,15 @@ def cmd_relent(args) -> int:
         "s_n2": result.s_n2,
         "kappa_tilde_minus": kt,
     }
-    if args.verify and kt < 0.5:
-        kp2, km2 = spec.kappa_plus**2, spec.kappa_minus**2
+    if args.verify and not state.is_separable():
         grid = lambda ks: grid_minimize(
-            lambda x: _vector_mode_objective(x, ks, kt), 0.5 + 1e-9, 50.0
+            lambda xs: np.array([relent.mode_objective(x, ks, kt) for x in xs]), 0.5 + 1e-9, 50.0
         )
-        (_, m1), (_, m2) = grid(kp2), grid(km2)
+        (_, m1), (_, m2) = grid(state.kappa_plus**2), grid(state.kappa_minus**2)
         e_s_grid = m1 + m2 - result.s_n1 - result.s_n2
         payload["verify"] = {"e_s_grid": e_s_grid, "discrepancy": abs(e_s_grid - result.e_s)}
     print(json.dumps(payload, indent=1))
     return EXIT_SEPARABLE
-
-
-def _vector_mode_objective(x, kappa_sq, kt):
-    cross = (kappa_sq + 4 * x * x * kt * kt) / (2 * x * kt)
-    return 0.5 * np.log(x + 0.5) * (1 + cross) + 0.5 * np.log(x - 0.5) * (1 - cross)
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,7 @@ def cmd_sweep(args) -> int:
     )
     problem = spec.validate()
     if problem:
-        _fail_parse(problem)
+        _fail(EXIT_PARSE, problem)
     values = np.linspace(spec.start, spec.stop, spec.steps)
     rows = []
     for val in values:
@@ -272,8 +266,7 @@ def cmd_sweep(args) -> int:
     try:
         _write_sweep(rows, spec.output, spec.format)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, f"cannot write output: {exc}")
     return EXIT_SEPARABLE
 
 
@@ -295,9 +288,9 @@ def _parse_one_mode(text: str, flag: str) -> cm_core.OneModeCM:
     try:
         sqq, spp = (float(t) for t in text.split(","))
     except ValueError:
-        _fail_parse(f"{flag}: expected 'sigma_qq,sigma_pp', got {text!r}")
+        _fail(EXIT_PARSE, f"{flag}: expected 'sigma_qq,sigma_pp', got {text!r}")
     if sqq <= 0 or spp <= 0:
-        _fail_parse(f"{flag}: variances must be positive")
+        _fail(EXIT_PARSE, f"{flag}: variances must be positive")
     return cm_core.OneModeCM(sqq, spp)
 
 
@@ -313,7 +306,7 @@ def _oracle_states(args):
             try:
                 v = cm_core.load_cm_json(cm_flag)
             except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                _fail_parse(f"--cm: {exc}")
+                _fail(EXIT_PARSE, f"--cm: {exc}")
             n = args.dim or 20
             out.append((fock.gaussian_state_from_cm(v, n), v))
     return out
@@ -323,7 +316,7 @@ def cmd_oracle(args) -> int:
     states = _oracle_states(args)
     need = 1 if args.functional == "entropy" else 2
     if len(states) != need:
-        _fail_parse(f"oracle {args.functional} needs exactly {need} state(s)")
+        _fail(EXIT_PARSE, f"oracle {args.functional} needs exactly {need} state(s)")
     payload = {"version": __version__, "command": f"oracle {args.functional}"}
     try:
         if args.functional == "fidelity":
@@ -411,6 +404,8 @@ def main(argv=None) -> int:
     except UnphysicalState as exc:
         print(f"error: unphysical state: {exc}", file=sys.stderr)
         code = EXIT_UNPHYSICAL
+    except NumericalDegeneracy as exc:
+        _fail(EXIT_PARSE, f"covariance matrix: {exc}")
     raise SystemExit(code)
 
 

@@ -19,6 +19,8 @@ from .errors import (
 
 VACUUM = 0.5
 KAPPA_TOL = 1e-12
+ROUNDING_PER_SCALE_SQ = 128 * float(np.finfo(float).eps)
+MAX_ROUNDING_TOL = 1e-3
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -46,8 +48,9 @@ class OneModeCM:
         """Symplectic eigenvalue sqrt(det V); physical states have nu >= 1/2."""
         return float(np.sqrt(self.sigma_qq * self.sigma_pp))
 
-    def is_physical(self, tol: float = KAPPA_TOL) -> bool:
-        return self.sigma_qq > 0 and self.sigma_pp > 0 and self.nu >= VACUUM - tol
+    def is_physical(self) -> bool:
+        # sqrt(sqq*spp) does not cancel: its rounding is relative to nu, 1/2 at the threshold
+        return self.sigma_qq > 0 and self.sigma_pp > 0 and above_vacuum(self.nu, VACUUM)
 
     def matrix(self) -> np.ndarray:
         return np.diag([self.sigma_qq, self.sigma_pp])
@@ -60,9 +63,6 @@ class BlockDecomposition:
     v1: np.ndarray
     v2: np.ndarray
     c: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.v1, self.c], [self.c.T, self.v2]])
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,10 @@ class Invariants4:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean test result carrying the raw symplectic eigenvalue.
-
-    ``sp2_value`` is the determinant form of the uncertainty condition,
-    det(V + (i/2) Omega); it is populated by physicality tests only.
-    """
+    """Boolean test result carrying the raw symplectic eigenvalue."""
 
     ok: bool
     kappa: float
-    sp2_value: float | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -125,49 +120,74 @@ def partial_transpose(v: np.ndarray) -> np.ndarray:
     return LAMBDA_PT @ np.asarray(v, dtype=float) @ LAMBDA_PT
 
 
-def _kappas(v: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
+def entry_scale(v: np.ndarray) -> float:
+    """Largest entry of a CM: the ``scale`` of ``rounding_tol``."""
+    return float(np.max(np.abs(v)))
+
+
+def rounding_tol(scale: float) -> float:
+    """Allowance for rounding in a symplectic eigenvalue from entries of size ``scale``.
+
+    Entries rounded to eps*scale move kappa by a few eps*scale^2: a pure
+    state's kappa = 1/2 comes out up to ~18 eps*scale^2 low under local
+    symplectics, and ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 7.
+    The floor KAPPA_TOL covers entries of order 1.
+    """
+    return max(KAPPA_TOL, ROUNDING_PER_SCALE_SQ * scale * scale)
+
+
+def above_vacuum(kappa: float, scale: float) -> bool:
+    """kappa >= 1/2 up to ``rounding_tol(scale)``: the one physicality and PPT threshold.
+
+    Raises NumericalDegeneracy when kappa lies within an allowance above
+    MAX_ROUNDING_TOL of 1/2: entries of that size cannot decide the test.
+    """
+    tol = rounding_tol(scale)
+    if tol > MAX_ROUNDING_TOL and abs(kappa - VACUUM) <= tol:
+        raise NumericalDegeneracy(
+            f"ill-conditioned: kappa = {kappa:.6g} is within {tol:.3g} of 1/2 at entry size {scale:.3g}"
+        )
+    return kappa >= VACUUM - tol
+
+
+def _kappas(v: np.ndarray) -> tuple[float, float]:
     """Moduli (kappa_+, kappa_-) of the imaginary eigenvalue pairs of Omega@V."""
     ev = np.linalg.eigvals(omega(v.shape[0] // 2) @ v)
-    scale = max(1.0, np.max(np.abs(ev)))
-    if np.max(np.abs(ev.real)) > tol * scale:
+    tol = 1e-10 * max(1.0, np.max(np.abs(ev)))
+    if np.max(np.abs(ev.real)) > tol:
         raise NumericalDegeneracy(
             f"eigenvalues of Omega@V are not purely imaginary (max |Re| = "
             f"{np.max(np.abs(ev.real)):.3e})"
         )
     kap = np.sort(np.abs(ev.imag))
     # each kappa appears twice (+i kappa, -i kappa)
-    if np.max(np.abs(kap[::2] - kap[1::2])) > tol * scale:
+    if np.max(np.abs(kap[::2] - kap[1::2])) > tol:
         raise NumericalDegeneracy("eigenvalues of Omega@V fail the +-i pairing")
     return float(kap[-1]), float(kap[0])
 
 
-def symplectic_spectrum(v: np.ndarray, tol: float = 1e-10) -> SymplecticSpectrum:
+def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     """Symplectic eigenvalues of V and of its partial transpose."""
     v = np.asarray(v, dtype=float)
     if np.min(np.linalg.eigvalsh(v)) <= 0:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    kp, km = _kappas(v, tol)
-    ktp, ktm = _kappas(partial_transpose(v), tol)
+    kp, km = _kappas(v)
+    ktp, ktm = _kappas(partial_transpose(v))
     return SymplecticSpectrum(kp, km, ktp, ktm)
 
 
-def is_physical(v: np.ndarray, tol: float = KAPPA_TOL) -> Verdict:
-    """True iff kappa_- >= 1/2 - tol (Robertson-Schroedinger condition)."""
-    spec = symplectic_spectrum(v)
-    return Verdict(
-        ok=spec.kappa_minus >= VACUUM - tol,
-        kappa=spec.kappa_minus,
-        sp2_value=sp2_value(v),
-    )
+def is_physical(v: np.ndarray) -> Verdict:
+    """True iff kappa_- >= 1/2 (Robertson-Schroedinger condition)."""
+    km = symplectic_spectrum(v).kappa_minus
+    return Verdict(ok=above_vacuum(km, entry_scale(v)), kappa=km)
 
 
-def is_separable(v: np.ndarray, tol: float = KAPPA_TOL) -> Verdict:
+def is_separable(v: np.ndarray) -> Verdict:
     """True iff the partially transposed CM is physical (PPT criterion)."""
-    phys = is_physical(v, tol)
-    if not phys:
-        raise UnphysicalState(f"kappa_- = {phys.kappa:.6g} < 1/2")
-    spec = symplectic_spectrum(v)
-    return Verdict(ok=spec.kappa_tilde_minus >= VACUUM - tol, kappa=spec.kappa_tilde_minus)
+    spec, scale = symplectic_spectrum(v), entry_scale(v)
+    if not above_vacuum(spec.kappa_minus, scale):
+        raise UnphysicalState(f"kappa_- = {spec.kappa_minus:.6g} < 1/2")
+    return Verdict(ok=above_vacuum(spec.kappa_tilde_minus, scale), kappa=spec.kappa_tilde_minus)
 
 
 def load_cm_json(path) -> np.ndarray:

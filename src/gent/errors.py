@@ -10,15 +10,11 @@ class NonPositiveDefinite(GentError):
 
 
 class NumericalDegeneracy(GentError):
-    """Eigenvalues of Omega@V do not form clean +-i*kappa pairs."""
+    """Omega@V has no clean +-i*kappa pairs, or kappa is too ill-conditioned to test."""
 
 
 class UnphysicalState(GentError):
     """Covariance matrix violates the uncertainty relation."""
-
-
-class BranchAmbiguity(GentError):
-    """Standard-form recovery found no real nonnegative (c^2, d^2) roots."""
 
 
 class SingularDenominator(GentError):

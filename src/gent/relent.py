@@ -34,17 +34,17 @@ class RelEntResult:
 
 
 def _entropy_nu(nu: float) -> float:
-    """(nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), with the pure-state limit 0."""
-    if nu < 0.5 - _PURE_TOL:
-        raise UnphysicalState(f"nu = {nu:.6g} < 1/2")
+    """(nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), and 0 for nu <= 1/2 (pure)."""
     x = nu - 0.5
-    if x <= _PURE_TOL:
-        return 0.0 if x <= 0 else (nu + 0.5) * math.log(nu + 0.5) - x * math.log(x)
+    if x <= 0:
+        return 0.0
     return (nu + 0.5) * math.log(nu + 0.5) - x * math.log(x)
 
 
 def von_neumann_entropy(v: OneModeCM) -> float:
     """Entropy of a one-mode Gaussian state, in nats."""
+    if not v.is_physical():
+        raise UnphysicalState(f"nu = {v.nu:.6g} < 1/2")
     return _entropy_nu(v.nu)
 
 
@@ -67,7 +67,7 @@ def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
     cross = (v.sigma_qq * vp.sigma_pp + v.sigma_pp * vp.sigma_qq) / nup
     return (
-        -von_neumann_entropy(v)
+        -_entropy_nu(v.nu)
         + 0.5 * math.log(nup + 0.5) * (1 + cross)
         + 0.5 * math.log(nup - 0.5) * (1 - cross)
     )
@@ -111,8 +111,8 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
     kp, km, kt = s.kappa_plus, s.kappa_minus, s.kappa_tilde_minus
     mode1 = OneModeCM(kp * kp / kt, kt)
     mode2 = OneModeCM(kt, km * km / kt)
-    s_n1 = von_neumann_entropy(mode1)
-    s_n2 = von_neumann_entropy(mode2)
+    s_n1 = _entropy_nu(mode1.nu)
+    s_n2 = _entropy_nu(mode2.nu)
     if kt >= 0.5:
         return RelEntResult(0.0, kp, km, 0.0, 0.0, s_n1, s_n2)
     x1, m1 = minimize_mode(kp * kp, kt)

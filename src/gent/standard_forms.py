@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cm_core
-from .errors import BranchAmbiguity, DomainError, SingularDenominator, UnphysicalState
-
-log = logging.getLogger(__name__)
+from .errors import DomainError, NonPositiveDefinite, SingularDenominator, UnphysicalState
 
 
 @dataclass(frozen=True)
@@ -55,13 +52,13 @@ class SymmetricState:
     def kappa_tilde_minus(self) -> float:
         return math.sqrt((self.b - self.d_abs) * (self.b - self.c))
 
-    def is_physical(self, tol: float = cm_core.KAPPA_TOL) -> bool:
-        return self.kappa_minus >= 0.5 - tol
+    def is_physical(self) -> bool:
+        return cm_core.above_vacuum(self.kappa_minus, self.b)
 
-    def is_separable(self, tol: float = cm_core.KAPPA_TOL) -> bool:
-        if not self.is_physical(tol):
+    def is_separable(self) -> bool:
+        if not self.is_physical():
             raise UnphysicalState(f"kappa_- = {self.kappa_minus:.6g} < 1/2")
-        return self.kappa_tilde_minus >= 0.5 - tol
+        return cm_core.above_vacuum(self.kappa_tilde_minus, self.b)
 
     def to_form_I(self) -> StandardFormI:
         return StandardFormI(self.b, self.b, self.c, -self.d_abs)
@@ -98,44 +95,35 @@ def make_scaled_cm(sc: ScaledState) -> np.ndarray:
     )
 
 
-def to_standard_form_I(v: np.ndarray, tol: float = 1e-9) -> StandardFormI:
-    """Recover (b1, b2, c, d) from the four local symplectic invariants.
+def _local_normalizer(vi: np.ndarray) -> tuple[float, np.ndarray]:
+    """(b, N) with N symplectic and N V_i N^T = b I, b = sqrt(det V_i)."""
+    det = float(np.linalg.det(vi))
+    if det <= 0 or vi[0, 0] <= 0:
+        raise NonPositiveDefinite("a diagonal block of V is not positive definite")
+    b = math.sqrt(det)
+    a = vi / b
+    # for det A = 1, (A + I) / sqrt(tr A + 2) squares to A, and A^-1 = adj(A)
+    adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    return b, (adj + np.eye(2)) / math.sqrt(a[0, 0] + a[1, 1] + 2)
 
-    Branch convention: c >= |d| and sign(d) = sign(det C).  When det C = 0
-    but C != 0 the split between c and d is not determined by the
-    invariants; we set d = 0 and log the degeneracy.
+
+def to_standard_form_I(v: np.ndarray) -> StandardFormI:
+    """Bring V to standard form I by local symplectic operations.
+
+    Normalizing both diagonal blocks to b_i I leaves the off-diagonal block
+    C' = R1 diag(c, d) R2^T with rotations R1, R2: c and |d| are the singular
+    values of C', and sign(d) = sign(det C).
     """
-    phys = cm_core.is_physical(v)
-    if not phys:
-        raise UnphysicalState(f"kappa_- = {phys.kappa:.6g} < 1/2")
-    inv = cm_core.invariants(v)
-    b1 = math.sqrt(inv.det_v1)
-    b2 = math.sqrt(inv.det_v2)
-    p = inv.det_c  # c*d
-    # det V = b1^2 b2^2 + (cd)^2 - b1 b2 (c^2 + d^2)  =>  solve for s = c^2 + d^2
-    s = (b1 * b1 * b2 * b2 + p * p - inv.det_v) / (b1 * b2)
-    if s < -tol:
-        raise BranchAmbiguity(f"c^2 + d^2 = {s:.3e} < 0")
-    s = max(s, 0.0)
-    disc = s * s - 4 * p * p
-    if disc < -tol * max(1.0, s * s):
-        raise BranchAmbiguity(f"no real (c^2, d^2) split: discriminant {disc:.3e}")
-    disc = max(disc, 0.0)
-    c2 = 0.5 * (s + math.sqrt(disc))
-    d2 = 0.5 * (s - math.sqrt(disc))
-    c = math.sqrt(max(c2, 0.0))
-    d = math.copysign(math.sqrt(max(d2, 0.0)), p) if p != 0 else 0.0
-    if p == 0 and s > tol:
-        log.warning("det C = 0 with C != 0: setting d = 0, c = %.6g", c)
-    return StandardFormI(b1, b2, c, d)
+    blk = cm_core.blocks(v)
+    (b1, n1), (b2, n2) = _local_normalizer(blk.v1), _local_normalizer(blk.v2)
+    c, d_abs = np.linalg.svd(n1 @ blk.c @ n2.T, compute_uv=False)
+    return StandardFormI(b1, b2, float(c), float(np.sign(np.linalg.det(blk.c)) * d_abs))
 
 
 def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:
     """Squeeze factor v and CM of the standard form II of a symmetric state."""
     if not s.is_physical():
         raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
-    if s.b - s.c <= 0:
-        raise DomainError("requires b - c > 0")
     v = math.sqrt((s.b - s.d_abs) / (s.b - s.c))
     return v, s.to_cm(u=v)
 

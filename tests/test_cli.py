@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gent import cli, cm_core
-from gent.standard_forms import StandardFormI, make_scaled_cm, ScaledState
+from gent.bures import bures_entanglement
+from gent.errors import UnphysicalState
+from gent.relent import rel_ent_entanglement
+from gent.standard_forms import StandardFormI, SymmetricState, make_scaled_cm, ScaledState, symmetric_sts
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,93 @@ def test_relent_json_with_verify(capsys):
     assert payload["verify"]["discrepancy"] < 1e-6
 
 
+def test_relent_separable_reports_library_result(capsys):
+    code, out, _ = run_cli(capsys, "relent", "--b", "1", "--c", "0.3", "--d", "-0.2")
+    assert code == 0
+    payload = json.loads(out)
+    lib = rel_ent_entanglement(SymmetricState(1.0, 0.3, 0.2))
+    for key in ("e_s", "s_n1", "s_n2", "x1_star", "x2_star"):
+        assert payload[key] == pytest.approx(getattr(lib, key), rel=1e-12), key
+    assert payload["s_n1"] == pytest.approx(0.976271, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv", [("bures", "--r", "0.05"), ("bures", "--r", "3"), ("relent", "--r", "3")])
+def test_pure_states_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["kappa_tilde_minus"] < 0.5
+
+
+def test_positive_det_c_refused(capsys):
+    code, _, err = run_cli(capsys, "bures", "--b", "1", "--c", "0.3", "--d", "0.2")
+    assert code == 4
+    assert "det C > 0" in err
+
+
+@settings(
+    max_examples=60, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        st.tuples(st.just("bcd"), st.floats(0.5, 5.0), st.floats(0.0, 0.999), st.floats(0.0, 1.0)),
+        st.tuples(st.just("sts"), st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.just(0.0)),
+    )
+)
+def test_cli_json_matches_library(capsys, case):
+    kind, p1, p2, p3 = case
+    # "--d=-1e-300": argparse reads a separate "-1e-300" as an option
+    if kind == "bcd":  # c and |d| as fractions of b and c
+        c = p1 * p2
+        state, argv = SymmetricState(p1, c, c * p3), [f"--b={p1!r}", f"--c={c!r}", f"--d={-c * p3!r}"]
+    else:
+        state, argv = symmetric_sts(p1, p2), [f"--r={p1!r}", f"--nbar={p2!r}"]
+    try:
+        lib_b, lib_s = bures_entanglement(state), rel_ent_entanglement(state)
+    except UnphysicalState:
+        assert run_cli(capsys, "bures", *argv)[0] == 2
+        return
+    code_b, out_b, _ = run_cli(capsys, "bures", *argv)
+    code_s, out_s, _ = run_cli(capsys, "relent", *argv)
+    assert code_b == code_s == 0
+    got_b, got_s = json.loads(out_b), json.loads(out_s)
+    close = lambda x: pytest.approx(x, rel=1e-9, abs=1e-12)
+    assert got_b["e_b"] == close(lib_b.e_b)
+    assert got_b["kappa_tilde_minus"] == close(lib_b.kappa_tilde_minus)
+    assert got_s["kappa_tilde_minus"] == close(state.kappa_tilde_minus)
+    for key in ("e_s", "s_n1", "s_n2"):
+        assert got_s[key] == close(getattr(lib_s, key)), key
+
+
+def test_large_unphysical_cm_rejected(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    cm_core.dump_cm_json(np.diag([1e6, 1e-7, 1e6, 1e-7]), path)
+    code, out, _ = run_cli(capsys, "check", "--cm", str(path))
+    assert code == 2
+    assert "physical:           False" in out
+
+
+@pytest.mark.parametrize("command", ["check", "bures", "relent"])
+def test_ill_conditioned_state_refused(capsys, command):
+    code, _, err = run_cli(capsys, command, "--r", "7.5")
+    assert code == 1
+    assert "ill-conditioned" in err
+
+
+def test_zero_det_c_after_local_symplectic(capsys, tmp_path, rng):
+    # det C = 0 comes back as d = +-1e-17; either sign is the separable state with d = 0
+    from conftest import random_local_symplectic
+
+    v = StandardFormI(1.0, 1.0, 0.4, 0.0).to_cm()
+    path = tmp_path / "cm.json"
+    for _ in range(20):
+        t = random_local_symplectic(rng)
+        cm_core.dump_cm_json(t @ v @ t.T, path)
+        code, out, _ = run_cli(capsys, "bures", "--cm", str(path))
+        assert code == 0
+        assert json.loads(out)["e_b"] == 0.0
+
+
 def test_asymmetric_cm_rejected(capsys, tmp_path):
     v = make_scaled_cm(ScaledState(StandardFormI(1.0, 1.3, 0.5, -0.3), 1.0, 1.0))
     path = tmp_path / "asym.json"
@@ -105,6 +196,16 @@ def test_sweep_monotone_and_reproducible(capsys, tmp_path):
     assert all(x < y for x, y in zip(e_b, e_b[1:]))
     # relent columns are empty for a bures-only sweep
     assert lines[1].endswith(",,")
+
+
+def test_sweep_pure_states_to_strong_squeezing(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--measure", "both", "--parameter", "r",
+        "--start", "0.05", "--stop", "3", "--steps", "10000",
+        "--output", str(tmp_path / "pure.csv"),
+    )
+    assert code == 0, err
 
 
 def test_sweep_kappa_tilde_matches_closed_form(capsys, tmp_path):

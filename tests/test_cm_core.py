@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gent import cm_core
-from gent.errors import NonPositiveDefinite, UnphysicalState
+from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 from gent.standard_forms import symmetric_sts
 
 from conftest import random_local_symplectic, random_physical_cm
@@ -91,6 +91,25 @@ def test_unphysical_verdict():
     assert verdict.kappa == pytest.approx(0.4, abs=1e-12)
     with pytest.raises(UnphysicalState):
         cm_core.is_separable(v)
+
+
+def test_large_entries_do_not_widen_the_threshold():
+    # kappa_- = sqrt(1e6 * 1e-7) = 0.316, exact for a diagonal CM whatever its scale
+    v = np.diag([1e6, 1e-7, 1e6, 1e-7])
+    assert not cm_core.is_physical(v)
+    assert not cm_core.OneModeCM(1e6, 1e-7).is_physical()
+    assert cm_core.OneModeCM(1e6, 1e6).is_physical()
+
+
+def test_ill_conditioned_threshold_refused():
+    # at r = 7.5 the entries (b ~ 8e5) cannot tell kappa_- = 1/2 from its neighbours
+    s = symmetric_sts(7.5)
+    with pytest.raises(NumericalDegeneracy, match="ill-conditioned"):
+        s.is_physical()
+    with pytest.raises(NumericalDegeneracy, match="ill-conditioned"):
+        cm_core.is_separable(s.to_cm())
+    # far from the threshold a large scale still decides
+    assert cm_core.is_separable(np.diag([1e6, 1e6, 1e6, 1e6]))
 
 
 def test_not_positive_definite():

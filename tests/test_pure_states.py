@@ -1,0 +1,45 @@
+"""Pure two-mode squeezed vacua symmetric_sts(r) against mpmath, r in [0, 5].
+
+A pure state sits on the vacuum floor kappa_- = 1/2, so rounding in its
+entries decides whether it is reported physical.
+"""
+
+import mpmath
+import numpy as np
+
+from gent.bures import bures_entanglement
+from gent.relent import rel_ent_entanglement
+from gent.standard_forms import symmetric_sts
+
+R_GRID = np.linspace(0.0, 5.0, 20001)
+CHECKED_EVERY = 40  # mpmath reference on 501 of the grid points
+
+
+def _e_b_mp(r):
+    with mpmath.workdps(50):
+        kt = mpmath.exp(-2 * mpmath.mpf(r)) / 2
+        return float((mpmath.sqrt(2 * kt) - 1) ** 2 / (2 * kt + 1))
+
+
+def _entanglement_entropy_mp(r):
+    """Entropy of either reduced state: thermal with nu = cosh(2r)/2."""
+    if r == 0:
+        return 0.0
+    with mpmath.workdps(50):
+        nu = mpmath.cosh(2 * mpmath.mpf(r)) / 2
+        return float((nu + 0.5) * mpmath.log(nu + 0.5) - (nu - 0.5) * mpmath.log(nu - 0.5))
+
+
+def test_pure_grid_against_mpmath():
+    for i, r in enumerate(R_GRID.tolist()):
+        s = symmetric_sts(r)
+        assert s.is_physical(), f"pure state at r = {r} reported unphysical"
+        e_b = bures_entanglement(s).e_b
+        e_s = rel_ent_entanglement(s).e_s
+        if i % CHECKED_EVERY:
+            continue
+        ref = _e_b_mp(r)
+        assert abs(e_b - ref) <= 1e-8 * ref, (r, e_b, ref)
+        # E_S minimizes over Gaussian separable states only, so it bounds the
+        # relative entropy of entanglement, the entanglement entropy of a pure state
+        assert e_s >= _entanglement_entropy_mp(r), r

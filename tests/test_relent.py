@@ -37,6 +37,12 @@ def test_entropy_rejects_unphysical():
         von_neumann_entropy(OneModeCM(0.4, 0.4))
 
 
+def test_entropy_rejects_unphysical_large_variance():
+    # nu = sqrt(1e6 * 1e-7) = 0.316 has no cancellation, so a large variance earns no allowance
+    with pytest.raises(UnphysicalState):
+        von_neumann_entropy(OneModeCM(1e6, 1e-7))
+
+
 def test_rel_entropy_same_state_is_zero():
     v = OneModeCM(0.8, 1.1)
     assert rel_entropy_one_mode(v, v) == 0.0

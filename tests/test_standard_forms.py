@@ -31,6 +31,20 @@ def test_recover_after_local_rotation(rng):
         assert rec.d == pytest.approx(-s.d_abs, abs=1e-7)
 
 
+def test_recover_pure_state_after_local_symplectic(rng):
+    # c = |d| puts kappa_- on the vacuum floor, where lost digits show as an unphysical state
+    from conftest import random_local_symplectic
+
+    for r in [0.05, *rng.uniform(0.0, 2.5, 40)]:
+        s = sf.symmetric_sts(float(r))
+        t = random_local_symplectic(rng)
+        rec = sf.to_standard_form_I(t @ s.to_cm() @ t.T)
+        tol = 1e-12 * s.b
+        assert abs(rec.b1 - s.b) <= tol and abs(rec.b2 - s.b) <= tol, r
+        assert abs(rec.c - s.c) <= tol and abs(rec.d + s.d_abs) <= tol, r
+        assert sf.SymmetricState(rec.b1, rec.c, abs(rec.d)).is_physical(), r
+
+
 def test_symmetric_kappas_match_generic_spectrum(rng):
     for s in random_entangled_symmetric(rng, 10):
         spec = cm_core.symplectic_spectrum(s.to_cm())
