@@ -38,10 +38,8 @@ def max_fidelity_closed(kappa_tilde_minus: float) -> float:
 
 def bures_entanglement(s: SymmetricState) -> BuresResult:
     """E_B = (sqrt(2 kt) - 1)^2 / (2 kt + 1) for entangled states, else 0."""
-    if not s.is_physical():
-        raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
     kt = s.kappa_tilde_minus
-    if kt >= 0.5:
+    if s.is_separable():  # raises UnphysicalState
         return BuresResult(e_b=0.0, f_max=1.0, kappa_tilde_minus=kt, d_bures=0.0)
     f_max = max_fidelity_closed(kt)
     e_b = (math.sqrt(2 * kt) - 1) ** 2 / (2 * kt + 1)

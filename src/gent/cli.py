@@ -15,12 +15,13 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, bures, cm_core, fock, relent, standard_forms
+from . import __version__, bures, cm_core, relent, standard_forms
 from .errors import DomainError, GentError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 from .scalar_min import grid_minimize
@@ -40,6 +41,22 @@ def _configure_logging() -> None:
         os.environ.get("GENT_LOG", "error").lower(), logging.ERROR
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+# argparse's own pattern misses the exponent form, and "--d -1e-5" would read as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads any negative number as a value and exits EXIT_PARSE on misuse."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _add_state_inputs(p: argparse.ArgumentParser) -> None:
@@ -91,7 +108,9 @@ def _resolve_state(args) -> standard_forms.SymmetricState:
                 f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
                 "are held in the form d = -|d|",
             )
-        return standard_forms.SymmetricState(form.b1, form.c, abs(form.d))
+        # a vacuum-local block comes back up to a rounding below b = 1/2
+        b = 0.5 if 0.5 - tol <= form.b1 < 0.5 else form.b1
+        return standard_forms.SymmetricState(b, form.c, abs(form.d))
     except (NonPositiveDefinite, DomainError) as exc:
         _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
 
@@ -294,29 +313,29 @@ def _parse_one_mode(text: str, flag: str) -> cm_core.OneModeCM:
     return cm_core.OneModeCM(sqq, spp)
 
 
-def _oracle_states(args):
-    """Collect (fock_state, cm) pairs from --state*/--cm* flags."""
+def _oracle_inputs(args):
+    """Collect (cm, Fock levels per mode) pairs from --state*/--cm* flags."""
     out = []
     for state_flag, cm_flag in ((args.state1, args.cm1), (args.state2, args.cm2)):
         if state_flag is not None:
-            one = _parse_one_mode(state_flag, "--state")
-            n = args.dim or 60
-            out.append((fock.gaussian_state_from_cm(one, n), one))
+            out.append((_parse_one_mode(state_flag, "--state"), args.dim or 60))
         elif cm_flag is not None:
             try:
                 v = cm_core.load_cm_json(cm_flag)
             except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
                 _fail(EXIT_PARSE, f"--cm: {exc}")
-            n = args.dim or 20
-            out.append((fock.gaussian_state_from_cm(v, n), v))
+            out.append((v, args.dim or 20))
     return out
 
 
 def cmd_oracle(args) -> int:
-    states = _oracle_states(args)
+    from . import fock  # only the oracle needs it; the other commands start without it
+
+    inputs = _oracle_inputs(args)
     need = 1 if args.functional == "entropy" else 2
-    if len(states) != need:
+    if len(inputs) != need:
         _fail(EXIT_PARSE, f"oracle {args.functional} needs exactly {need} state(s)")
+    states = [(fock.gaussian_state_from_cm(cm, n), cm) for cm, n in inputs]
     payload = {"version": __version__, "command": f"oracle {args.functional}"}
     try:
         if args.functional == "fidelity":
@@ -351,7 +370,7 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gent",
         description=(
             "Gaussian entanglement measures for symmetric two-mode Gaussian states. "

@@ -1,20 +1,22 @@
 """Brute-force ground truth in a truncated number basis.
 
-Gaussian states are realized as dense density matrices by Williamson
-decomposition of the covariance matrix followed by an Euler (passive -
-squeeze - passive) factorization of the symplectic, applied as unitary gates
-to a product of thermal states.  Truncated states are never renormalized;
-the trace deficit is carried so tests can reject inadmissible truncations.
+Gaussian states are realized by Williamson decomposition of the covariance
+matrix followed by an Euler (passive - squeeze - passive) factorization of
+the symplectic, applied as unitary gates to a product of thermal states.
+A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
+weights; dense matrices are derived on demand.  Truncated states are never
+renormalized; the trace deficit is carried so tests can reject inadmissible
+truncations.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cm_core import OneModeCM, omega
 from .errors import (
@@ -30,23 +32,46 @@ TRACE_DEFICIT_TOL = 1e-8
 
 @dataclass
 class FockOperator:
-    """Dense Hermitian matrix in a truncated number basis.
+    """Density operator U diag(weights) U^dag in a truncated number basis.
 
-    ``log_matrix`` carries ln(matrix) exactly for full-rank Gaussian states:
-    the thermal-core logarithm is analytic and gates conjugate it.  eigh-based
-    logs lose the deep tail (eigenvalues below machine noise), which matters
-    for relative entropies; None for pure or generic operators.
+    ``unitary`` is a product of truncated gate unitaries, unitary to rounding,
+    and ``weights`` are the thermal-core populations.  Gates act on
+    ``unitary`` alone.  ``matrix``, ``log_matrix`` and ``sqrt_factor`` are
+    derived on first use and cached.
+
+    ``log_weights`` carries ln(weights) exactly: the thermal-core logarithm is
+    analytic, while eigh-based logs lose the deep tail (eigenvalues below
+    machine noise), which matters for relative entropies.  It and
+    ``log_matrix`` are None for a pure core.
     """
 
-    matrix: np.ndarray
+    unitary: np.ndarray
+    weights: np.ndarray
     dim_per_mode: int
     n_modes: int = 1
     trace_deficit: float = 0.0
-    log_matrix: np.ndarray | None = None
+    log_weights: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.dim_per_mode**self.n_modes
+
+    @cached_property
+    def sqrt_factor(self) -> np.ndarray:
+        """U diag(sqrt(w)), so that matrix = sqrt_factor sqrt_factor^dag."""
+        return self.unitary * np.sqrt(self.weights)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._spectral(self.weights)
+
+    @cached_property
+    def log_matrix(self) -> np.ndarray | None:
+        return None if self.log_weights is None else self._spectral(self.log_weights)
+
+    def _spectral(self, values: np.ndarray) -> np.ndarray:
+        """U diag(values) U^dag."""
+        return (self.unitary * values) @ self.unitary.conj().T
 
 
 @dataclass(frozen=True)
@@ -63,12 +88,6 @@ class WilliamsonFactors:
 @dataclass(frozen=True)
 class Squeeze:
     z: float  # q -> e^z q, p -> e^-z p
-    mode: int = 0
-
-
-@dataclass(frozen=True)
-class Rotate:
-    phi: float
     mode: int = 0
 
 
@@ -105,11 +124,12 @@ def thermal_state(nu: float, n: int) -> FockOperator:
         w = ratio ** np.arange(n) / (nbar + 1.0)
         log_w = np.arange(n) * math.log(ratio) - math.log(nbar + 1.0)
     return FockOperator(
-        matrix=np.diag(w.astype(complex)),
+        unitary=np.eye(n, dtype=complex),
+        weights=w,
         dim_per_mode=n,
         n_modes=1,
         trace_deficit=float(1.0 - w.sum()),
-        log_matrix=None if log_w is None else np.diag(log_w.astype(complex)),
+        log_weights=log_w,
     )
 
 
@@ -119,67 +139,101 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
     tr_a = 1.0 - a.trace_deficit
     tr_b = 1.0 - b.trace_deficit
     log_ab = None
-    if a.log_matrix is not None and b.log_matrix is not None:
+    if a.log_weights is not None and b.log_weights is not None:
         # ln(A (x) B) = ln A (x) 1 + 1 (x) ln B
-        log_ab = np.kron(a.log_matrix, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.log_matrix)
+        log_ab = np.add.outer(a.log_weights, b.log_weights).ravel()
     return FockOperator(
-        matrix=np.kron(a.matrix, b.matrix),
+        unitary=np.kron(a.unitary, b.unitary),
+        weights=np.kron(a.weights, b.weights),
         dim_per_mode=a.dim_per_mode,
         n_modes=a.n_modes + b.n_modes,
         trace_deficit=float(1.0 - tr_a * tr_b),
-        log_matrix=log_ab,
+        log_weights=log_ab,
     )
 
 
-# unitaries ------------------------------------------------------------------
+# gate actions ----------------------------------------------------------------
+#
+# Each gate is applied to the unitary factor through its structure: squeezers
+# one mode at a time, passive unitaries one total-photon sector at a time.
+# A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so the
+# weights, their logarithm and the trace deficit carry over unchanged.
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Freeze arrays that a cache hands to every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@cache
+def _squeeze_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian (i/2)(adag^2 - a^2); read-only, shared."""
+    a = destroy(n)
+    return _read_only(*np.linalg.eigh(0.5j * (a.T @ a.T - a @ a)))
 
 
 def _squeeze_unitary(r: float, n: int) -> np.ndarray:
     """exp((r/2)(adag^2 - a^2)); maps q -> e^r q in the Heisenberg picture."""
-    a = destroy(n)
-    return expm(0.5 * r * (a.T @ a.T - a @ a))
+    lam, vec = _squeeze_generator(n)
+    return (vec * np.exp(-1j * r * lam)) @ vec.conj().T
 
 
-def _rotation_unitary(phi: float, n: int) -> np.ndarray:
-    return np.diag(np.exp(-1j * phi * np.arange(n)))
+def _local_action(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """(ops[0] (x) ops[1] ...) @ x for one n x n operator per mode (one or two modes)."""
+    if len(ops) == 1:
+        return ops[0] @ x
+    n, m = ops[0].shape[0], x.shape[1]
+    y = (ops[0] @ x.reshape(n, n * m)).reshape(n, n, m)
+    return (ops[1] @ y).reshape(n * n, m)
 
 
-def _beamsplitter_unitary(theta: float, phi: float, n: int) -> np.ndarray:
-    """Wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)], two modes."""
-    u = np.array(
-        [
-            [math.cos(theta / 2), -np.exp(1j * phi) * math.sin(theta / 2)],
-            [np.exp(-1j * phi) * math.sin(theta / 2), math.cos(theta / 2)],
-        ]
-    )
-    return _passive_unitary(u, n)
+@cache
+def _photon_sectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-mode levels grouped by total photon number; read-only, shared.
 
-
-def _passive_unitary(u: np.ndarray, n: int) -> np.ndarray:
-    """Fock-space unitary of a 2x2 mode-space unitary u (a_j -> sum u_jk a_k).
-
-    Photon number is conserved, so the unitary is assembled per total-photon
-    sector, where the generator is a small tridiagonal Hermitian matrix.
+    Row t of the (2n - 1, n) arrays ``n1`` and ``n2`` lists the levels with
+    n1 + n2 = t, padded at its end; ``valid`` marks the real ones.
     """
+    total = np.arange(2 * n - 1)[:, None]
+    n1 = np.maximum(0, total - n + 1) + np.arange(n)
+    n2 = total - n1
+    return _read_only(n1, n2, (n1 < n) & (n2 >= 0))
+
+
+
+def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), times x.
+
+    Photon number is conserved: one mode picks up a phase per level, and two
+    modes mix within each total-photon sector, where the generator is a small
+    tridiagonal Hermitian matrix.  The phases e^{i k arg h_01} make every
+    sector's generator real; the sectors are diagonalized as one stack,
+    padded with zero rows and columns that stay uncoupled.
+    """
+    if u.shape == (1, 1):
+        return np.exp(1j * np.angle(u[0, 0]) * np.arange(n))[:, None] * x
     h = 1j * _logm_unitary(u)  # u = exp(-i h), h Hermitian
-    dim = n * n
-    out = np.zeros((dim, dim), dtype=complex)
-    for total in range(2 * n - 1):
-        n1_lo = max(0, total - n + 1)
-        n1_hi = min(total, n - 1)
-        idx = np.array([(n1 * n + (total - n1)) for n1 in range(n1_lo, n1_hi + 1)])
-        size = len(idx)
-        hb = np.zeros((size, size), dtype=complex)
-        for k, n1 in enumerate(range(n1_lo, n1_hi + 1)):
-            n2 = total - n1
-            hb[k, k] = h[0, 0] * n1 + h[1, 1] * n2
-            if k + 1 < size:  # <n1+1, n2-1| a1dag a2 |n1, n2>
-                amp = math.sqrt((n1 + 1) * n2)
-                hb[k + 1, k] += h[0, 1] * amp
-                hb[k, k + 1] += h[1, 0] * amp
-        w, vecs = np.linalg.eigh(hb)
-        ub = (vecs * np.exp(-1j * w)) @ vecs.conj().T
-        out[np.ix_(idx, idx)] = ub
+    n1, n2, valid = _photon_sectors(n)
+    k = np.arange(n)
+    gen = np.zeros((2 * n - 1, n, n))
+    gen[:, k, k] = np.where(valid, h[0, 0].real * n1 + h[1, 1].real * n2, 0.0)
+    # <n1+1, n2-1| a1dag a2 |n1, n2> couples entry k to k + 1 of a sector
+    amp = np.where(valid[:, 1:], np.sqrt((n1[:, :-1] + 1) * np.maximum(n2[:, :-1], 0)), 0.0)
+    gen[:, k[1:], k[:-1]] = gen[:, k[:-1], k[1:]] = abs(h[0, 1]) * amp
+    w, vecs = np.linalg.eigh(gen)
+    phase = np.exp(1j * np.angle(h[0, 1]) * k)
+    blocks = phase[:, None] * ((vecs * np.exp(-1j * w)[:, None, :]) @ vecs.transpose(0, 2, 1))
+    blocks *= phase.conj()
+    levels = (n1 * n + n2)[valid]  # row indices of x, sector by sector
+    rows = x[levels]
+    start = 0
+    for block, size in zip(blocks, valid.sum(axis=1)):
+        rows[start : start + size] = block[:size, :size] @ rows[start : start + size]
+        start += size
+    out = np.empty(x.shape, dtype=complex)
+    out[levels] = rows
     return out
 
 
@@ -192,33 +246,21 @@ def _logm_unitary(u: np.ndarray) -> np.ndarray:
 def apply_gate(state: FockOperator, gate) -> FockOperator:
     n = state.dim_per_mode
     if isinstance(gate, Squeeze):
-        u1 = _squeeze_unitary(gate.z, n)
-        u = _embed_single_mode(u1, gate.mode, state.n_modes, n)
-    elif isinstance(gate, Rotate):
-        u1 = _rotation_unitary(gate.phi, n)
-        u = _embed_single_mode(u1, gate.mode, state.n_modes, n)
+        if gate.mode >= state.n_modes:
+            raise DimensionMismatch(f"mode {gate.mode} out of range for {state.n_modes} modes")
+        ops = [np.eye(n)] * state.n_modes
+        ops[gate.mode] = _squeeze_unitary(gate.z, n)
+        u = _local_action(ops, state.unitary)
     elif isinstance(gate, BeamSplitter):
         if state.n_modes != 2:
             raise DimensionMismatch("beam splitter needs a two-mode state")
-        u = _beamsplitter_unitary(gate.theta, gate.phi, n)
+        # wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)]
+        c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+        mode_u = np.array([[c, -np.exp(1j * gate.phi) * s], [np.exp(-1j * gate.phi) * s, c]])
+        u = _passive_action(mode_u, n, state.unitary)
     else:
         raise TypeError(f"unknown gate {gate!r}")
-    return FockOperator(
-        matrix=u @ state.matrix @ u.conj().T,
-        dim_per_mode=n,
-        n_modes=state.n_modes,
-        trace_deficit=state.trace_deficit,
-        log_matrix=None if state.log_matrix is None else u @ state.log_matrix @ u.conj().T,
-    )
-
-
-def _embed_single_mode(u1: np.ndarray, mode: int, n_modes: int, n: int) -> np.ndarray:
-    if mode >= n_modes:
-        raise DimensionMismatch(f"mode {mode} out of range for {n_modes} modes")
-    if n_modes == 1:
-        return u1
-    eye = np.eye(n)
-    return np.kron(u1, eye) if mode == 0 else np.kron(eye, u1)
+    return replace(state, unitary=u)
 
 
 # decompositions -------------------------------------------------------------
@@ -325,26 +367,10 @@ def _apply_symplectic(state: FockOperator, s: np.ndarray) -> FockOperator:
     """Unitary action realizing the covariance-matrix congruence W -> S W S^T."""
     n = state.dim_per_mode
     k1, z, k2 = euler_decompose(s)
-    mats = []
-    for k in (k1, k2):
-        if state.n_modes == 1:
-            u = _passive_mode_unitary(k)  # 1x1 phase
-            mats.append(_rotation_unitary(float(np.angle(u[0, 0].conj())), n))
-        else:
-            mats.append(_passive_unitary(_passive_mode_unitary(k), n))
-    zgate = _squeeze_unitary(math.log(z[0, 0]), n)
-    if state.n_modes == 2:
-        zgate = np.kron(zgate, _squeeze_unitary(math.log(z[2, 2]), n))
-    u_total = mats[0] @ zgate @ mats[1]
-    return FockOperator(
-        matrix=u_total @ state.matrix @ u_total.conj().T,
-        dim_per_mode=n,
-        n_modes=state.n_modes,
-        trace_deficit=state.trace_deficit,
-        log_matrix=None
-        if state.log_matrix is None
-        else u_total @ state.log_matrix @ u_total.conj().T,
-    )
+    squeezes = [_squeeze_unitary(math.log(z[2 * j, 2 * j]), n) for j in range(state.n_modes)]
+    u = _passive_action(_passive_mode_unitary(k2), n, state.unitary)
+    u = _passive_action(_passive_mode_unitary(k1), n, _local_action(squeezes, u))
+    return replace(state, unitary=u)
 
 
 def gaussian_state_from_cm(v, n: int) -> FockOperator:
@@ -396,13 +422,16 @@ def _check_same_dims(a: FockOperator, b: FockOperator) -> None:
 
 
 def fidelity_fock(rho: FockOperator, rho_p: FockOperator) -> float:
-    """Uhlmann fidelity (Tr[(sqrt(rho) rho' sqrt(rho))^{1/2}])^2."""
+    """Uhlmann fidelity (Tr[(sqrt(rho) rho' sqrt(rho))^{1/2}])^2.
+
+    With the square-root factors A of rho and B of rho' (rho = A A^dag),
+    G = A^dag B has G G^dag = diag(sqrt(w)) U^dag rho' U diag(sqrt(w)), unitarily
+    similar to sqrt(rho) rho' sqrt(rho): no eigendecomposition of rho, and
+    neither dense matrix is formed.  A is cached on rho for repeated probes.
+    """
     _check_same_dims(rho, rho_p)
-    w, vec = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (vec * np.sqrt(w)) @ vec.conj().T
-    inner = sqrt_rho @ rho_p.matrix @ sqrt_rho
-    lam = np.linalg.eigvalsh(inner)
+    g = rho.sqrt_factor.conj().T @ rho_p.sqrt_factor
+    lam = np.linalg.eigvalsh(g @ g.conj().T)
     # sqrt amplifies eigenvalue-level roundoff; drop pure-noise eigenvalues
     lam[lam < 1e-15 * max(lam.max(), 1e-300)] = 0.0
     return float(np.sum(np.sqrt(lam)) ** 2)

@@ -106,14 +106,13 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
     nonclassicality degree q_s is the per-mode minimum minus the per-mode
     entropy.
     """
-    if not s.is_physical():
-        raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
+    separable = s.is_separable()  # raises UnphysicalState
     kp, km, kt = s.kappa_plus, s.kappa_minus, s.kappa_tilde_minus
     mode1 = OneModeCM(kp * kp / kt, kt)
     mode2 = OneModeCM(kt, km * km / kt)
     s_n1 = _entropy_nu(mode1.nu)
     s_n2 = _entropy_nu(mode2.nu)
-    if kt >= 0.5:
+    if separable:
         return RelEntResult(0.0, kp, km, 0.0, 0.0, s_n1, s_n2)
     x1, m1 = minimize_mode(kp * kp, kt)
     x2, m2 = minimize_mode(km * km, kt)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gent
 from gent import cli, cm_core
 from gent.bures import bures_entanglement
 from gent.errors import UnphysicalState
@@ -109,12 +113,11 @@ def test_positive_det_c_refused(capsys):
 )
 def test_cli_json_matches_library(capsys, case):
     kind, p1, p2, p3 = case
-    # "--d=-1e-300": argparse reads a separate "-1e-300" as an option
     if kind == "bcd":  # c and |d| as fractions of b and c
         c = p1 * p2
-        state, argv = SymmetricState(p1, c, c * p3), [f"--b={p1!r}", f"--c={c!r}", f"--d={-c * p3!r}"]
+        state, argv = SymmetricState(p1, c, c * p3), ["--b", repr(p1), "--c", repr(c), "--d", repr(-c * p3)]
     else:
-        state, argv = symmetric_sts(p1, p2), [f"--r={p1!r}", f"--nbar={p2!r}"]
+        state, argv = symmetric_sts(p1, p2), ["--r", repr(p1), "--nbar", repr(p2)]
     try:
         lib_b, lib_s = bures_entanglement(state), rel_ent_entanglement(state)
     except UnphysicalState:
@@ -294,3 +297,55 @@ def test_oracle_input_validation(capsys):
     code, _, err = run_cli(capsys, "oracle", "entropy", "--state1", "0.5;0.5")
     assert code == 1
     assert "sigma_qq" in err
+
+
+@pytest.mark.parametrize("value", ["-1e-5", "-1.5E-300", "-2.e-1", "-.5e-1"])
+def test_negative_exponent_after_space(capsys, value):
+    code, out, err = run_cli(capsys, "bures", "--b", "1", "--c", "0.3", "--d", value)
+    assert code == 0, err
+    assert json.loads(out)["input"]["d"] == pytest.approx(float(value), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv", [("bures", "--b"), ("frobnicate",), ("sweep", "--measure", "bures"), ("check", "--b", "x")]
+)
+def test_usage_errors_exit_parse(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert "usage:" in err
+
+
+def test_cli_import_leaves_out_oracle_and_scipy():
+    src = os.path.dirname(os.path.dirname(gent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gent.cli; print([m for m in sys.modules if m == 'gent.fock' or m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_threshold_within_rounding_is_separable(capsys):
+    # kt = 1/2 - 5e-13 is within rounding_tol(1) = 1e-12 of the threshold
+    s = SymmetricState(1.0, 1.0 - (0.5 - 5e-13) ** 2, 0.0)
+    assert s.is_separable() and s.kappa_tilde_minus < 0.5
+    assert bures_entanglement(s).e_b == 0.0
+    assert rel_ent_entanglement(s).e_s == 0.0
+    for command, key in (("bures", "e_b"), ("relent", "e_s")):
+        code, out, err = run_cli(capsys, command, "--b", "1", "--c", repr(s.c), "--d", "0", "--verify")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload[key] == 0.0
+        assert "verify" not in payload
+
+
+def test_vacuum_after_local_symplectic(capsys, tmp_path, rng):
+    # the recovered b of a vacuum-local block can come back as 0.49999999999999994
+    from conftest import random_local_symplectic
+
+    path = tmp_path / "vacuum.json"
+    for _ in range(50):
+        t = random_local_symplectic(rng)
+        cm_core.dump_cm_json(0.5 * t @ t.T, path)
+        for command, key in (("bures", "e_b"), ("relent", "e_s")):
+            code, out, err = run_cli(capsys, command, "--cm", str(path))
+            assert code == 0, err
+            assert json.loads(out)[key] == 0.0

@@ -187,3 +187,76 @@ def test_gate_on_wrong_mode_count():
     rho = fock.thermal_state(0.7, 8)
     with pytest.raises(DimensionMismatch):
         fock.apply_gate(rho, fock.BeamSplitter(0.5))
+
+
+def _dense_fidelity(rho, sigma):
+    """Uhlmann fidelity from the dense matrices, with an eigh square root of rho."""
+    w, vec = np.linalg.eigh(rho.matrix)
+    sqrt_rho = (vec * np.sqrt(np.clip(w, 0.0, None))) @ vec.conj().T
+    lam = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
+    lam[lam < 1e-15 * max(lam.max(), 1e-300)] = 0.0
+    return float(np.sum(np.sqrt(lam)) ** 2)
+
+
+def _random_one_mode_cm(rng):
+    nu, z, phi = rng.uniform(0.5, 1.2), rng.uniform(-0.4, 0.4), rng.uniform(-np.pi, np.pi)
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    return nu * rot @ np.diag([np.exp(2 * z), np.exp(-2 * z)]) @ rot.T
+
+
+def test_factored_fidelity_matches_dense_formula(rng):
+    worst = 0.0
+    for n, draw in [(20, random_physical_cm)] * 20 + [(40, _random_one_mode_cm)] * 20:
+        rho = fock.gaussian_state_from_cm(draw(rng), n)
+        sigma = fock.gaussian_state_from_cm(draw(rng), n)
+        worst = max(worst, abs(fock.fidelity_fock(rho, sigma) - _dense_fidelity(rho, sigma)))
+    assert worst < 1e-9
+
+
+def test_fidelity_repeat_is_bit_identical(rng):
+    rho = fock.gaussian_state_from_cm(random_physical_cm(rng), 12)
+    sigma = fock.gaussian_state_from_cm(random_physical_cm(rng), 12)
+    first = fock.fidelity_fock(rho, sigma)
+    assert fock.fidelity_fock(rho, sigma) == first
+    assert fock.fidelity_fock(rho, fock.gaussian_state_from_cm(random_physical_cm(rng), 12)) != first
+
+
+def test_sqrt_factor_reproduces_matrix(rng):
+    for v, n in [(random_physical_cm(rng), 20), (_random_one_mode_cm(rng), 40)]:
+        rho = fock.gaussian_state_from_cm(v, n)
+        f = rho.sqrt_factor
+        assert np.max(np.abs(f @ f.conj().T - rho.matrix)) < 1e-13
+
+
+def test_factored_unitary_is_unitary(rng):
+    rho = fock.gaussian_state_from_cm(random_physical_cm(rng), 20)
+    u = rho.unitary
+    assert np.max(np.abs(u @ u.conj().T - np.eye(rho.dim))) < 1e-12
+
+
+def test_log_matrix_of_pure_core_is_none():
+    assert fock.thermal_state(0.5, 10).log_matrix is None
+    pure = fock.gaussian_state_from_cm(symmetric_sts(0.3).to_cm(), 12)
+    assert pure.log_weights is None and pure.log_matrix is None
+    mixed = fock.gaussian_state_from_cm(symmetric_sts(0.3, 0.2).to_cm(), 12)
+    w, vec = np.linalg.eigh(mixed.log_matrix)
+    np.testing.assert_allclose(np.sort(w), np.sort(mixed.log_weights), atol=1e-12)
+
+
+def test_passive_action_matches_dense_generator(rng):
+    # per-sector exponentials against exp(-i G) of the full truncated generator
+    # G = sum_jk h_jk aj^dag ak, where u = exp(-i h) and h has eigenvalues in (-pi, pi)
+    n = 9
+    a = fock.destroy(n)
+    ops = [np.kron(a, np.eye(n)), np.kron(np.eye(n), a)]
+    for _ in range(5):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = z + z.conj().T
+        h *= 3.0 / np.max(np.abs(np.linalg.eigvalsh(h)))  # the principal logarithm of u
+        w, vec = np.linalg.eigh(h)
+        u = (vec * np.exp(-1j * w)) @ vec.conj().T
+        gen = sum(h[j, k] * ops[j].T @ ops[k] for j in range(2) for k in range(2))
+        gw, gvec = np.linalg.eigh(gen)
+        dense = (gvec * np.exp(-1j * gw)) @ gvec.conj().T
+        x = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
+        np.testing.assert_allclose(fock._passive_action(u, n, x), dense @ x, atol=1e-11)
