@@ -6,22 +6,16 @@ Takes the standard reference state (b, c, |d|) = (1, 0.8, 0.6) and verifies:
   3. the one-mode building blocks against truncated-Fock-basis ground truth.
 """
 
-import math
-
-import numpy as np
-
 from gent import (
     SymmetricState,
     bures_entanglement,
-    max_fidelity_closed,
-    mode_objective,
+    grid_rel_ent,
     numeric_max_fidelity,
     rel_ent_entanglement,
     rel_entropy_one_mode,
 )
 from gent.cm_core import OneModeCM
 from gent import fock
-from gent.scalar_min import grid_minimize
 
 s = SymmetricState(b=1.0, c=0.8, d_abs=0.6)
 kt = s.kappa_tilde_minus
@@ -38,12 +32,7 @@ print(f"E_B = {res.e_b:.9f} = 1 - sqrt(F_max)")
 
 # 2. Relative entropy: golden-section minima vs a staged grid scan
 rel = rel_ent_entanglement(s)
-grid = lambda kappa_sq: grid_minimize(
-    lambda xs: np.array([mode_objective(x, kappa_sq, kt) for x in xs]), 0.5 + 1e-9, 50.0
-)
-_, m1 = grid(s.kappa_plus**2)
-_, m2 = grid(s.kappa_minus**2)
-e_s_grid = m1 + m2 - rel.s_n1 - rel.s_n2
+e_s_grid = grid_rel_ent(s)
 print(f"\nE_S assembled         = {rel.e_s:.12f}   (x1* = {rel.x1_star:.6f}, x2* = {rel.x2_star:.6f})")
 print(f"E_S grid oracle       = {e_s_grid:.12f}   (gap {abs(e_s_grid - rel.e_s):.2e})")
 

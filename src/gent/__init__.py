@@ -4,83 +4,18 @@ Covariance-matrix convention: hbar = 1, vacuum CM = (1/2) * identity,
 quadrature ordering (q1, p1, q2, p2).
 """
 
-from .bures import BuresResult, bures_entanglement, max_fidelity_closed, numeric_max_fidelity, one_mode_fidelity
-from .cm_core import (
-    BlockDecomposition,
-    Invariants4,
-    OneModeCM,
-    SymplecticSpectrum,
-    Verdict,
-    blocks,
-    invariants,
-    is_physical,
-    is_separable,
-    load_cm_json,
-    dump_cm_json,
-    omega,
-    partial_transpose,
-    sp2_value,
-    symplectic_spectrum,
-)
-from .optics import BeamSplitterParams, bs_symplectic, diagonalize_symmetric, transform_cm
-from .relent import (
-    RelEntResult,
-    mode_objective,
-    minimize_mode,
-    rel_ent_entanglement,
-    rel_entropy_one_mode,
-    von_neumann_entropy,
-)
-from .standard_forms import (
-    ScaledState,
-    StandardFormI,
-    SymmetricState,
-    form_II_residuals,
-    form_II_symmetric,
-    make_scaled_cm,
-    symmetric_sts,
-    to_standard_form_I,
-)
+from .bures import bures_entanglement, numeric_max_fidelity
+from .relent import grid_rel_ent, rel_ent_entanglement, rel_entropy_one_mode
+from .standard_forms import SymmetricState, symmetric_sts
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitterParams",
-    "BlockDecomposition",
-    "BuresResult",
-    "Invariants4",
-    "OneModeCM",
-    "RelEntResult",
-    "ScaledState",
-    "StandardFormI",
     "SymmetricState",
-    "SymplecticSpectrum",
-    "Verdict",
-    "blocks",
-    "bs_symplectic",
     "bures_entanglement",
-    "diagonalize_symmetric",
-    "dump_cm_json",
-    "form_II_residuals",
-    "form_II_symmetric",
-    "invariants",
-    "is_physical",
-    "is_separable",
-    "load_cm_json",
-    "make_scaled_cm",
-    "max_fidelity_closed",
-    "minimize_mode",
-    "mode_objective",
+    "grid_rel_ent",
     "numeric_max_fidelity",
-    "omega",
-    "one_mode_fidelity",
-    "partial_transpose",
     "rel_ent_entanglement",
     "rel_entropy_one_mode",
-    "sp2_value",
     "symmetric_sts",
-    "symplectic_spectrum",
-    "to_standard_form_I",
-    "transform_cm",
-    "von_neumann_entropy",
 ]

@@ -17,7 +17,11 @@ from .errors import DomainError, OptimizerNoConverge, UnphysicalState
 from .scalar_min import golden_section
 from .standard_forms import SymmetricState
 
-_EPS = 1e-12
+# numeric_max_fidelity: starts, sweep cap, seed of the random starts, line-search tolerance
+_STARTS = 8
+_MAX_SWEEPS = 400
+_SEED = 12345
+_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -71,20 +75,17 @@ def _fid1(sqq, spp, tqq, tpp) -> float:
     return 1.0 / (math.sqrt(delta_big + 4 * delta_small) - 2 * math.sqrt(delta_small))
 
 
-def numeric_max_fidelity(
-    s: SymmetricState,
-    budget: int = 8,
-    max_sweeps: int = 400,
-    seed: int = 12345,
-) -> tuple[float, SymmetricState, float]:
+def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, float]:
     """Maximize fidelity to separable symmetric scaled standard states.
 
     Both the given state (taken in standard form II) and every candidate
     (equal internal scales u1' = u2' = u') are diagonalized by the same 50:50
     beam splitter, so the objective is a product of one-mode fidelities.
-    Candidates sit on the separability threshold (b'-|d'|)(b'-c') = 1/4,
-    leaving three free variables (y = b'-c', b', u') searched by multi-start
-    coordinate descent with golden-section line searches.
+    Candidates sit on the separability threshold (b'-|d'|)(b'-c') = 1/4.
+    With y = b'-c' and t = |d'|, b' = 1/(4y) + t puts every point of the box
+    y in [1/(4 b_cap), 1/2], t in [0, b_cap], u' in [0.05, 20] on it as a
+    physical candidate, so multi-start coordinate descent runs three
+    independent golden-section line searches per sweep.
 
     Returns (f_star, argmax state, argmax scale).
     """
@@ -99,22 +100,22 @@ def numeric_max_fidelity(
     g1q, g1p = kp2 / kt, kt
     g2q, g2p = kt, km2 / kt
 
-    def neg_product_fidelity(y, bp, u):
-        dp = bp - 1.0 / (4 * y)
-        cp = bp - y
-        f1 = _fid1(g1q, g1p, (bp + cp) * u, (bp - dp) / u)
-        f2 = _fid1(g2q, g2p, (bp - cp) * u, (bp + dp) / u)
+    def neg_product_fidelity(y, t, u):
+        bp = 1.0 / (4 * y) + t
+        f1 = _fid1(g1q, g1p, (2 * bp - y) * u, 1.0 / (4 * y * u))
+        f2 = _fid1(g2q, g2p, y * u, (bp + t) / u)
         return -(f1 * f2)
 
     b_cap = 20 * s.b + 20
-    rng = np.random.default_rng(seed)
+    y_lo = 1.0 / (4 * b_cap)
+    rng = np.random.default_rng(_SEED)
     starts = [
         (0.25, max(s.b, 0.6), v_scale),
         (0.45, s.b + 0.2, v_scale),
         (0.10, max(s.b, 2.6), 1.0),
         (0.30, 2 * s.b, v_scale),
     ]
-    while len(starts) < budget:
+    while len(starts) < _STARTS:
         starts.append(
             (
                 rng.uniform(0.03, 0.5),
@@ -125,35 +126,21 @@ def numeric_max_fidelity(
 
     results = []
     for y, bp, u in starts:
-        bp = max(bp, 0.5, 1.0 / (4 * y)) + _EPS
-        for _ in range(max_sweeps):
-            y0, b0, u0 = y, bp, u
-            y_lo = max(1e-9, 1.0 / (4 * bp)) + _EPS
-            if y_lo < 0.5:
-                y, _ = golden_section(lambda t: neg_product_fidelity(t, bp, u), y_lo, 0.5, tol=1e-11)
-            b_lo = max(0.5, 1.0 / (4 * y)) + _EPS
-            bp, _ = golden_section(lambda t: neg_product_fidelity(y, t, u), b_lo, b_cap, tol=1e-11)
-            u, fu = golden_section(lambda t: neg_product_fidelity(y, bp, t), 0.05, 20.0, tol=1e-11)
-            # the |d'| = 0 face couples the y and b' lower bounds; coordinate
-            # moves stall on its corner, so search along the face explicitly
-            tb, tf = golden_section(
-                lambda t: neg_product_fidelity(min(1.0 / (4 * t), 0.5), t, u),
-                0.5 + _EPS,
-                b_cap,
-                tol=1e-11,
-            )
-            if tf < fu:
-                bp = tb
-                y = min(1.0 / (4 * tb), 0.5)
-            if abs(y - y0) < 1e-9 and abs(bp - b0) < 1e-9 and abs(u - u0) < 1e-9:
+        t = max(bp - 1.0 / (4 * y), 0.0)
+        for _ in range(_MAX_SWEEPS):
+            y0, t0, u0 = y, t, u
+            y, _ = golden_section(lambda z: neg_product_fidelity(z, t, u), y_lo, 0.5, tol=_TOL)
+            t, _ = golden_section(lambda z: neg_product_fidelity(y, z, u), 0.0, b_cap, tol=_TOL)
+            u, _ = golden_section(lambda z: neg_product_fidelity(y, t, z), 0.05, 20.0, tol=_TOL)
+            if abs(y - y0) < 1e-9 and abs(t - t0) < 1e-9 and abs(u - u0) < 1e-9:
                 break
-        results.append((-neg_product_fidelity(y, bp, u), y, bp, u))
+        results.append((-neg_product_fidelity(y, t, u), y, t, u))
 
     values = [r[0] for r in results]
     if max(values) - min(values) > 1e-6:
         raise OptimizerNoConverge(
             f"best-value spread across starts is {max(values) - min(values):.3e}"
         )
-    f_star, y, bp, u = max(results)
-    argmax = SymmetricState(b=bp, c=bp - y, d_abs=max(bp - 1.0 / (4 * y), 0.0))
-    return f_star, argmax, u
+    f_star, y, t, u = max(results)
+    bp = 1.0 / (4 * y) + t
+    return f_star, SymmetricState(b=bp, c=bp - y, d_abs=t), u

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 separable/success, 1 parse failure or a covariance matrix
-too ill-conditioned to decide kappa >= 1/2, 2 unphysical state,
+too ill-conditioned to decide kappa >= 1/2, 2 unphysical state (also a
+matrix that is not positive definite),
 3 entangled, 4 input with no symmetric standard form (b1 != b2, or
 det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
 where one is required, 5 support violation in the oracle.
@@ -24,7 +25,6 @@ import numpy as np
 from . import __version__, bures, cm_core, relent, standard_forms
 from .errors import DomainError, GentError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
-from .scalar_min import grid_minimize
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -130,6 +130,8 @@ def cmd_check(args) -> int:
         sep = cm_core.is_separable(v)
     except UnphysicalState:
         sep = None
+    except NonPositiveDefinite as exc:
+        _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
     except GentError as exc:
         _fail(EXIT_PARSE, f"covariance matrix: {exc}")
     print(f"physical:           {sep is not None}  (kappa_minus = {spec.kappa_minus:.9g})")
@@ -181,7 +183,6 @@ def cmd_bures(args) -> int:
 def cmd_relent(args) -> int:
     state = _resolve_state(args)
     result = relent.rel_ent_entanglement(state)
-    kt = state.kappa_tilde_minus
     payload = {
         "version": __version__,
         "command": "relent",
@@ -193,14 +194,10 @@ def cmd_relent(args) -> int:
         "q_s2": result.q_s2,
         "s_n1": result.s_n1,
         "s_n2": result.s_n2,
-        "kappa_tilde_minus": kt,
+        "kappa_tilde_minus": state.kappa_tilde_minus,
     }
     if args.verify and not state.is_separable():
-        grid = lambda ks: grid_minimize(
-            lambda xs: np.array([relent.mode_objective(x, ks, kt) for x in xs]), 0.5 + 1e-9, 50.0
-        )
-        (_, m1), (_, m2) = grid(state.kappa_plus**2), grid(state.kappa_minus**2)
-        e_s_grid = m1 + m2 - result.s_n1 - result.s_n2
+        e_s_grid = relent.grid_rel_ent(state)
         payload["verify"] = {"e_s_grid": e_s_grid, "discrepancy": abs(e_s_grid - result.e_s)}
     print(json.dumps(payload, indent=1))
     return EXIT_SEPARABLE

@@ -17,10 +17,6 @@ class UnphysicalState(GentError):
     """Covariance matrix violates the uncertainty relation."""
 
 
-class SingularDenominator(GentError):
-    """Form-II residuals evaluated at 2*b_i == v_i."""
-
-
 class DomainError(GentError, ValueError):
     """Argument outside the mathematical domain of the operation."""
 

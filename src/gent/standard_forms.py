@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cm_core
-from .errors import DomainError, NonPositiveDefinite, SingularDenominator, UnphysicalState
+from .errors import DomainError, NonPositiveDefinite, UnphysicalState
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,6 @@ def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:
         raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
     v = math.sqrt((s.b - s.d_abs) / (s.b - s.c))
     return v, s.to_cm(u=v)
-
-
-def form_II_residuals(b1, b2, c, d, v1, v2) -> tuple[float, float]:
-    """Residuals of the algebraic system defining the form-II squeeze factors.
-
-    Both vanish at a valid solution (v1, v2).
-    """
-    if v1 <= 0 or v2 <= 0:
-        raise DomainError("squeeze factors must be positive")
-    if abs(2 * b1 - v1) < 1e-300 or abs(2 * b2 - v2) < 1e-300:
-        raise SingularDenominator("2*b_i - v_i = 0")
-    r_a = b1 * (v1 * v1 - 1) / (2 * b1 - v1) - b2 * (v2 * v2 - 1) / (2 * b2 - v2)
-    r_b = b1 * b2 * (v1 * v1 - 1) * (v2 * v2 - 1) - (c * v1 * v2 - abs(d)) ** 2
-    return r_a, r_b
 
 
 def symmetric_sts(r: float, nbar: float = 0.0) -> SymmetricState:

@@ -13,6 +13,8 @@ from gent.cm_core import OneModeCM
 from gent.errors import DomainError, UnphysicalState
 from gent.standard_forms import SymmetricState, symmetric_sts
 
+from conftest import random_entangled_symmetric
+
 
 def test_fidelity_identical_states():
     v = OneModeCM(0.9, 0.7)
@@ -89,6 +91,16 @@ def test_numeric_maximizer_tmsv():
     f_star, _, _ = numeric_max_fidelity(s)
     kt = 0.5 * math.exp(-1.0)
     assert f_star == pytest.approx(2 * kt / (kt + 0.5) ** 2, abs=1e-6)
+
+
+def test_numeric_maximizer_beyond_criterion_1_range(rng):
+    # nearly separable pure, strongly squeezed thermal, and b up to 10 (criterion 1 stops at 3)
+    states = [symmetric_sts(0.05), symmetric_sts(2, 0.3)]
+    states += random_entangled_symmetric(rng, 4, b_lo=3.0, b_hi=10.0)
+    for s in states:
+        f_star, argmax, _u = numeric_max_fidelity(s)
+        assert abs(f_star - max_fidelity_closed(s.kappa_tilde_minus)) <= 1e-9, s
+        assert abs(argmax.kappa_tilde_minus - 0.5) <= 1e-12, s
 
 
 def test_numeric_maximizer_requires_entangled():

@@ -349,3 +349,21 @@ def test_vacuum_after_local_symplectic(capsys, tmp_path, rng):
             code, out, err = run_cli(capsys, command, "--cm", str(path))
             assert code == 0, err
             assert json.loads(out)[key] == 0.0
+
+
+def test_relent_verify_at_strong_squeezing(capsys):
+    # x1* = 105 here: a grid stopping at a fixed x such as 50 misses the minimum
+    code, out, err = run_cli(capsys, "relent", "--r", "5", "--nbar", "0.5", "--verify")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["x1_star"] > 100
+    assert payload["verify"]["discrepancy"] < 1e-9
+
+
+@pytest.mark.parametrize("command", ["check", "bures", "relent"])
+def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
+    path = tmp_path / "npd.json"
+    cm_core.dump_cm_json(np.diag([1.0, 1.0, 1.0, -0.1]), path)
+    code, _, err = run_cli(capsys, command, "--cm", str(path))
+    assert code == cli.EXIT_UNPHYSICAL, err
+    assert "unphysical" in err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gent import fock
@@ -90,7 +91,16 @@ def test_rel_ent_entanglement_reference_state():
     assert res.s_n1 == pytest.approx(0.7705897, abs=1e-6)
     assert res.s_n2 == pytest.approx(0.2466504, abs=1e-6)
     assert res.x1_star >= res.x2_star
-    assert not res.ordering_violation
+
+
+def test_equal_kappas_log_no_ordering_warning(caplog):
+    # c - |d| = eps b puts kappa_+^2 - kappa_-^2 = 2 eps b^2 below the accuracy of x*
+    with caplog.at_level("DEBUG"):
+        for b in np.linspace(0.71, 1.66, 20):
+            for eps in np.logspace(-16, -6, 6):
+                res = rel_ent_entanglement(SymmetricState(b, 0.7 * b, 0.7 * b - eps * b))
+                assert res.e_s > 0
+    assert caplog.records == []
 
 
 def test_rel_ent_separable_is_zero():
