@@ -5,6 +5,7 @@ quadrature ordering (q1, p1, q2, p2).
 """
 
 from .bures import bures_entanglement, numeric_max_fidelity
+from .formation import entanglement_of_formation
 from .relent import grid_rel_ent, rel_ent_entanglement, rel_entropy_one_mode
 from .standard_forms import SymmetricState, symmetric_sts
 
@@ -13,6 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SymmetricState",
     "bures_entanglement",
+    "entanglement_of_formation",
     "grid_rel_ent",
     "numeric_max_fidelity",
     "rel_ent_entanglement",

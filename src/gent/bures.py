@@ -83,8 +83,9 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     beam splitter, so the objective is a product of one-mode fidelities.
     Candidates sit on the separability threshold (b'-|d'|)(b'-c') = 1/4.
     With y = b'-c' and t = |d'|, b' = 1/(4y) + t puts every point of the box
-    y in [1/(4 b_cap), 1/2], t in [0, b_cap], u' in [0.05, 20] on it as a
-    physical candidate, so multi-start coordinate descent runs three
+    y in [1/(4 b_cap), 1/2], t in [0, b_cap], u' in [0.05, max(20, 4v)] on
+    it as a physical candidate (v = sqrt((b-|d|)/(b-c)) is the form-II
+    squeeze, which u* follows), so multi-start coordinate descent runs three
     independent golden-section line searches per sweep.
 
     Returns (f_star, argmax state, argmax scale).
@@ -107,6 +108,7 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
         return -(f1 * f2)
 
     b_cap = 20 * s.b + 20
+    u_cap = max(20.0, 4 * v_scale)  # u* follows the form-II squeeze v, which reaches 2b
     y_lo = 1.0 / (4 * b_cap)
     rng = np.random.default_rng(_SEED)
     starts = [
@@ -131,7 +133,7 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
             y0, t0, u0 = y, t, u
             y, _ = golden_section(lambda z: neg_product_fidelity(z, t, u), y_lo, 0.5, tol=_TOL)
             t, _ = golden_section(lambda z: neg_product_fidelity(y, z, u), 0.0, b_cap, tol=_TOL)
-            u, _ = golden_section(lambda z: neg_product_fidelity(y, t, z), 0.05, 20.0, tol=_TOL)
+            u, _ = golden_section(lambda z: neg_product_fidelity(y, t, z), 0.05, u_cap, tol=_TOL)
             if abs(y - y0) < 1e-9 and abs(t - t0) < 1e-9 and abs(u - u0) < 1e-9:
                 break
         results.append((-neg_product_fidelity(y, t, u), y, t, u))

@@ -12,6 +12,13 @@ EQUAL_KT_PAIR = (
     SymmetricState(b=1.2, c=1.0, d_abs=0.8),
 )
 
+# Two entangled symmetric states that E_F and E_B order one way and E_S the
+# other: E_F 0.2939 -> 0.3037, E_B 0.03924 -> 0.04095, E_S 0.1990 -> 0.1854.
+E_S_REVERSAL_PAIR = (
+    SymmetricState(b=1.0, c=0.8, d_abs=0.6),
+    SymmetricState(b=1.2, c=1.0, d_abs=0.81),
+)
+
 
 @pytest.fixture
 def rng():

@@ -103,6 +103,16 @@ def test_numeric_maximizer_beyond_criterion_1_range(rng):
         assert abs(argmax.kappa_tilde_minus - 0.5) <= 1e-12, s
 
 
+@pytest.mark.parametrize("b, c, d_abs", [(15, 14.983, 0.5), (50, 49.995, 0.2)])
+def test_numeric_maximizer_scale_beyond_20(b, c, d_abs):
+    # u* follows v = sqrt((b-|d|)/(b-c)): 29.2 and 99.8 here, past the former cap u' <= 20
+    s = SymmetricState(b, c, d_abs)
+    f_star, argmax, u = numeric_max_fidelity(s)
+    assert u > 20
+    assert abs(f_star - max_fidelity_closed(s.kappa_tilde_minus)) <= 1e-9
+    assert abs(argmax.kappa_tilde_minus - 0.5) <= 1e-12
+
+
 def test_numeric_maximizer_requires_entangled():
     with pytest.raises(DomainError):
         numeric_max_fidelity(SymmetricState(1.0, 0.2, 0.1))

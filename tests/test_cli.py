@@ -211,6 +211,22 @@ def test_sweep_pure_states_to_strong_squeezing(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_sweep_both_keeps_its_columns(capsys, tmp_path):
+    # the benchmark compares this CSV string for string, so E_F is not a column
+    path = tmp_path / "both.csv"
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--measure", "both", "--parameter", "r",
+        "--start", "0.05", "--stop", "1.0", "--steps", "7", "--nbar", "0.1",
+        "--output", str(path),
+    )
+    assert code == 0, err
+    lines = path.read_text().splitlines()
+    assert lines[0] == "param,b,c,d,kappa_plus,kappa_minus,kappa_tilde_minus,e_b,e_s,x1_star,x2_star"
+    assert len(lines) == 8
+    assert all(len(line.split(",")) == 11 for line in lines[1:])
+
+
 def test_sweep_kappa_tilde_matches_closed_form(capsys, tmp_path):
     path = tmp_path / "kt.csv"
     code, _, _ = run_cli(

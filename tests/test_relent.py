@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from gent import fock
 from gent.cm_core import OneModeCM
 from gent.errors import DomainError, SupportViolation, UnphysicalState
 from gent.relent import (
+    grid_rel_ent,
     minimize_mode,
     mode_objective,
     rel_ent_entanglement,
     rel_entropy_one_mode,
     von_neumann_entropy,
 )
-from gent.standard_forms import SymmetricState
+from gent.scalar_min import bracket_doubling, golden_section
+from gent.standard_forms import SymmetricState, symmetric_sts
 
-from conftest import EQUAL_KT_PAIR
+from conftest import EQUAL_KT_PAIR, random_entangled_symmetric
 
 
 def test_entropy_pure_states():
@@ -82,6 +85,52 @@ def test_minimize_mode():
     assert m2 == pytest.approx(0.3641169, abs=1e-6)
     with pytest.raises(DomainError):
         minimize_mode(0.72, 0.6)
+    # kappa^2 <= kt (1 - kt): the objective falls to -inf at x -> 1/2
+    with pytest.raises(DomainError):
+        minimize_mode(0.2, 0.4)
+
+
+def _slope_and_size(x, kappa_sq, kt):
+    """f'(x) = (x - g/2)/D + g' L/2 of mode_objective, and the size of its terms."""
+    g = kappa_sq / (2 * x * kt) + 2 * x * kt
+    dg = 2 * kt - kappa_sq / (2 * x * x * kt)
+    d = x * x - 0.25
+    l = math.log((x + 0.5) / (x - 0.5))
+    size = (x + g / 2) / d + (2 * kt + kappa_sq / (2 * x * x * kt)) * l / 2
+    return (x - g / 2) / d + dg * l / 2, size
+
+
+def _golden_mode_minimum(kappa_sq, kt):
+    """Reference minimum: a doubling walk from 1/2 + 1e-9, then golden section to 1e-10."""
+    f = lambda x: mode_objective(x, kappa_sq, kt)
+    a, b = bracket_doubling(f, 0.5 + 1e-9, 1e-4)
+    return golden_section(f, a, b, 1e-10)
+
+
+def test_minimizer_is_stationary_to_rounding(rng):
+    # measured at most 3.2 ulp of the terms over these states
+    for s in random_entangled_symmetric(rng, 500):
+        res = rel_ent_entanglement(s)
+        kt = s.kappa_tilde_minus
+        for kappa, x in ((s.kappa_plus, res.x1_star), (s.kappa_minus, res.x2_star)):
+            slope, size = _slope_and_size(x, kappa * kappa, kt)
+            assert abs(slope) <= 8 * sys.float_info.epsilon * size, (s, x)
+
+
+def test_mode_minima_match_golden_section(rng):
+    for s in random_entangled_symmetric(rng, 2000):
+        kt = s.kappa_tilde_minus
+        for kappa in (s.kappa_plus, s.kappa_minus):
+            _, m = minimize_mode(kappa * kappa, kt)
+            _, m_ref = _golden_mode_minimum(kappa * kappa, kt)
+            assert abs(m - m_ref) <= 1e-13 * (abs(m_ref) + 1), s
+
+
+@pytest.mark.parametrize("r, nbar", [(3, 0), (5, 0.5), (6, 0.5), (6.5, 0)])
+def test_e_s_matches_grid_at_strong_squeezing(r, nbar):
+    # x1* reaches about 333 at r = 6.5
+    s = symmetric_sts(r, nbar)
+    assert abs(rel_ent_entanglement(s).e_s - grid_rel_ent(s)) <= 1e-12
 
 
 def test_rel_ent_entanglement_reference_state():
@@ -101,6 +150,22 @@ def test_equal_kappas_log_no_ordering_warning(caplog):
                 res = rel_ent_entanglement(SymmetricState(b, 0.7 * b, 0.7 * b - eps * b))
                 assert res.e_s > 0
     assert caplog.records == []
+
+
+def test_minimizers_keep_order_near_equal_kappas():
+    # kappa_+^2 - kappa_-^2 = 2 eps b^2 puts x1* - x2* at or below rounding
+    for b in np.linspace(0.71, 1.66, 40):
+        for eps in np.logspace(-16, -6, 11):
+            res = rel_ent_entanglement(SymmetricState(b, 0.7 * b, 0.7 * b - eps * b))
+            assert res.x1_star >= res.x2_star, (b, eps)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_e_s_nonnegative_near_threshold(k):
+    # E_S is a difference of O(1) terms that cancel as kt -> 1/2
+    kt = 0.5 - 10.0**-k
+    res = rel_ent_entanglement(SymmetricState(1.0, 1.0 - kt, 1.0 - kt))
+    assert 0.0 <= res.e_s <= 1e-5
 
 
 def test_rel_ent_separable_is_zero():
