@@ -4,9 +4,13 @@ Gaussian states are realized by Williamson decomposition of the covariance
 matrix followed by an Euler (passive - squeeze - passive) factorization of
 the symplectic, applied as unitary gates to a product of thermal states.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
-weights; dense matrices are derived on demand.  Truncated states are never
-renormalized; the trace deficit is carried so tests can reject inadmissible
-truncations.
+weights; dense matrices are derived on demand.  Every gate commutes with the
+total photon parity (-1)^(n1 + n2) (squeezers move one mode by two photons,
+passive gates conserve n1 + n2), and the truncated gates are built one parity
+class at a time, so U and rho are exactly block-diagonal in the two classes.
+The fidelity works on the square-root factor of each block.  Truncated
+states are never renormalized; the trace deficit is carried so tests can
+reject inadmissible truncations.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class FockOperator:
 
     ``unitary`` is a product of truncated gate unitaries, unitary to rounding,
     and ``weights`` are the thermal-core populations.  Gates act on
-    ``unitary`` alone.  ``matrix``, ``log_matrix`` and ``sqrt_factor`` are
+    ``unitary`` alone; its entries between levels of opposite photon parity
+    are exact zeros.  ``matrix``, ``log_matrix`` and ``parity_blocks`` are
     derived on first use and cached.
 
     ``log_weights`` carries ln(weights) exactly: the thermal-core logarithm is
@@ -57,9 +62,17 @@ class FockOperator:
         return self.dim_per_mode**self.n_modes
 
     @cached_property
-    def sqrt_factor(self) -> np.ndarray:
-        """U diag(sqrt(w)), so that matrix = sqrt_factor sqrt_factor^dag."""
-        return self.unitary * np.sqrt(self.weights)
+    def parity_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """U_p diag(sqrt(w_p)) for the even and odd parity class p.
+
+        U_p is the block of ``unitary`` on the levels ``_parity_classes``
+        lists for class p, so each block of ``matrix`` is A_p A_p^dag.
+        """
+        root = np.sqrt(self.weights)
+        return tuple(
+            self.unitary[np.ix_(idx, idx)] * root[idx]
+            for idx in _parity_classes(self.dim_per_mode, self.n_modes)
+        )
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -168,16 +181,26 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _squeeze_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian (i/2)(adag^2 - a^2); read-only, shared."""
+def _squeeze_generator(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs of the Hermitian (i/2)(adag^2 - a^2) on the even and on the odd levels.
+
+    The generator moves the photon number by two, so it splits into the two
+    parity classes; each is diagonalized alone.  Read-only, shared.
+    """
     a = destroy(n)
-    return _read_only(*np.linalg.eigh(0.5j * (a.T @ a.T - a @ a)))
+    gen = 0.5j * (a.T @ a.T - a @ a)
+    return tuple(_read_only(*np.linalg.eigh(gen[p::2, p::2])) for p in (0, 1))
 
 
 def _squeeze_unitary(r: float, n: int) -> np.ndarray:
-    """exp((r/2)(adag^2 - a^2)); maps q -> e^r q in the Heisenberg picture."""
-    lam, vec = _squeeze_generator(n)
-    return (vec * np.exp(-1j * r * lam)) @ vec.conj().T
+    """exp((r/2)(adag^2 - a^2)); maps q -> e^r q in the Heisenberg picture.
+
+    Entries between levels of opposite parity are exact zeros.
+    """
+    u = np.zeros((n, n), dtype=complex)
+    for p, (lam, vec) in enumerate(_squeeze_generator(n)):
+        u[p::2, p::2] = (vec * np.exp(-1j * r * lam)) @ vec.conj().T
+    return u
 
 
 def _local_action(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -201,6 +224,12 @@ def _photon_sectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n2 = total - n1
     return _read_only(n1, n2, (n1 < n) & (n2 >= 0))
 
+
+@cache
+def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of even and of odd total photon number, as indices; read-only, shared."""
+    parity = np.indices((n,) * n_modes).sum(axis=0).ravel() % 2
+    return _read_only(np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
 
 
 def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -424,17 +453,20 @@ def _check_same_dims(a: FockOperator, b: FockOperator) -> None:
 def fidelity_fock(rho: FockOperator, rho_p: FockOperator) -> float:
     """Uhlmann fidelity (Tr[(sqrt(rho) rho' sqrt(rho))^{1/2}])^2.
 
-    With the square-root factors A of rho and B of rho' (rho = A A^dag),
+    With square-root factors A of rho and B of rho' (rho = A A^dag),
     G = A^dag B has G G^dag = diag(sqrt(w)) U^dag rho' U diag(sqrt(w)), unitarily
-    similar to sqrt(rho) rho' sqrt(rho): no eigendecomposition of rho, and
-    neither dense matrix is formed.  A is cached on rho for repeated probes.
+    similar to sqrt(rho) rho' sqrt(rho), so the root fidelity is the sum of
+    the singular values of G.  Both states are block-diagonal in photon
+    parity, so G is too: the sum runs over the SVDs of the two half-size
+    blocks A_p^dag B_p.  No eigendecomposition of rho, no dense matrix and no
+    clipping; the factors are cached on rho for repeated probes.
     """
     _check_same_dims(rho, rho_p)
-    g = rho.sqrt_factor.conj().T @ rho_p.sqrt_factor
-    lam = np.linalg.eigvalsh(g @ g.conj().T)
-    # sqrt amplifies eigenvalue-level roundoff; drop pure-noise eigenvalues
-    lam[lam < 1e-15 * max(lam.max(), 1e-300)] = 0.0
-    return float(np.sum(np.sqrt(lam)) ** 2)
+    root = sum(
+        np.linalg.svd(a.conj().T @ b, compute_uv=False).sum()
+        for a, b in zip(rho.parity_blocks, rho_p.parity_blocks)
+    )
+    return float(root**2)
 
 
 def entropy_fock(rho: FockOperator) -> float:

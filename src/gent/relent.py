@@ -241,14 +241,15 @@ def grid_rel_ent(s: SymmetricState) -> float:
     """E_S of an entangled state by grid scans of the two mode objectives.
 
     A check on rel_ent_entanglement that shares its formulas but not its
-    minimizer.  Each scan runs on (1/2, 10 + 2 kappa^2/kt^2]: the minimizer
-    grows with the squeezing (x1* = 105 at r = 5, nbar = 1/2), so the upper
-    limit grows as kt falls.
+    minimizer.  Each scan runs on [1/2 + 1e-15, 10 + 2 kappa^2/kt^2]: the
+    minimizer grows with the squeezing (x1* = 105 at r = 5, nbar = 1/2), so
+    the upper limit grows as kt falls; at weak squeezing it lies about r^2
+    above 1/2 (pure states), so the scan starts a few ulp above 1/2.
     """
     kt = s.kappa_tilde_minus
     total = 0.0
     for kappa in (_vacuum_floor(s.kappa_plus), _vacuum_floor(s.kappa_minus)):
         f = lambda xs: np.array([mode_objective(x, kappa * kappa, kt) for x in xs])
-        _, m = grid_minimize(f, 0.5 + 1e-9, 10.0 + 2.0 * kappa * kappa / (kt * kt))
+        _, m = grid_minimize(f, 0.5 + 1e-15, 10.0 + 2.0 * kappa * kappa / (kt * kt))
         total += m - _entropy_nu(kappa)
     return total

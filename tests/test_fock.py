@@ -14,7 +14,7 @@ from gent.errors import (
 )
 from gent.standard_forms import symmetric_sts
 
-from conftest import random_physical_cm
+from conftest import random_entangled_symmetric, random_physical_cm
 
 
 def test_thermal_state_basics():
@@ -189,13 +189,16 @@ def test_gate_on_wrong_mode_count():
         fock.apply_gate(rho, fock.BeamSplitter(0.5))
 
 
+def _sqrtm(m):
+    """Square root of a dense positive semidefinite matrix by eigh."""
+    w, vec = np.linalg.eigh(m)
+    return (vec * np.sqrt(np.clip(w, 0.0, None))) @ vec.conj().T
+
+
 def _dense_fidelity(rho, sigma):
-    """Uhlmann fidelity from the dense matrices, with an eigh square root of rho."""
-    w, vec = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (vec * np.sqrt(np.clip(w, 0.0, None))) @ vec.conj().T
-    lam = np.linalg.eigvalsh(sqrt_rho @ sigma.matrix @ sqrt_rho)
-    lam[lam < 1e-15 * max(lam.max(), 1e-300)] = 0.0
-    return float(np.sum(np.sqrt(lam)) ** 2)
+    """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2 from the dense matrices."""
+    sv = np.linalg.svd(_sqrtm(rho.matrix) @ _sqrtm(sigma.matrix), compute_uv=False)
+    return float(np.sum(sv) ** 2)
 
 
 def _random_one_mode_cm(rng):
@@ -224,8 +227,43 @@ def test_fidelity_repeat_is_bit_identical(rng):
 def test_sqrt_factor_reproduces_matrix(rng):
     for v, n in [(random_physical_cm(rng), 20), (_random_one_mode_cm(rng), 40)]:
         rho = fock.gaussian_state_from_cm(v, n)
-        f = rho.sqrt_factor
-        assert np.max(np.abs(f @ f.conj().T - rho.matrix)) < 1e-13
+        even, odd = fock._parity_classes(n, rho.n_modes)
+        for idx, f in zip((even, odd), rho.parity_blocks):
+            assert np.max(np.abs(f @ f.conj().T - rho.matrix[np.ix_(idx, idx)])) < 1e-13
+        assert not np.any(rho.matrix[np.ix_(even, odd)])
+        assert not np.any(rho.matrix[np.ix_(odd, even)])
+
+
+def test_gates_keep_parity_blocks_exact(rng):
+    one = fock.gaussian_state_from_cm(_random_one_mode_cm(rng), 16)
+    two = fock.gaussian_state_from_cm(random_physical_cm(rng), 12)
+    states = [
+        one,
+        two,
+        fock.tensor(one, fock.gaussian_state_from_cm(_random_one_mode_cm(rng), 16)),
+        fock.apply_gate(two, fock.Squeeze(0.3, mode=1)),
+        fock.apply_gate(two, fock.BeamSplitter(1.1, 0.4)),
+    ]
+    for state in states:
+        even, odd = fock._parity_classes(state.dim_per_mode, state.n_modes)
+        assert not np.any(state.unitary[np.ix_(even, odd)])
+        assert not np.any(state.unitary[np.ix_(odd, even)])
+
+
+def test_fidelity_self_is_squared_trace():
+    # criterion 2's rho at N = 20; the trace is below 1 by the thermal tail
+    rng = np.random.default_rng(202)
+    for s in random_entangled_symmetric(rng, 3, b_lo=0.55, b_hi=1.2):
+        rho = fock.gaussian_state_from_cm(s.to_cm(), 20)
+        assert abs(fock.fidelity_fock(rho, rho) - rho.weights.sum() ** 2) < 1e-13
+
+
+def test_fidelity_is_multiplicative():
+    # criterion 10's states at N = 20
+    cms = [OneModeCM(0.7, 0.6), OneModeCM(0.55, 0.9), OneModeCM(0.8, 0.8), OneModeCM(0.6, 0.75)]
+    rho1, sig1, rho2, sig2 = (fock.gaussian_state_from_cm(c, 20) for c in cms)
+    joint = fock.fidelity_fock(fock.tensor(rho1, rho2), fock.tensor(sig1, sig2))
+    assert abs(joint - fock.fidelity_fock(rho1, sig1) * fock.fidelity_fock(rho2, sig2)) < 1e-12
 
 
 def test_factored_unitary_is_unitary(rng):

@@ -133,6 +133,14 @@ def test_e_s_matches_grid_at_strong_squeezing(r, nbar):
     assert abs(rel_ent_entanglement(s).e_s - grid_rel_ent(s)) <= 1e-12
 
 
+@pytest.mark.parametrize("r", [1e-6, 1e-5])
+def test_e_s_matches_grid_at_weak_squeezing(r):
+    # the mode minimizers lie about r^2 above 1/2
+    s = symmetric_sts(r)
+    e_s = rel_ent_entanglement(s).e_s
+    assert abs(grid_rel_ent(s) - e_s) <= 1e-10 * e_s
+
+
 def test_rel_ent_entanglement_reference_state():
     res = rel_ent_entanglement(SymmetricState(1.0, 0.8, 0.6))
     assert res.e_s == pytest.approx(0.1989831, abs=1e-6)
