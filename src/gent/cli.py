@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +67,18 @@ def _add_state_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nbar", type=float, default=0.0, help="thermal mean photon number")
 
 
+def _load_cm(path: str, flag: str) -> np.ndarray:
+    """The CM in a JSON file; exits EXIT_PARSE if it cannot be read."""
+    try:
+        return cm_core.load_cm_json(path)
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        _fail(EXIT_PARSE, f"{flag}: {exc}")
+
+
 def _resolve_cm(args) -> np.ndarray:
     """Build the 4x4 CM from whichever input form was given."""
     if args.cm is not None:
-        try:
-            return cm_core.load_cm_json(args.cm)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            _fail(EXIT_PARSE, f"--cm: {exc}")
+        return _load_cm(args.cm, "--cm")
     if args.b is not None:
         if args.c is None or args.d is None:
             _fail(EXIT_PARSE, "--b requires --c and --d")
@@ -111,7 +115,7 @@ def _resolve_state(args) -> standard_forms.SymmetricState:
         # a vacuum-local block comes back up to a rounding below b = 1/2
         b = 0.5 if 0.5 - tol <= form.b1 < 0.5 else form.b1
         return standard_forms.SymmetricState(b, form.c, abs(form.d))
-    except (NonPositiveDefinite, DomainError) as exc:
+    except DomainError as exc:
         _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
 
 
@@ -130,8 +134,8 @@ def cmd_check(args) -> int:
         sep = cm_core.is_separable(v)
     except UnphysicalState:
         sep = None
-    except NonPositiveDefinite as exc:
-        _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
+    except NonPositiveDefinite:
+        raise  # main reports it as unphysical
     except GentError as exc:
         _fail(EXIT_PARSE, f"covariance matrix: {exc}")
     print(f"physical:           {sep is not None}  (kappa_minus = {spec.kappa_minus:.9g})")
@@ -203,27 +207,6 @@ def cmd_relent(args) -> int:
     return EXIT_SEPARABLE
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    measure: str  # bures | relent | both
-    parameter: str  # kappa_tilde | r
-    start: float
-    stop: float
-    steps: int
-    nbar: float
-    output: str
-    format: str  # csv | json
-
-    def validate(self) -> str | None:
-        if self.start >= self.stop:
-            return "--start must be below --stop"
-        if self.steps < 2:
-            return "--steps must be at least 2"
-        if self.parameter == "kappa_tilde" and (self.start <= 0 or self.stop > 0.5):
-            return "--parameter kappa_tilde needs a range within (0, 1/2]"
-        return None
-
-
 SWEEP_COLUMNS = [
     "param",
     "b",
@@ -240,24 +223,16 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        measure=args.measure,
-        parameter=args.parameter,
-        start=args.start,
-        stop=args.stop,
-        steps=args.steps,
-        nbar=args.nbar,
-        output=args.output,
-        format=args.format,
-    )
-    problem = spec.validate()
-    if problem:
-        _fail(EXIT_PARSE, problem)
-    values = np.linspace(spec.start, spec.stop, spec.steps)
+    if args.start >= args.stop:
+        _fail(EXIT_PARSE, "--start must be below --stop")
+    if args.steps < 2:
+        _fail(EXIT_PARSE, "--steps must be at least 2")
+    if args.parameter == "kappa_tilde" and (args.start <= 0 or args.stop > 0.5):
+        _fail(EXIT_PARSE, "--parameter kappa_tilde needs a range within (0, 1/2]")
     rows = []
-    for val in values:
-        if spec.parameter == "r":
-            state = standard_forms.symmetric_sts(float(val), spec.nbar)
+    for val in np.linspace(args.start, args.stop, args.steps):
+        if args.parameter == "r":
+            state = standard_forms.symmetric_sts(float(val), args.nbar)
         else:  # pure two-mode squeezed vacuum with kappa_tilde_minus = val
             state = standard_forms.symmetric_sts(-0.5 * math.log(2 * float(val)), 0.0)
         row = {
@@ -273,14 +248,14 @@ def cmd_sweep(args) -> int:
             "x1_star": None,
             "x2_star": None,
         }
-        if spec.measure in ("bures", "both"):
+        if args.measure in ("bures", "both"):
             row["e_b"] = bures.bures_entanglement(state).e_b
-        if spec.measure in ("relent", "both"):
+        if args.measure in ("relent", "both"):
             res = relent.rel_ent_entanglement(state)
             row["e_s"], row["x1_star"], row["x2_star"] = res.e_s, res.x1_star, res.x2_star
         rows.append(row)
     try:
-        _write_sweep(rows, spec.output, spec.format)
+        _write_sweep(rows, args.output, args.format)
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot write output: {exc}")
     return EXIT_SEPARABLE
@@ -312,16 +287,14 @@ def _parse_one_mode(text: str, flag: str) -> cm_core.OneModeCM:
 
 def _oracle_inputs(args):
     """Collect (cm, Fock levels per mode) pairs from --state*/--cm* flags."""
+    if args.dim is not None and args.dim < 2:
+        _fail(EXIT_PARSE, f"--dim: need at least 2 Fock levels per mode, got {args.dim}")
     out = []
-    for state_flag, cm_flag in ((args.state1, args.cm1), (args.state2, args.cm2)):
+    for k, state_flag, cm_flag in ((1, args.state1, args.cm1), (2, args.state2, args.cm2)):
         if state_flag is not None:
-            out.append((_parse_one_mode(state_flag, "--state"), args.dim or 60))
+            out.append((_parse_one_mode(state_flag, f"--state{k}"), args.dim or 60))
         elif cm_flag is not None:
-            try:
-                v = cm_core.load_cm_json(cm_flag)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                _fail(EXIT_PARSE, f"--cm: {exc}")
-            out.append((v, args.dim or 20))
+            out.append((_load_cm(cm_flag, f"--cm{k}"), args.dim or 20))
     return out
 
 
@@ -417,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except UnphysicalState as exc:
+    except (UnphysicalState, NonPositiveDefinite) as exc:
         print(f"error: unphysical state: {exc}", file=sys.stderr)
         code = EXIT_UNPHYSICAL
     except NumericalDegeneracy as exc:

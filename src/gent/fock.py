@@ -4,13 +4,15 @@ Gaussian states are realized by Williamson decomposition of the covariance
 matrix followed by an Euler (passive - squeeze - passive) factorization of
 the symplectic, applied as unitary gates to a product of thermal states.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
-weights; dense matrices are derived on demand.  Every gate commutes with the
+weights and their exact logarithm; every functional reads these factors,
+and dense matrices are derived only on demand.  Every gate commutes with the
 total photon parity (-1)^(n1 + n2) (squeezers move one mode by two photons,
 passive gates conserve n1 + n2), and the truncated gates are built one parity
 class at a time, so U and rho are exactly block-diagonal in the two classes.
-The fidelity works on the square-root factor of each block.  Truncated
-states are never renormalized; the trace deficit is carried so tests can
-reject inadmissible truncations.
+The fidelity and the relative entropy work one parity block at a time; the
+entropy is -sum w ln w, since U is unitary.  Truncated states are never
+renormalized; the trace deficit is carried so tests can reject inadmissible
+truncations.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .cm_core import OneModeCM, omega
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
+    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
 )
 
 TRACE_DEFICIT_TOL = 1e-8
+WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entry
 
 
 @dataclass
@@ -45,9 +49,8 @@ class FockOperator:
     derived on first use and cached.
 
     ``log_weights`` carries ln(weights) exactly: the thermal-core logarithm is
-    analytic, while eigh-based logs lose the deep tail (eigenvalues below
-    machine noise), which matters for relative entropies.  It and
-    ``log_matrix`` are None for a pure core.
+    analytic, so the entropies keep the deep tail that an eigensolver would
+    drown in rounding.  It and ``log_matrix`` are None for a pure core.
     """
 
     unitary: np.ndarray
@@ -80,28 +83,12 @@ class FockOperator:
 
     @cached_property
     def log_matrix(self) -> np.ndarray | None:
+        """ln rho as a dense matrix; the oracle benchmark (perfbench) reads it."""
         return None if self.log_weights is None else self._spectral(self.log_weights)
 
     def _spectral(self, values: np.ndarray) -> np.ndarray:
         """U diag(values) U^dag."""
         return (self.unitary * values) @ self.unitary.conj().T
-
-
-@dataclass(frozen=True)
-class WilliamsonFactors:
-    """V = S D S^T with S symplectic and D the doubled symplectic spectrum."""
-
-    s: np.ndarray
-    d: np.ndarray
-
-
-# gate descriptors ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Squeeze:
-    z: float  # q -> e^z q, p -> e^-z p
-    mode: int = 0
 
 
 @dataclass(frozen=True)
@@ -267,75 +254,58 @@ def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _logm_unitary(u: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a small unitary matrix via eigendecomposition."""
-    w, v = np.linalg.eig(u)
-    return v @ np.diag(np.log(w)) @ np.linalg.inv(v)
+    """Principal logarithm of a 2x2 unitary matrix.
+
+    u is normal, so it shares its eigenvectors with the Hermitian
+    e^{-i phi} u + e^{i phi} u^dag, whose eigenvalues 2 cos(theta_k - phi) are
+    +-2 sin((theta_1 - theta_2)/2) at phi = arg(det u)/2 + pi/2: distinct
+    whenever those of u are.
+    """
+    rotated = np.exp(-1j * (np.angle(np.linalg.det(u)) / 2 + np.pi / 2)) * u
+    _, vec = np.linalg.eigh(rotated + rotated.conj().T)
+    theta = np.angle(np.diag(vec.conj().T @ u @ vec))
+    return (vec * (1j * theta)) @ vec.conj().T
 
 
-def apply_gate(state: FockOperator, gate) -> FockOperator:
-    n = state.dim_per_mode
-    if isinstance(gate, Squeeze):
-        if gate.mode >= state.n_modes:
-            raise DimensionMismatch(f"mode {gate.mode} out of range for {state.n_modes} modes")
-        ops = [np.eye(n)] * state.n_modes
-        ops[gate.mode] = _squeeze_unitary(gate.z, n)
-        u = _local_action(ops, state.unitary)
-    elif isinstance(gate, BeamSplitter):
-        if state.n_modes != 2:
-            raise DimensionMismatch("beam splitter needs a two-mode state")
-        # wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)]
-        c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
-        mode_u = np.array([[c, -np.exp(1j * gate.phi) * s], [np.exp(-1j * gate.phi) * s, c]])
-        u = _passive_action(mode_u, n, state.unitary)
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-    return replace(state, unitary=u)
+def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
+    if state.n_modes != 2:
+        raise DimensionMismatch("beam splitter needs a two-mode state")
+    # wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)]
+    c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+    mode_u = np.array([[c, -np.exp(1j * gate.phi) * s], [np.exp(-1j * gate.phi) * s, c]])
+    return replace(state, unitary=_passive_action(mode_u, state.dim_per_mode, state.unitary))
 
 
 # decompositions -------------------------------------------------------------
 
 
-def williamson(v: np.ndarray, tol: float = 1e-9) -> WilliamsonFactors:
-    """Decompose V = S D S^T from the eigenstructure of Omega V.
+def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic S and spectrum kappa_1 >= ... >= kappa_n with V = S D S^T.
 
-    Eigenvectors for the +i*kappa eigenvalues are scaled and orientation-fixed
-    so that the assembled matrix is real symplectic.
+    D = diag(kappa_1, kappa_1, ..., kappa_n, kappa_n).  With R = V^{1/2}, the
+    Hermitian i R Omega R has eigenvalues -+kappa.  The eigenvectors x + iy of
+    the -kappa give orthonormal column pairs sqrt(2) (x, y) of an orthogonal O
+    with O^T R Omega R O = kappa J on each pair (also where kappas repeat:
+    eigh returns an orthonormal basis of each eigenspace), and
+    S = R O D^{-1/2} is symplectic.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
+    lam, q = np.linalg.eigh(v)
+    if lam[0] <= 0:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    root = (q * np.sqrt(lam)) @ q.T
     om = omega(n)
-    ev, vec = np.linalg.eig(om @ v)
-    order = sorted((i for i in range(2 * n) if ev[i].imag > 0), key=lambda i: -ev[i].imag)
-    s_invt = np.zeros((2 * n, 2 * n))
-    kappas = []
-    chosen = []  # symplectically normalized complex eigenvectors
-    for j, i in enumerate(order):
-        u = vec[:, i].astype(complex)
-        # degenerate kappas leave the eigenvectors unpaired under the
-        # symplectic form g(a, b) = -i a^dag Omega b; Gram-Schmidt fixes that
-        # (distinct kappas are g-orthogonal already)
-        for prev in chosen:
-            u = u - (-1j * (prev.conj() @ om @ u)) * prev
-        gval = float((-1j * (u.conj() @ om @ u)).real)
-        if abs(gval) < 1e-12:
-            raise DecompositionFailure("degenerate symplectic subspace defeated pairing")
-        chosen.append(u / math.sqrt(abs(gval)))
-        x = u.real.copy()
-        y = u.imag.copy()
-        sym = 2.0 * (x @ om @ y)
-        if sym < 0:
-            y, sym = -y, -sym
-        scale = math.sqrt(2.0 / sym)
-        s_invt[:, 2 * j] = scale * x
-        s_invt[:, 2 * j + 1] = scale * y
-        kappas.append(ev[i].imag)
-    s = np.linalg.inv(s_invt).T
-    d = np.diag(np.repeat(kappas, 2))
-    if np.max(np.abs(s.T @ om @ s - om)) > 1e-7 or np.max(np.abs(s @ d @ s.T - v)) > tol * max(
-        1.0, np.max(np.abs(v))
-    ):
+    ev, z = np.linalg.eigh(1j * root @ om @ root)
+    kappas = -ev[:n]
+    o = math.sqrt(2.0) * np.stack([z[:, :n].real, z[:, :n].imag], axis=2).reshape(2 * n, 2 * n)
+    d = np.repeat(kappas, 2)
+    s = root @ o / np.sqrt(d)
+    symplectic_err = np.max(np.abs(s.T @ om @ s - om))
+    reconstruction_err = np.max(np.abs((s * d) @ s.T - v)) / max(1.0, np.max(np.abs(v)))
+    if symplectic_err > 1e-7 or reconstruction_err > WILLIAMSON_TOL:
         raise DecompositionFailure("Williamson factors fail the symplectic/reconstruction check")
-    return WilliamsonFactors(s=s, d=d)
+    return s, kappas
 
 
 def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,12 +380,11 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     if isinstance(v, OneModeCM):
         v = v.matrix()
     v = np.asarray(v, dtype=float)
-    fac = williamson(v)
-    kappas = np.diag(fac.d)[::2]
+    s, kappas = williamson(v)
     state = thermal_state(float(kappas[0]), n)
     for kappa in kappas[1:]:
         state = tensor(state, thermal_state(float(kappa), n))
-    return _apply_symplectic(state, fac.s)
+    return _apply_symplectic(state, s)
 
 
 def moments_from_fock(state: FockOperator) -> np.ndarray:
@@ -469,28 +438,37 @@ def fidelity_fock(rho: FockOperator, rho_p: FockOperator) -> float:
     return float(root**2)
 
 
+def _ln_weights(rho: FockOperator) -> np.ndarray:
+    """ln of the core weights; -inf on the empty levels of a pure core."""
+    if rho.log_weights is not None:
+        return rho.log_weights
+    with np.errstate(divide="ignore"):
+        return np.log(rho.weights)
+
+
 def entropy_fock(rho: FockOperator) -> float:
-    """von Neumann entropy -sum lambda ln lambda, in nats."""
-    lam = np.linalg.eigvalsh(rho.matrix).real
-    lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log(lam)))
+    """von Neumann entropy -sum w ln w of the core weights, in nats (U is unitary)."""
+    full = rho.weights > 0
+    return float(-rho.weights[full] @ _ln_weights(rho)[full])
 
 
 def rel_entropy_fock(rho_p: FockOperator, rho: FockOperator) -> float:
-    """Tr[rho (ln rho - ln rho')] in nats; raises when the support leaks."""
+    """Tr[rho (ln rho - ln rho')] in nats; raises when the support leaks.
+
+    rho puts the population pops_j = sum_i w_i |(U^dag U')_ij|^2 on level j of
+    rho' = U' diag(w') U'^dag, so Tr[rho ln rho'] = pops . ln w'.  U^dag U' is
+    block-diagonal in photon parity and is formed one block at a time.  An
+    empty level of a pure core (ln w' = -inf) that holds population is a
+    support violation.
+    """
     _check_same_dims(rho_p, rho)
-    if rho_p.log_matrix is not None:
-        cross = float(np.real(np.trace(rho.matrix @ rho_p.log_matrix)))
-    else:
-        wp, vp = np.linalg.eigh(rho_p.matrix)
-        wp = wp.real
-        # population of rho in each eigenvector of rho'
-        pops = np.real(np.einsum("ij,ji->i", vp.conj().T @ rho.matrix, vp))
-        bad = (pops > 1e-8) & (wp <= 1e-15)
-        if np.any(bad):
-            raise SupportViolation("rho has weight outside the numerical support of rho'")
-        keep = wp > 1e-15
-        cross = float(np.sum(pops[keep] * np.log(wp[keep])))
-    lam = np.linalg.eigvalsh(rho.matrix).real
-    lam = lam[lam > 1e-15]
-    return float(np.sum(lam * np.log(lam)) - cross)
+    pops = np.empty(rho.dim)
+    for idx in _parity_classes(rho.dim_per_mode, rho.n_modes):
+        block = np.ix_(idx, idx)
+        overlap = rho.unitary[block].conj().T @ rho_p.unitary[block]
+        pops[idx] = rho.weights[idx] @ (overlap.real**2 + overlap.imag**2)
+    ln_wp = _ln_weights(rho_p)
+    full = np.isfinite(ln_wp)
+    if np.any(pops[~full] > 1e-8):
+        raise SupportViolation("rho has weight outside the support of rho'")
+    return float(-entropy_fock(rho) - pops[full] @ ln_wp[full])

@@ -1,9 +1,15 @@
 """Shared fixtures: seeded RNG and random-state factories."""
 
-import numpy as np
-import pytest
+import os
 
-from gent.standard_forms import SymmetricState
+# Before numpy loads OpenBLAS: the Fock oracle's matrices (up to 400 x 400) run
+# slower on two threads than on one on a 2-core machine.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gent.standard_forms import SymmetricState  # noqa: E402
 
 # Two symmetric states with identical kappa_tilde_minus = sqrt(0.08) but
 # different relative-entropy entanglement (acceptance fixture).

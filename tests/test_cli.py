@@ -313,6 +313,10 @@ def test_oracle_input_validation(capsys):
     code, _, err = run_cli(capsys, "oracle", "entropy", "--state1", "0.5;0.5")
     assert code == 1
     assert "sigma_qq" in err
+    for dim in ("0", "1", "-3"):
+        code, _, err = run_cli(capsys, "oracle", "entropy", "--state1", "0.5,0.5", "--dim", dim)
+        assert code == cli.EXIT_PARSE
+        assert "--dim" in err
 
 
 @pytest.mark.parametrize("value", ["-1e-5", "-1.5E-300", "-2.e-1", "-.5e-1"])
@@ -381,5 +385,13 @@ def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     path = tmp_path / "npd.json"
     cm_core.dump_cm_json(np.diag([1.0, 1.0, 1.0, -0.1]), path)
     code, _, err = run_cli(capsys, command, "--cm", str(path))
+    assert code == cli.EXIT_UNPHYSICAL, err
+    assert "unphysical" in err
+
+
+def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):
+    path = tmp_path / "npd.json"
+    cm_core.dump_cm_json(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]), path)
+    code, _, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path))
     assert code == cli.EXIT_UNPHYSICAL, err
     assert "unphysical" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gent.cm_core import OneModeCM
 from gent.errors import (
     DecompositionFailure,
     DimensionMismatch,
+    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
@@ -37,27 +39,50 @@ def test_williamson_random(rng):
     worst = 0.0
     for _ in range(30):
         v = random_physical_cm(rng)
-        fac = fock.williamson(v)
+        s, kappas = fock.williamson(v)
         om = cm_core.omega(2)
         worst = max(
             worst,
-            np.max(np.abs(fac.s @ fac.d @ fac.s.T - v)),
-            np.max(np.abs(fac.s.T @ om @ fac.s - om)),
+            np.max(np.abs(s @ np.diag(np.repeat(kappas, 2)) @ s.T - v)),
+            np.max(np.abs(s.T @ om @ s - om)),
         )
     assert worst < 1e-10
 
 
+def _squeezed_split_thermal(nu):
+    # nu I under a beam splitter and a local squeeze on each mode
+    from gent.optics import BeamSplitterParams, bs_symplectic
+
+    m = np.diag([math.exp(0.3), math.exp(-0.3), math.exp(-0.7), math.exp(0.7)])
+    m = m @ bs_symplectic(BeamSplitterParams(0.8, 0.5))
+    return nu * m @ m.T
+
+
 def test_williamson_degenerate_spectrum():
-    # symmetric squeezed thermal states have a doubly degenerate spectrum
-    v = symmetric_sts(0.4, 0.1).to_cm()
-    fac = fock.williamson(v)
-    np.testing.assert_allclose(fac.s @ fac.d @ fac.s.T, v, atol=1e-10)
+    # every state here has the doubly degenerate spectrum (nu, nu)
+    om = cm_core.omega(2)
+    for v, nu in [
+        (symmetric_sts(0.4, 0.1).to_cm(), 0.6),
+        (0.5 * np.eye(4), 0.5),
+        (symmetric_sts(1e-9).to_cm(), 0.5),
+        (_squeezed_split_thermal(0.8), 0.8),
+    ]:
+        s, kappas = fock.williamson(v)
+        np.testing.assert_allclose(kappas, [nu, nu], atol=1e-12)
+        np.testing.assert_allclose(s @ np.diag(np.repeat(kappas, 2)) @ s.T, v, atol=1e-10)
+        assert np.max(np.abs(s.T @ om @ s - om)) < 1e-10
+
+
+def test_williamson_refuses_non_positive_definite():
+    v = np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NonPositiveDefinite):
+        fock.williamson(v)
 
 
 def test_euler_reconstruction(rng):
     for _ in range(20):
         v = random_physical_cm(rng)
-        s = fock.williamson(v).s
+        s, _ = fock.williamson(v)
         k1, z, k2 = fock.euler_decompose(s)
         np.testing.assert_allclose(k1 @ z @ k2, s, atol=1e-9)
         # passive factors are orthogonal
@@ -92,7 +117,7 @@ def test_beamsplitter_gate_matches_cm_action():
 
 def test_squeeze_gate_scales_quadratures():
     vac = fock.thermal_state(0.5, 40)
-    out = fock.apply_gate(vac, fock.Squeeze(0.3))
+    out = replace(vac, unitary=fock._squeeze_unitary(0.3, 40))
     expected = np.diag([0.5 * math.exp(0.6), 0.5 * math.exp(-0.6)])
     np.testing.assert_allclose(fock.moments_from_fock(out), expected, atol=1e-8)
 
@@ -133,7 +158,8 @@ def test_theta_zero_bs_is_identity():
 
 def test_squeeze_inverse_roundtrip():
     rho = fock.thermal_state(0.8, 40)
-    back = fock.apply_gate(fock.apply_gate(rho, fock.Squeeze(0.25)), fock.Squeeze(-0.25))
+    u = fock._squeeze_unitary(-0.25, 40) @ fock._squeeze_unitary(0.25, 40)
+    back = replace(rho, unitary=u)
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-9
 
 
@@ -167,7 +193,7 @@ def test_thermal_pair_rel_entropy_matches_closed_form():
 
 
 def test_squeezed_thermal_entropy_invariance():
-    rho = fock.apply_gate(fock.thermal_state(0.9, 60), fock.Squeeze(0.3))
+    rho = fock.gaussian_state_from_cm(OneModeCM(0.9 * math.exp(0.6), 0.9 * math.exp(-0.6)), 60)
     assert fock.entropy_fock(rho) == pytest.approx(
         relent.von_neumann_entropy(OneModeCM(0.9, 0.9)), abs=1e-7
     )
@@ -241,7 +267,7 @@ def test_gates_keep_parity_blocks_exact(rng):
         one,
         two,
         fock.tensor(one, fock.gaussian_state_from_cm(_random_one_mode_cm(rng), 16)),
-        fock.apply_gate(two, fock.Squeeze(0.3, mode=1)),
+        fock.gaussian_state_from_cm(np.diag([0.5, 0.5, 0.5 * math.exp(0.6), 0.5 * math.exp(-0.6)]), 12),
         fock.apply_gate(two, fock.BeamSplitter(1.1, 0.4)),
     ]
     for state in states:
@@ -264,6 +290,48 @@ def test_fidelity_is_multiplicative():
     rho1, sig1, rho2, sig2 = (fock.gaussian_state_from_cm(c, 20) for c in cms)
     joint = fock.fidelity_fock(fock.tensor(rho1, rho2), fock.tensor(sig1, sig2))
     assert abs(joint - fock.fidelity_fock(rho1, sig1) * fock.fidelity_fock(rho2, sig2)) < 1e-12
+
+
+def _dense_rel_entropy(rho_p, rho):
+    """Tr rho ln rho - Tr(rho ln rho') from the dense matrices, Tr rho ln rho by eigvalsh."""
+    lam = np.linalg.eigvalsh(rho.matrix)
+    lam = lam[lam > 0]
+    return float(lam @ np.log(lam) - np.real(np.trace(rho.matrix @ rho_p.log_matrix)))
+
+
+def test_factored_rel_entropy_matches_dense_formula(rng):
+    # the draws of test_factored_fidelity_matches_dense_formula
+    worst = 0.0
+    for n, draw in [(20, random_physical_cm)] * 20 + [(40, _random_one_mode_cm)] * 20:
+        rho = fock.gaussian_state_from_cm(draw(rng), n)
+        sigma = fock.gaussian_state_from_cm(draw(rng), n)
+        worst = max(worst, abs(fock.rel_entropy_fock(sigma, rho) - _dense_rel_entropy(sigma, rho)))
+    assert worst < 1e-12
+
+
+def test_rel_entropy_to_pure_copy_is_zero():
+    v = symmetric_sts(0.3).to_cm()
+    ref, rho = (fock.gaussian_state_from_cm(v, 12) for _ in range(2))
+    assert ref.log_weights is None
+    assert abs(fock.rel_entropy_fock(ref, rho)) < 1e-14
+
+
+def test_entropy_matches_closed_form():
+    # criterion 4's states at N = 60
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        nu, z = rng.uniform(0.5, 1.2), rng.uniform(-0.4, 0.4)
+        v = OneModeCM(nu * math.exp(2 * z), nu * math.exp(-2 * z))
+        rho = fock.gaussian_state_from_cm(v, 60)
+        assert abs(fock.entropy_fock(rho) - relent.von_neumann_entropy(v)) < 1e-15
+
+
+def test_rel_entropy_is_additive():
+    # criterion 10's states at N = 20
+    cms = [OneModeCM(0.7, 0.6), OneModeCM(0.55, 0.9), OneModeCM(0.8, 0.8), OneModeCM(0.6, 0.75)]
+    rho1, sig1, rho2, sig2 = (fock.gaussian_state_from_cm(c, 20) for c in cms)
+    joint = fock.rel_entropy_fock(fock.tensor(sig1, sig2), fock.tensor(rho1, rho2))
+    assert abs(joint - fock.rel_entropy_fock(sig1, rho1) - fock.rel_entropy_fock(sig2, rho2)) < 1e-13
 
 
 def test_factored_unitary_is_unitary(rng):
