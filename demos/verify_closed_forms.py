@@ -30,7 +30,7 @@ print(f"closest separable     : b'={argmax.b:.6f} c'={argmax.c:.6f} |d'|={argmax
 print(f"its kt (on threshold) = {argmax.kappa_tilde_minus:.9f}")
 print(f"E_B = {res.e_b:.9f} = 1 - sqrt(F_max)")
 
-# 2. Relative entropy: golden-section minima vs a staged grid scan
+# 2. Relative entropy: Newton-solved mode minima vs a staged grid scan
 rel = rel_ent_entanglement(s)
 e_s_grid = grid_rel_ent(s)
 print(f"\nE_S assembled         = {rel.e_s:.12f}   (x1* = {rel.x1_star:.6f}, x2* = {rel.x2_star:.6f})")

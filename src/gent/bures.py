@@ -2,7 +2,8 @@
 
 The closed form depends only on the smallest symplectic eigenvalue of the
 partially transposed covariance matrix; ``numeric_max_fidelity`` verifies it
-by direct fidelity maximization over separable candidates.
+by direct fidelity maximization over separable candidates, as nested
+one-dimensional searches over the variances of the beam-splitter modes.
 """
 
 from __future__ import annotations
@@ -10,18 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cm_core import OneModeCM
 from .errors import DomainError, OptimizerNoConverge, UnphysicalState
 from .scalar_min import golden_section
 from .standard_forms import SymmetricState
 
-# numeric_max_fidelity: starts, sweep cap, seed of the random starts, line-search tolerance
-_STARTS = 8
-_MAX_SWEEPS = 400
-_SEED = 12345
+# numeric_max_fidelity: golden-section tolerance; distance from a search bound within
+# which a maximum counts as lying on it; e-folds by which each search range reaches
+# past the variances of the given state
 _TOL = 1e-11
+_END_TOL = 4 * _TOL
+_MARGIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -79,70 +79,63 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     """Maximize fidelity to separable symmetric scaled standard states.
 
     Both the given state (taken in standard form II) and every candidate
-    (equal internal scales u1' = u2' = u') are diagonalized by the same 50:50
-    beam splitter, so the objective is a product of one-mode fidelities.
-    Candidates sit on the separability threshold (b'-|d'|)(b'-c') = 1/4.
-    With y = b'-c' and t = |d'|, b' = 1/(4y) + t puts every point of the box
-    y in [1/(4 b_cap), 1/2], t in [0, b_cap], u' in [0.05, max(20, 4v)] on
-    it as a physical candidate (v = sqrt((b-|d|)/(b-c)) is the form-II
-    squeeze, which u* follows), so multi-start coordinate descent runs three
-    independent golden-section line searches per sweep.
+    (b', c', -|d'|, with equal internal scales u1' = u2' = u') are diagonalized
+    by the same 50:50 beam splitter, so the objective is the product of the
+    one-mode fidelities of the two beam-splitter modes.  A candidate's modes
+    have variances (X1, Y1) = ((b'+c')u', (b'-|d'|)/u') and
+    (X2, Y2) = ((b'-c')u', (b'+|d'|)/u').  The separability threshold
+    kt' = 1/2 is X2 Y1 = 1/4; the one-mode uncertainty relations are
+    a1 = ln(X1/X2) >= 0 and a2 = ln(Y2/Y1) >= 0; and c' >= |d'| is a2 <= a1.
+    So for fixed X2 the first mode depends on a1 alone and the second on a2
+    alone: a golden section over ln X2 runs one golden section per mode, and
+    a second one along the edge a1 = a2 when the two one-mode maxima violate
+    a2 <= a1.  A maximum within a few tolerances of a search-range end that is
+    not a physical edge raises OptimizerNoConverge.
 
     Returns (f_star, argmax state, argmax scale).
     """
     if s.is_separable():
         raise DomainError("numeric_max_fidelity requires an entangled input")
     kt = s.kappa_tilde_minus
-    v_scale = math.sqrt((s.b - s.d_abs) / (s.b - s.c))
-    kp2 = s.kappa_plus**2
-    km2 = s.kappa_minus**2
-
     # beam-splitter image of the given form-II state, per mode
-    g1q, g1p = kp2 / kt, kt
-    g2q, g2p = kt, km2 / kt
+    g1q, g1p = s.kappa_plus**2 / kt, kt
+    g2q, g2p = kt, s.kappa_minus**2 / kt
 
-    def neg_product_fidelity(y, t, u):
-        bp = 1.0 / (4 * y) + t
-        f1 = _fid1(g1q, g1p, (2 * bp - y) * u, 1.0 / (4 * y * u))
-        f2 = _fid1(g2q, g2p, y * u, (bp + t) / u)
-        return -(f1 * f2)
+    def best_at(w):  # best (f, a1, a2) on the slice ln X2 = w
+        x2 = math.exp(w)
+        y1 = 0.25 / x2
+        f1 = lambda a: _fid1(g1q, g1p, x2 * math.exp(a), y1)
+        f2 = lambda a: _fid1(g2q, g2p, x2, y1 * math.exp(a))
+        # a1 and a2 reach X1 = max(x2, 4 g1q) e^_MARGIN and Y2 = max(y1, 4 g2p) e^_MARGIN
+        a1, v1 = _argmax(f1, 0.0, max(0.0, math.log(4 * g1q / x2)) + _MARGIN, physical_lo=True)
+        a2, v2 = _argmax(f2, 0.0, max(0.0, math.log(16 * g2p * x2)) + _MARGIN, physical_lo=True)
+        if a2 <= a1:
+            return v1 * v2, a1, a2
+        # f1 falls past a1 and f2 rises up to a2: the constrained maximum is on [a1, a2]
+        a, neg = golden_section(lambda z: -(f1(z) * f2(z)), a1, a2, tol=_TOL)
+        return -neg, a, a
 
-    b_cap = 20 * s.b + 20
-    u_cap = max(20.0, 4 * v_scale)  # u* follows the form-II squeeze v, which reaches 2b
-    y_lo = 1.0 / (4 * b_cap)
-    rng = np.random.default_rng(_SEED)
-    starts = [
-        (0.25, max(s.b, 0.6), v_scale),
-        (0.45, s.b + 0.2, v_scale),
-        (0.10, max(s.b, 2.6), 1.0),
-        (0.30, 2 * s.b, v_scale),
-    ]
-    while len(starts) < _STARTS:
-        starts.append(
-            (
-                rng.uniform(0.03, 0.5),
-                rng.uniform(0.55, 3 * s.b + 0.5),
-                v_scale * rng.uniform(0.5, 2.0),
-            )
-        )
+    g = (g1q, g1p, g2q, g2p)
+    w_lo, w_hi = math.log(min(g)) - _MARGIN, math.log(max(g)) + _MARGIN
+    w, _ = _argmax(lambda z: best_at(z)[0], w_lo, w_hi)
+    f_star, a1, a2 = best_at(w)
+    x2 = math.exp(w)
+    y1 = 0.25 / x2
+    x_sum, y_sum = x2 * (1 + math.exp(a1)), y1 * (1 + math.exp(a2))
+    u = math.sqrt(x_sum / y_sum)
+    bp = math.sqrt(x_sum * y_sum) / 2
+    cp = bp - x2 / u
+    tp = cp if a1 == a2 else bp - y1 * u
+    return f_star, SymmetricState(b=bp, c=cp, d_abs=tp), u
 
-    results = []
-    for y, bp, u in starts:
-        t = max(bp - 1.0 / (4 * y), 0.0)
-        for _ in range(_MAX_SWEEPS):
-            y0, t0, u0 = y, t, u
-            y, _ = golden_section(lambda z: neg_product_fidelity(z, t, u), y_lo, 0.5, tol=_TOL)
-            t, _ = golden_section(lambda z: neg_product_fidelity(y, z, u), 0.0, b_cap, tol=_TOL)
-            u, _ = golden_section(lambda z: neg_product_fidelity(y, t, z), 0.05, u_cap, tol=_TOL)
-            if abs(y - y0) < 1e-9 and abs(t - t0) < 1e-9 and abs(u - u0) < 1e-9:
-                break
-        results.append((-neg_product_fidelity(y, t, u), y, t, u))
 
-    values = [r[0] for r in results]
-    if max(values) - min(values) > 1e-6:
-        raise OptimizerNoConverge(
-            f"best-value spread across starts is {max(values) - min(values):.3e}"
-        )
-    f_star, y, t, u = max(results)
-    bp = 1.0 / (4 * y) + t
-    return f_star, SymmetricState(b=bp, c=bp - y, d_abs=t), u
+def _argmax(f, lo: float, hi: float, physical_lo: bool = False) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], by golden section.
+
+    Raises OptimizerNoConverge if x lands on an end that is only a search
+    bound (hi always, lo unless it is a physical edge).
+    """
+    x, neg = golden_section(lambda z: -f(z), lo, hi, tol=_TOL)
+    if hi - x < _END_TOL or (not physical_lo and x - lo < _END_TOL):
+        raise OptimizerNoConverge(f"maximum at x = {x!r} on a search bound of [{lo!r}, {hi!r}]")
+    return x, -neg

@@ -58,13 +58,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities exit EXIT_PARSE."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_state_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cm", help="JSON file with a 4x4 covariance matrix")
-    p.add_argument("--b", type=float, help="standard-form b (symmetric states)")
-    p.add_argument("--c", type=float, help="standard-form c")
-    p.add_argument("--d", type=float, help="standard-form d (signed)")
-    p.add_argument("--r", type=float, help="two-mode squeeze parameter")
-    p.add_argument("--nbar", type=float, default=0.0, help="thermal mean photon number")
+    p.add_argument("--b", type=_finite_float, help="standard-form b (symmetric states)")
+    p.add_argument("--c", type=_finite_float, help="standard-form c")
+    p.add_argument("--d", type=_finite_float, help="standard-form d (signed)")
+    p.add_argument("--r", type=_finite_float, help="two-mode squeeze parameter")
+    p.add_argument("--nbar", type=_finite_float, default=0.0, help="thermal mean photon number")
 
 
 def _load_cm(path: str, flag: str) -> np.ndarray:
@@ -280,8 +291,8 @@ def _parse_one_mode(text: str, flag: str) -> cm_core.OneModeCM:
         sqq, spp = (float(t) for t in text.split(","))
     except ValueError:
         _fail(EXIT_PARSE, f"{flag}: expected 'sigma_qq,sigma_pp', got {text!r}")
-    if sqq <= 0 or spp <= 0:
-        _fail(EXIT_PARSE, f"{flag}: variances must be positive")
+    if not (0 < sqq < math.inf and 0 < spp < math.inf):  # NaN fails both
+        _fail(EXIT_PARSE, f"{flag}: variances must be positive and finite")
     return cm_core.OneModeCM(sqq, spp)
 
 
@@ -366,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV/JSON")
     p_sweep.add_argument("--measure", choices=["bures", "relent", "both"], required=True)
     p_sweep.add_argument("--parameter", choices=["kappa_tilde", "r"], required=True)
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
+    p_sweep.add_argument("--start", type=_finite_float, required=True)
+    p_sweep.add_argument("--stop", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--nbar", type=float, default=0.0)
+    p_sweep.add_argument("--nbar", type=_finite_float, default=0.0)
     p_sweep.add_argument("--output", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep)

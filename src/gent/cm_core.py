@@ -197,6 +197,8 @@ def load_cm_json(path) -> np.ndarray:
     v = np.asarray(payload["v"], dtype=float)
     if v.shape != (4, 4):
         raise ValueError(f"field 'v' must be a 4x4 matrix, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):  # json reads NaN and Infinity
+        raise ValueError("field 'v' has a NaN or infinite entry")
     if np.max(np.abs(v - v.T)) > 1e-9:
         raise ValueError("field 'v' is not symmetric within 1e-9")
     return 0.5 * (v + v.T)

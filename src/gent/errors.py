@@ -26,7 +26,7 @@ class NotSymplectic(GentError):
 
 
 class OptimizerNoConverge(GentError):
-    """Multi-start optimizer results disagree beyond tolerance."""
+    """An optimizer found no interior optimum: a search bound or its step limit stopped it."""
 
 
 class BracketFailure(GentError):

@@ -33,6 +33,8 @@ class SymmetricState:
     d_abs: float
 
     def __post_init__(self):
+        if not math.isfinite(self.b + self.c + self.d_abs):  # NaN fails every test below
+            raise DomainError(f"non-finite symmetric parameters {self}")
         if self.b < 0.5 or self.c < 0 or self.d_abs < 0:
             raise DomainError(f"invalid symmetric parameters {self}")
         if self.c < self.d_abs - 1e-12:

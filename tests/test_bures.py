@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from gent import fock
+from gent import bures, fock
 from gent.bures import (
     bures_entanglement,
     max_fidelity_closed,
@@ -10,7 +11,7 @@ from gent.bures import (
     one_mode_fidelity,
 )
 from gent.cm_core import OneModeCM
-from gent.errors import DomainError, UnphysicalState
+from gent.errors import DomainError, OptimizerNoConverge, UnphysicalState
 from gent.standard_forms import SymmetricState, symmetric_sts
 
 from conftest import random_entangled_symmetric
@@ -116,3 +117,68 @@ def test_numeric_maximizer_scale_beyond_20(b, c, d_abs):
 def test_numeric_maximizer_requires_entangled():
     with pytest.raises(DomainError):
         numeric_max_fidelity(SymmetricState(1.0, 0.2, 0.1))
+
+
+def _product_fidelity(s, ln_x2, a1, a2):
+    """Fidelity of s to the candidates (ln X2, a1, a2) of numeric_max_fidelity, on a grid.
+
+    The candidate's beam-splitter modes have variances (X2 e^a1, 1/(4 X2)) and
+    (X2, e^a2 / (4 X2)); the given state's are (k+^2/kt, kt) and (kt, k-^2/kt).
+    """
+
+    def fid(gq, gp, xq, xp):
+        delta = (gq * gp - 0.25) * np.maximum(xq * xp - 0.25, 0.0)
+        return 1.0 / (np.sqrt((gq + xq) * (gp + xp) + 4 * delta) - 2 * np.sqrt(delta))
+
+    kt = s.kappa_tilde_minus
+    x2 = np.exp(ln_x2)[:, None]
+    f1 = fid(s.kappa_plus**2 / kt, kt, x2 * np.exp(a1), 0.25 / x2)
+    f2 = fid(kt, s.kappa_minus**2 / kt, x2, 0.25 * np.exp(a2) / x2)
+    return f1[:, :, None] * f2[:, None, :]
+
+
+def test_numeric_maximizer_beats_grid():
+    # criterion-1 draws, a state whose maximum lies on the edge c' = |d'|, and one with u* = 29
+    states = random_entangled_symmetric(np.random.default_rng(101), 8)
+    states += [symmetric_sts(1, 0.5), SymmetricState(15, 14.983, 0.5)]
+    for s in states:
+        f_star, _, _ = numeric_max_fidelity(s)
+        kt = s.kappa_tilde_minus
+        g1q, g2p = s.kappa_plus**2 / kt, s.kappa_minus**2 / kt
+        g = (g1q, kt, g2p)
+        # the maximizer's own search box, at its widest
+        ln_x2 = np.linspace(math.log(min(g)) - 3, math.log(max(g)) + 3, 161)
+        a = np.linspace(0.0, max(math.log(4 * g1q / min(g)), math.log(16 * g2p * max(g))) + 6, 161)
+        grid = _product_fidelity(s, ln_x2, a, a)
+        grid_max = grid[:, np.tril(np.ones((a.size, a.size), dtype=bool))].max()  # a2 <= a1
+        assert grid_max <= f_star + 1e-12, s
+        assert f_star - grid_max < 1e-2, s  # the grid reaches the maximum
+
+
+def test_numeric_maximizer_argmax_on_threshold_for_squeezed_thermal():
+    grid = [symmetric_sts(r, nbar) for r in (0.05, 0.5, 1.0, 2.0, 3.0) for nbar in (0.0, 0.3, 2.0)]
+    states = [s for s in grid if not s.is_separable()]
+    assert len(states) == 12
+    for s in states:
+        f_star, argmax, u = numeric_max_fidelity(s)
+        assert isinstance(argmax, SymmetricState) and u > 0, s
+        assert abs(argmax.kappa_tilde_minus - 0.5) <= 1e-12, s
+        assert abs(f_star - max_fidelity_closed(s.kappa_tilde_minus)) <= 1e-9, s
+
+
+def test_numeric_maximizer_refuses_a_maximum_on_a_search_bound(monkeypatch):
+    # search ranges that stop one e-fold inside the given state's variances cut off
+    # the maximum of this state, which lies below the lower end of the ln X2 range
+    monkeypatch.setattr(bures, "_MARGIN", -1.0)
+    with pytest.raises(OptimizerNoConverge, match="search bound"):
+        numeric_max_fidelity(SymmetricState(1.0, 0.8, 0.6))
+
+
+def test_search_bound_is_not_a_physical_edge():
+    # a = 0 is a one-mode uncertainty relation, not a search bound
+    a, f = bures._argmax(lambda z: -z, 0.0, 1.0, physical_lo=True)
+    assert a < 1e-10 and f == -a
+    with pytest.raises(OptimizerNoConverge):
+        bures._argmax(lambda z: -z, 0.0, 1.0)
+    with pytest.raises(OptimizerNoConverge):
+        bures._argmax(lambda z: z, 0.0, 1.0, physical_lo=True)

@@ -389,6 +389,50 @@ def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     assert "unphysical" in err
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "argv", [("check", "--cm"), ("bures", "--cm"), ("relent", "--cm"), ("oracle", "entropy", "--cm1")]
+)
+def test_non_finite_cm_entry_exits_parse(capsys, tmp_path, argv, entry):
+    path = tmp_path / "v.json"
+    path.write_text('{"v": [[%s,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}' % entry)
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == cli.EXIT_PARSE, err
+    assert "NaN or infinite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "1e999"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bures", "--b", "{}", "--c", "0.5", "--d", "-0.1"),
+        ("check", "--b", "1", "--c", "{}", "--d", "-0.1"),
+        ("relent", "--b", "1", "--c", "0.5", "--d", "{}"),
+        ("bures", "--r", "{}"),
+        ("relent", "--r", "1", "--nbar", "{}"),
+        ("sweep", "--measure", "both", "--parameter", "r", "--start", "{}", "--stop", "1",
+         "--steps", "3", "--output", "x.csv"),
+        ("sweep", "--measure", "both", "--parameter", "r", "--start", "0", "--stop", "{}",
+         "--steps", "3", "--output", "x.csv"),
+        ("sweep", "--measure", "both", "--parameter", "r", "--start", "0", "--stop", "1",
+         "--steps", "3", "--nbar", "{}", "--output", "x.csv"),
+    ],
+)
+def test_non_finite_float_flag_exits_parse(capsys, tmp_path, monkeypatch, argv, value):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *(a.format(value) for a in argv))
+    assert code == cli.EXIT_PARSE, err
+    assert "finite number" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("pair", ["nan,1", "1,inf", "inf,inf"])
+def test_non_finite_one_mode_state_exits_parse(capsys, pair):
+    code, _, err = run_cli(capsys, "oracle", "fidelity", "--state1", pair, "--state2", "0.5,0.5")
+    assert code == cli.EXIT_PARSE, err
+    assert "positive and finite" in err
+
+
 def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):
     path = tmp_path / "npd.json"
     cm_core.dump_cm_json(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]), path)

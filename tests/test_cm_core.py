@@ -136,3 +136,12 @@ def test_json_rejects_bad_input(tmp_path):
     cm_core.dump_cm_json(v, path)
     with pytest.raises(ValueError, match="symmetric"):
         cm_core.load_cm_json(path)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_json_rejects_non_finite_entries(tmp_path, entry):
+    # json reads these words as floats; NaN also passes the symmetry test
+    path = tmp_path / "nan.json"
+    path.write_text('{"v": [[%s,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}' % entry)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        cm_core.load_cm_json(path)

@@ -81,6 +81,17 @@ def test_symmetric_state_validation():
         sf.SymmetricState(b=1.0, c=1.0, d_abs=0.5)  # b = c
 
 
+@pytest.mark.parametrize(
+    "b, c, d_abs",
+    [(math.nan, 0.5, 0.1), (1.0, math.nan, 0.1), (1.0, 0.5, math.nan), (math.inf, 0.5, 0.1),
+     (math.inf, math.inf, 0.1)],
+)
+def test_symmetric_state_rejects_non_finite(b, c, d_abs):
+    # NaN fails every comparison of the other checks, so it needs its own
+    with pytest.raises(DomainError, match="non-finite"):
+        sf.SymmetricState(b, c, d_abs)
+
+
 def test_zero_det_c_branch():
     v = sf.make_scaled_cm(sf.ScaledState(sf.StandardFormI(1.0, 1.0, 0.4, 0.0), 1.0, 1.0))
     rec = sf.to_standard_form_I(v)
