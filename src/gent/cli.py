@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, bures, cm_core, relent, standard_forms
-from .errors import DomainError, GentError, NonPositiveDefinite, NumericalDegeneracy
+from .errors import DomainError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 
 EXIT_SEPARABLE = 0
@@ -145,10 +145,6 @@ def cmd_check(args) -> int:
         sep = cm_core.is_separable(v)
     except UnphysicalState:
         sep = None
-    except NonPositiveDefinite:
-        raise  # main reports it as unphysical
-    except GentError as exc:
-        _fail(EXIT_PARSE, f"covariance matrix: {exc}")
     print(f"physical:           {sep is not None}  (kappa_minus = {spec.kappa_minus:.9g})")
     print(f"uncertainty det:    {cm_core.sp2_value(v):.9g}")
     if sep is None:

@@ -36,6 +36,10 @@ def omega(n_modes: int = 2) -> np.ndarray:
     return out
 
 
+# Omega and its partial transpose Lambda Omega Lambda, stacked for one eigvalsh
+_FORMS = np.stack([omega(2), LAMBDA_PT @ omega(2) @ LAMBDA_PT])
+
+
 @dataclass(frozen=True)
 class OneModeCM:
     """Diagonal 2x2 covariance matrix of a single mode."""
@@ -54,15 +58,6 @@ class OneModeCM:
 
     def matrix(self) -> np.ndarray:
         return np.diag([self.sigma_qq, self.sigma_pp])
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """2x2 blocks of a two-mode covariance matrix."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,17 +89,12 @@ class Verdict:
         return self.ok
 
 
-def blocks(v: np.ndarray) -> BlockDecomposition:
-    v = np.asarray(v, dtype=float)
-    return BlockDecomposition(v1=v[:2, :2].copy(), v2=v[2:, 2:].copy(), c=v[:2, 2:].copy())
-
-
 def invariants(v: np.ndarray) -> Invariants4:
-    b = blocks(v)
+    v = np.asarray(v, dtype=float)
     return Invariants4(
-        det_v1=float(np.linalg.det(b.v1)),
-        det_v2=float(np.linalg.det(b.v2)),
-        det_c=float(np.linalg.det(b.c)),
+        det_v1=float(np.linalg.det(v[:2, :2])),
+        det_v2=float(np.linalg.det(v[2:, 2:])),
+        det_c=float(np.linalg.det(v[:2, 2:])),
         det_v=float(np.linalg.det(v)),
     )
 
@@ -128,9 +118,10 @@ def entry_scale(v: np.ndarray) -> float:
 def rounding_tol(scale: float) -> float:
     """Allowance for rounding in a symplectic eigenvalue from entries of size ``scale``.
 
-    Entries rounded to eps*scale move kappa by a few eps*scale^2: a pure
-    state's kappa = 1/2 comes out up to ~18 eps*scale^2 low under local
-    symplectics, and ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 7.
+    Entries rounded to eps*scale move kappa by a few eps*scale^2: under local
+    symplectics, ``symplectic_spectrum`` puts a pure state's kappa = 1/2 up to
+    ~23 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
+    ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 5.
     The floor KAPPA_TOL covers entries of order 1.
     """
     return max(KAPPA_TOL, ROUNDING_PER_SCALE_SQ * scale * scale)
@@ -150,30 +141,26 @@ def above_vacuum(kappa: float, scale: float) -> bool:
     return kappa >= VACUUM - tol
 
 
-def _kappas(v: np.ndarray) -> tuple[float, float]:
-    """Moduli (kappa_+, kappa_-) of the imaginary eigenvalue pairs of Omega@V."""
-    ev = np.linalg.eigvals(omega(v.shape[0] // 2) @ v)
-    tol = 1e-10 * max(1.0, np.max(np.abs(ev)))
-    if np.max(np.abs(ev.real)) > tol:
-        raise NumericalDegeneracy(
-            f"eigenvalues of Omega@V are not purely imaginary (max |Re| = "
-            f"{np.max(np.abs(ev.real)):.3e})"
-        )
-    kap = np.sort(np.abs(ev.imag))
-    # each kappa appears twice (+i kappa, -i kappa)
-    if np.max(np.abs(kap[::2] - kap[1::2])) > tol:
-        raise NumericalDegeneracy("eigenvalues of Omega@V fail the +-i pairing")
-    return float(kap[-1]), float(kap[0])
+def sqrt_cm(v: np.ndarray) -> np.ndarray:
+    """R = V^{1/2} from one eigh(V); raises NonPositiveDefinite unless V > 0."""
+    lam, q = np.linalg.eigh(np.asarray(v, dtype=float))
+    if lam[0] <= 0:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    return (q * np.sqrt(lam)) @ q.T
 
 
 def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of V and of its partial transpose."""
-    v = np.asarray(v, dtype=float)
-    if np.min(np.linalg.eigvalsh(v)) <= 0:
-        raise NonPositiveDefinite("covariance matrix is not positive definite")
-    kp, km = _kappas(v)
-    ktp, ktm = _kappas(partial_transpose(v))
-    return SymplecticSpectrum(kp, km, ktp, ktm)
+    """Symplectic eigenvalues of V and of its partial transpose.
+
+    With R = V^{1/2}, i R Omega R is Hermitian with eigenvalues -+kappa: i times
+    a real antisymmetric matrix, so its spectrum is real and symmetric about 0
+    by construction.  The partial transpose needs no second root, since
+    (Lambda V Lambda)^{1/2} = Lambda R Lambda: its kappas are those of
+    i R (Lambda Omega Lambda) R.  Both come from one stacked eigvalsh.
+    """
+    root = sqrt_cm(v)
+    ev = np.linalg.eigvalsh(1j * (root @ _FORMS @ root))  # ascending: -k+, -k-, k-, k+
+    return SymplecticSpectrum(float(ev[0, 3]), float(ev[0, 2]), float(ev[1, 3]), float(ev[1, 2]))
 
 
 def is_physical(v: np.ndarray) -> Verdict:

@@ -10,7 +10,7 @@ class NonPositiveDefinite(GentError):
 
 
 class NumericalDegeneracy(GentError):
-    """Omega@V has no clean +-i*kappa pairs, or kappa is too ill-conditioned to test."""
+    """kappa lies so near 1/2 that rounding in entries of this size cannot decide the test."""
 
 
 class UnphysicalState(GentError):

@@ -24,11 +24,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .cm_core import OneModeCM, omega
+from .cm_core import OneModeCM, omega, sqrt_cm
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
-    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
@@ -282,21 +281,19 @@ def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
 def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic S and spectrum kappa_1 >= ... >= kappa_n with V = S D S^T.
 
-    D = diag(kappa_1, kappa_1, ..., kappa_n, kappa_n).  With R = V^{1/2}, the
-    Hermitian i R Omega R has eigenvalues -+kappa.  The eigenvectors x + iy of
-    the -kappa give orthonormal column pairs sqrt(2) (x, y) of an orthogonal O
+    D = diag(kappa_1, kappa_1, ..., kappa_n, kappa_n).  R = V^{1/2} comes from
+    ``cm_core.sqrt_cm``, and the Hermitian i R Omega R has eigenvalues -+kappa,
+    as in ``cm_core.symplectic_spectrum``.  The eigenvectors x + iy of the
+    -kappa give orthonormal column pairs sqrt(2) (x, y) of an orthogonal O
     with O^T R Omega R O = kappa J on each pair (also where kappas repeat:
     eigh returns an orthonormal basis of each eigenspace), and
     S = R O D^{-1/2} is symplectic.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
-    lam, q = np.linalg.eigh(v)
-    if lam[0] <= 0:
-        raise NonPositiveDefinite("covariance matrix is not positive definite")
-    root = (q * np.sqrt(lam)) @ q.T
+    root = sqrt_cm(v)
     om = omega(n)
-    ev, z = np.linalg.eigh(1j * root @ om @ root)
+    ev, z = np.linalg.eigh(1j * (root @ om @ root))
     kappas = -ev[:n]
     o = math.sqrt(2.0) * np.stack([z[:, :n].real, z[:, :n].imag], axis=2).reshape(2 * n, 2 * n)
     d = np.repeat(kappas, 2)
@@ -311,19 +308,19 @@ def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor a symplectic S = K1 Z K2 with K passive and Z diagonal squeezes.
 
-    Uses the polar decomposition S = O P; the positive symplectic P is
-    diagonalized by a passive K built from its eigenvectors, whose partner
-    columns are -Omega times the primaries.
+    Uses the polar decomposition S = O P.  One eigh of S^T S gives the
+    eigenpairs (sqrt(w), vz) of P = (S^T S)^{1/2}, hence O = S vz diag(w^{-1/2}) vz^T.
+    The positive symplectic P is diagonalized by a passive K built from its
+    eigenvectors, whose partner columns are -Omega times the primaries.
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
     om = omega(n)
-    w, vec = np.linalg.eigh(s.T @ s)
-    p = (vec * np.sqrt(w)) @ vec.T  # (S^T S)^{1/2}
-    o = s @ np.linalg.inv(p)
-    wz, vz = np.linalg.eigh(p)
+    w, vz = np.linalg.eigh(s.T @ s)
+    wz = np.sqrt(w)
+    o = (s @ vz / wz) @ vz.T
     order = np.argsort(-wz)[:n]
-    k = np.zeros_like(p)
+    k = np.zeros_like(s)
     zs = []
     chosen = []  # primary columns and their -Omega partners
     for j, i in enumerate(order):

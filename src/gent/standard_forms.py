@@ -116,10 +116,10 @@ def to_standard_form_I(v: np.ndarray) -> StandardFormI:
     C' = R1 diag(c, d) R2^T with rotations R1, R2: c and |d| are the singular
     values of C', and sign(d) = sign(det C).
     """
-    blk = cm_core.blocks(v)
-    (b1, n1), (b2, n2) = _local_normalizer(blk.v1), _local_normalizer(blk.v2)
-    c, d_abs = np.linalg.svd(n1 @ blk.c @ n2.T, compute_uv=False)
-    return StandardFormI(b1, b2, float(c), float(np.sign(np.linalg.det(blk.c)) * d_abs))
+    v = np.asarray(v, dtype=float)
+    (b1, n1), (b2, n2) = _local_normalizer(v[:2, :2]), _local_normalizer(v[2:, 2:])
+    c, d_abs = np.linalg.svd(n1 @ v[:2, 2:] @ n2.T, compute_uv=False)
+    return StandardFormI(b1, b2, float(c), float(np.sign(np.linalg.det(v[:2, 2:])) * d_abs))
 
 
 def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:

@@ -9,7 +9,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from gent.standard_forms import SymmetricState  # noqa: E402
+from gent.standard_forms import SymmetricState, symmetric_sts  # noqa: E402
 
 # Two symmetric states with identical kappa_tilde_minus = sqrt(0.08) but
 # different relative-entropy entanglement (acceptance fixture).
@@ -59,6 +59,13 @@ def random_local_symplectic(rng):
         rot = lambda a: np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
         out[k : k + 2, k : k + 2] = rot(phi) @ np.diag([np.exp(r), np.exp(-r)]) @ rot(psi)
     return out
+
+
+def squeezed_pure_cms(rng, n, r_lo, r_hi):
+    """n pairs (symmetric_sts(r), its CM under a random local symplectic), r uniform."""
+    for _ in range(n):
+        state, t = symmetric_sts(rng.uniform(r_lo, r_hi)), random_local_symplectic(rng)
+        yield state, t @ state.to_cm() @ t.T
 
 
 def random_physical_cm(rng, nu_floor=0.55):

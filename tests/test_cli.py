@@ -143,6 +143,22 @@ def test_large_unphysical_cm_rejected(capsys, tmp_path):
     assert "physical:           False" in out
 
 
+def test_strongly_squeezed_cm_checked_as_bures_reads_it(capsys, tmp_path):
+    # draw 10 of test_strongly_squeezed_pure_states_decided: r = 4.297, entries ~2.6e3;
+    # check once refused it as "not purely imaginary" while bures accepted it
+    from conftest import squeezed_pure_cms
+
+    *_, (state, v) = squeezed_pure_cms(np.random.default_rng(45), 11, 4.0, 5.0)
+    path = tmp_path / "cm.json"
+    cm_core.dump_cm_json(v, path)
+    code, out, err = run_cli(capsys, "bures", "--cm", str(path))
+    assert code == 0, err
+    assert json.loads(out)["input"]["b"] == pytest.approx(state.b, rel=1e-9)
+    code, out, err = run_cli(capsys, "check", "--cm", str(path))
+    assert code == cli.EXIT_ENTANGLED, err
+    assert "physical:           True" in out
+
+
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 def test_ill_conditioned_state_refused(capsys, command):
     code, _, err = run_cli(capsys, command, "--r", "7.5")

@@ -7,7 +7,7 @@ from gent import cm_core
 from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 from gent.standard_forms import symmetric_sts
 
-from conftest import random_local_symplectic, random_physical_cm
+from conftest import random_local_symplectic, random_physical_cm, squeezed_pure_cms
 
 
 def test_omega_algebra():
@@ -110,6 +110,36 @@ def test_ill_conditioned_threshold_refused():
         cm_core.is_separable(s.to_cm())
     # far from the threshold a large scale still decides
     assert cm_core.is_separable(np.diag([1e6, 1e6, 1e6, 1e6]))
+
+
+def test_strongly_squeezed_pure_states_decided():
+    # eigvals of Omega V called 18 of these 500 CMs "not purely imaginary"
+    draws = list(squeezed_pure_cms(np.random.default_rng(45), 500, 4.0, 5.0))
+    for state, v in draws:
+        spec = cm_core.symplectic_spectrum(v)
+        tol = cm_core.ROUNDING_PER_SCALE_SQ / 2 * cm_core.entry_scale(v) ** 2
+        assert abs(spec.kappa_plus - state.kappa_plus) <= tol
+        assert abs(spec.kappa_minus - state.kappa_minus) <= tol
+        assert abs(spec.kappa_tilde_minus - state.kappa_tilde_minus) <= tol
+        assert cm_core.is_physical(v)
+        assert not cm_core.is_separable(v)
+    # i R Omega R is i times a real antisymmetric matrix: its spectrum is +- symmetric
+    eps = float(np.finfo(float).eps)
+    om = cm_core.omega(2)
+    forms = (om, cm_core.LAMBDA_PT @ om @ cm_core.LAMBDA_PT)
+    for _, v in draws:
+        root = cm_core.sqrt_cm(v)
+        for form in forms:
+            ev = np.linalg.eigvalsh(1j * (root @ form @ root))
+            assert np.max(np.abs(ev + ev[::-1])) <= 8 * eps * np.linalg.norm(v, 2)
+
+
+def test_pure_state_rounding_within_half_the_allowance():
+    # the calibration behind ROUNDING_PER_SCALE_SQ: kappa_- = 1/2 came out at most
+    # ~23 eps scale^2 low over 10^5 such draws
+    for _, v in squeezed_pure_cms(np.random.default_rng(46), 2000, 0.0, 5.0):
+        low = 0.5 - cm_core.symplectic_spectrum(v).kappa_minus
+        assert low <= cm_core.ROUNDING_PER_SCALE_SQ / 2 * cm_core.entry_scale(v) ** 2
 
 
 def test_not_positive_definite():
