@@ -3,7 +3,9 @@
 The closed form depends only on the smallest symplectic eigenvalue of the
 partially transposed covariance matrix; ``numeric_max_fidelity`` verifies it
 by direct fidelity maximization over separable candidates, as nested
-one-dimensional searches over the variances of the beam-splitter modes.
+one-dimensional searches over the variances of the beam-splitter modes.  Each
+search is Brent's method (``scalar_min.golden_section``) and places its
+maximum to Brent's resolution, sqrt(eps)*|x| + tol/3.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ from dataclasses import dataclass
 
 from .cm_core import OneModeCM
 from .errors import DomainError, OptimizerNoConverge, UnphysicalState
-from .scalar_min import golden_section
+from .scalar_min import golden_section, resolution
 from .standard_forms import SymmetricState
 
-# numeric_max_fidelity: golden-section tolerance; distance from a search bound within
-# which a maximum counts as lying on it; e-folds by which each search range reaches
-# past the variances of the given state
+# numeric_max_fidelity: absolute part of the search resolution; e-folds by which each
+# search range reaches past the variances of the given state
 _TOL = 1e-11
-_END_TOL = 4 * _TOL
 _MARGIN = 3.0
 
 
@@ -41,18 +41,19 @@ def max_fidelity_closed(kappa_tilde_minus: float) -> float:
 
 
 def bures_entanglement(s: SymmetricState) -> BuresResult:
-    """E_B = (sqrt(2 kt) - 1)^2 / (2 kt + 1) for entangled states, else 0."""
+    """E_B = 1 - sqrt(F_max) = (sqrt(2 kt) - 1)^2 / (2 kt + 1) for entangled states, else 0.
+
+    Written as (1 - 2kt)^2 / ((1 + sqrt(2kt))^2 (1 + 2kt)), and the Bures
+    distance sqrt(2 - 2 sqrt(F_max)) as sqrt(2 E_B): near the threshold
+    sqrt(2kt) - 1 and 2 - 2 sqrt(F_max) cancel, while 1 - 2kt is exact for
+    kt in [1/4, 1/2].  Both hold to a few eps relative as kt -> 1/2.
+    """
     kt = s.kappa_tilde_minus
     if s.is_separable():  # raises UnphysicalState
         return BuresResult(e_b=0.0, f_max=1.0, kappa_tilde_minus=kt, d_bures=0.0)
     f_max = max_fidelity_closed(kt)
-    e_b = (math.sqrt(2 * kt) - 1) ** 2 / (2 * kt + 1)
-    return BuresResult(
-        e_b=e_b,
-        f_max=f_max,
-        kappa_tilde_minus=kt,
-        d_bures=math.sqrt(2 - 2 * math.sqrt(f_max)),
-    )
+    e_b = (1 - 2 * kt) ** 2 / ((1 + math.sqrt(2 * kt)) ** 2 * (1 + 2 * kt))
+    return BuresResult(e_b=e_b, f_max=f_max, kappa_tilde_minus=kt, d_bures=math.sqrt(2 * e_b))
 
 
 def one_mode_fidelity(v: OneModeCM, vp: OneModeCM) -> float:
@@ -87,10 +88,12 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     kt' = 1/2 is X2 Y1 = 1/4; the one-mode uncertainty relations are
     a1 = ln(X1/X2) >= 0 and a2 = ln(Y2/Y1) >= 0; and c' >= |d'| is a2 <= a1.
     So for fixed X2 the first mode depends on a1 alone and the second on a2
-    alone: a golden section over ln X2 runs one golden section per mode, and
-    a second one along the edge a1 = a2 when the two one-mode maxima violate
-    a2 <= a1.  A maximum within a few tolerances of a search-range end that is
-    not a physical edge raises OptimizerNoConverge.
+    alone: a line search over ln X2 runs one line search per mode, and a
+    second one along the edge a1 = a2 when the two one-mode maxima violate
+    a2 <= a1.  Every line search is Brent's method to the resolution
+    ``scalar_min.resolution(x, _TOL)``, so the argmax is placed to about
+    sqrt(eps) relative and F* to rounding.  A maximum within 4 resolutions of
+    a search-range end that is not a physical edge raises OptimizerNoConverge.
 
     Returns (f_star, argmax state, argmax scale).
     """
@@ -130,12 +133,14 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
 
 
 def _argmax(f, lo: float, hi: float, physical_lo: bool = False) -> tuple[float, float]:
-    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], by golden section.
+    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], by Brent's method.
 
-    Raises OptimizerNoConverge if x lands on an end that is only a search
-    bound (hi always, lo unless it is a physical edge).
+    Raises OptimizerNoConverge if x lands within 4 resolutions of an end that
+    is only a search bound (hi always, lo unless it is a physical edge); the
+    search returns a maximum at an end within 2 resolutions of it.
     """
     x, neg = golden_section(lambda z: -f(z), lo, hi, tol=_TOL)
-    if hi - x < _END_TOL or (not physical_lo and x - lo < _END_TOL):
+    end_tol = 4 * resolution(x, _TOL)
+    if hi - x < end_tol or (not physical_lo and x - lo < end_tol):
         raise OptimizerNoConverge(f"maximum at x = {x!r} on a search bound of [{lo!r}, {hi!r}]")
     return x, -neg

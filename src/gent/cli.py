@@ -140,22 +140,21 @@ def _fail(code: int, message: str):
 
 def cmd_check(args) -> int:
     v = _resolve_cm(args)
-    try:
-        spec = cm_core.symplectic_spectrum(v)
-        sep = cm_core.is_separable(v)
-    except UnphysicalState:
-        sep = None
-    print(f"physical:           {sep is not None}  (kappa_minus = {spec.kappa_minus:.9g})")
-    print(f"uncertainty det:    {cm_core.sp2_value(v):.9g}")
-    if sep is None:
+    # one spectrum and one threshold rule decide both tests before anything prints
+    spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
+    physical = cm_core.above_vacuum(spec.kappa_minus, scale)
+    separable = physical and cm_core.above_vacuum(spec.kappa_tilde_minus, scale)
+    inv = cm_core.invariants(v)
+    print(f"physical:           {physical}  (kappa_minus = {spec.kappa_minus:.9g})")
+    print(f"uncertainty det:    {inv.sp2:.9g}")
+    if not physical:
         print("separable:          n/a (unphysical)")
         return EXIT_UNPHYSICAL
-    print(f"separable:          {bool(sep)}  (kappa_tilde_minus = {sep.kappa:.9g})")
+    print(f"separable:          {separable}  (kappa_tilde_minus = {spec.kappa_tilde_minus:.9g})")
     print(
         f"kappas:             k+ = {spec.kappa_plus:.9g}  k- = {spec.kappa_minus:.9g}  "
         f"kt+ = {spec.kappa_tilde_plus:.9g}  kt- = {spec.kappa_tilde_minus:.9g}"
     )
-    inv = cm_core.invariants(v)
     print(
         f"invariants:         det V1 = {inv.det_v1:.9g}  det V2 = {inv.det_v2:.9g}  "
         f"det C = {inv.det_c:.9g}  det V = {inv.det_v:.9g}"
@@ -165,7 +164,7 @@ def cmd_check(args) -> int:
         f"standard form I:    b1 = {form.b1:.9g}  b2 = {form.b2:.9g}  "
         f"c = {form.c:.9g}  d = {form.d:.9g}"
     )
-    return EXIT_SEPARABLE if sep else EXIT_ENTANGLED
+    return EXIT_SEPARABLE if separable else EXIT_ENTANGLED
 
 
 def cmd_bures(args) -> int:

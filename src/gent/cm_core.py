@@ -77,6 +77,11 @@ class Invariants4:
     det_c: float
     det_v: float
 
+    @property
+    def sp2(self) -> float:
+        """det(V + (i/2)Omega) written with the four invariant determinants."""
+        return self.det_v - 0.25 * (self.det_v1 + self.det_v2 + 2 * self.det_c) + 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -100,9 +105,8 @@ def invariants(v: np.ndarray) -> Invariants4:
 
 
 def sp2_value(v: np.ndarray) -> float:
-    """det(V + (i/2)Omega) written with the four invariant determinants."""
-    inv = invariants(v)
-    return inv.det_v - 0.25 * (inv.det_v1 + inv.det_v2 + 2 * inv.det_c) + 1.0 / 16.0
+    """det(V + (i/2)Omega); see ``Invariants4.sp2``."""
+    return invariants(v).sp2
 
 
 def partial_transpose(v: np.ndarray) -> np.ndarray:

@@ -1,33 +1,91 @@
-"""Bracketed scalar minimization: golden-section search and grid refinement."""
+"""Bracketed scalar minimization: Brent's method and grid refinement.
+
+``golden_section`` is Brent's golden-section search with parabolic
+interpolation; it places a minimum to ``resolution(x, tol)``, which
+``bures._argmax`` also uses to tell a maximum on a search bound.
+"""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import BracketFailure
 
-INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
+GOLDEN = (3 - math.sqrt(5)) / 2  # 1 - 1/phi: the golden step, as a share of the larger side
+SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+
+
+def resolution(x: float, tol: float) -> float:
+    """Brent's resolution at x: sqrt(eps)*|x| + tol/3.
+
+    Function values cannot place a flat minimum more closely than sqrt(eps)
+    relative, so the relative term is the accuracy any search on values can
+    reach there.  ``golden_section`` stops once both ends of its bracket lie
+    within 2 resolutions of x.
+    """
+    return SQRT_EPS * abs(x) + tol / 3
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Minimize f on [a, b]; returns (x_min, f(x_min)) with |interval| <= tol."""
+    """Minimize f on [a, b] by Brent's method; returns (x_min, f(x_min)).
+
+    Golden section with parabolic interpolation (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): each step fits a parabola
+    through the three best points x, w, v and takes its vertex when it lies
+    inside the bracket and moves less than half the step before last;
+    otherwise it takes a golden step into the larger side.  No step is
+    shorter than ``resolution(x, tol)`` and no point outside the open interval
+    (a, b) is evaluated.  It stops when both ends of the bracket lie within 2
+    resolutions of x, so a minimum at an end is returned within 2 resolutions
+    of it.
+    """
     a, b = min(a, b), max(a, b)
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
+    x = w = v = a + GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step, and the one before it
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = resolution(x, tol)
+        tol2 = 2 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol1:  # vertex of the parabola through x, w, v is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
         else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
+            e = a - x if x >= m else b - x
+            d = GOLDEN * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def bracket_doubling(f, x0: float, step: float, xmax: float = 1e6):

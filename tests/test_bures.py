@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,6 +72,20 @@ def test_bures_entanglement_closed_form():
     assert res.f_max == pytest.approx(2 * kt / (kt + 0.5) ** 2, abs=1e-14)
     assert res.e_b == pytest.approx(1.0 - math.sqrt(res.f_max), abs=1e-12)
     assert res.d_bures == pytest.approx(math.sqrt(2 - 2 * math.sqrt(res.f_max)), abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", [10.0**-k for k in range(2, 12)])
+def test_e_b_and_distance_near_the_threshold_against_mpmath(gap):
+    # 1/2 - kt = gap, where sqrt(2 kt) - 1 and 2 - 2 sqrt(F_max) cancel (at gap 1e-8 the
+    # latter is 0.49 relative off); the forms used stay within 1 eps (measured)
+    res = bures_entanglement(SymmetricState(1.0, 0.5 + gap, 0.5 + gap))
+    with mpmath.workdps(50):
+        kt = mpmath.mpf(res.kappa_tilde_minus)
+        e_b = (mpmath.sqrt(2 * kt) - 1) ** 2 / (2 * kt + 1)
+        d_bures = mpmath.sqrt(2 - 2 * mpmath.sqrt(2 * kt / (kt + 0.5) ** 2))
+        eps = sys.float_info.epsilon
+        assert abs(res.e_b - e_b) <= 4 * eps * e_b
+        assert abs(res.d_bures - d_bures) <= 4 * eps * d_bures
 
 
 def test_bures_separable_is_zero():
@@ -153,6 +169,23 @@ def test_numeric_maximizer_beats_grid():
         grid_max = grid[:, np.tril(np.ones((a.size, a.size), dtype=bool))].max()  # a2 <= a1
         assert grid_max <= f_star + 1e-12, s
         assert f_star - grid_max < 1e-2, s  # the grid reaches the maximum
+
+
+def test_numeric_maximizer_objective_calls(monkeypatch):
+    # a speed guard that reads no clock: on the criterion-1 draws of the test above
+    # Brent's searches take 313-642 _fid1 calls per state (mean 450) and golden
+    # section alone 7021-7636; the bound leaves a margin of about 1.5 over 642
+    calls, fid1 = [], bures._fid1
+
+    def counted(*args):
+        calls.append(1)
+        return fid1(*args)
+
+    monkeypatch.setattr(bures, "_fid1", counted)
+    for s in random_entangled_symmetric(np.random.default_rng(101), 8):
+        calls.clear()
+        numeric_max_fidelity(s)
+        assert len(calls) <= 1000, s
 
 
 def test_numeric_maximizer_argmax_on_threshold_for_squeezed_thermal():

@@ -40,6 +40,53 @@ def test_check_unphysical(capsys):
     assert code == 2
 
 
+# gent check's whole report for each of its exit codes 0, 2 and 3
+CHECK_REPORTS = {
+    ("1", "0.5", "-0.25"): (
+        0,
+        """\
+physical:           True  (kappa_minus = 0.790569415)
+uncertainty det:    0.328125
+separable:          True  (kappa_tilde_minus = 0.612372436)
+kappas:             k+ = 1.06066017  k- = 0.790569415  kt+ = 1.36930639  kt- = 0.612372436
+invariants:         det V1 = 1  det V2 = 1  det C = -0.125  det V = 0.703125
+standard form I:    b1 = 1  b2 = 1  c = 0.5  d = -0.25
+""",
+    ),
+    ("0.7", "0.65", "-0.6"): (
+        2,
+        """\
+physical:           False  (kappa_minus = 0.254950976)
+uncertainty det:    0.021275
+separable:          n/a (unphysical)
+""",
+    ),
+    ("1", "0.8", "-0.6"): (
+        3,
+        """\
+physical:           True  (kappa_minus = 0.565685425)
+uncertainty det:    0.0329
+separable:          False  (kappa_tilde_minus = 0.282842712)
+kappas:             k+ = 0.848528137  k- = 0.565685425  kt+ = 1.69705627  kt- = 0.282842712
+invariants:         det V1 = 1  det V2 = 1  det C = -0.48  det V = 0.2304
+standard form I:    b1 = 1  b2 = 1  c = 0.8  d = -0.6
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("bcd", list(CHECK_REPORTS))
+def test_check_report_byte_for_byte(capsys, monkeypatch, bcd):
+    calls = []
+    spectrum = cm_core.symplectic_spectrum
+    monkeypatch.setattr(cm_core, "symplectic_spectrum", lambda v: calls.append(1) or spectrum(v))
+    b, c, d = bcd
+    code, out, err = run_cli(capsys, "check", "--b", b, "--c", c, "--d", d)
+    assert (code, out) == CHECK_REPORTS[bcd]
+    assert err == ""
+    assert len(calls) == 1  # one spectrum decides physicality and separability
+
+
 def test_parse_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "--b", "1", "--c", "0.3")
     assert code == 1
@@ -60,6 +107,16 @@ def test_bures_json(capsys):
     assert payload["version"]
     assert payload["e_b"] == pytest.approx(0.03924, abs=1e-5)
     assert payload["f_max"] == pytest.approx(0.9230516, abs=1e-6)
+
+
+def test_bures_distance_near_the_threshold(capsys):
+    # 1/2 - kt = 1e-10, so E_B = 5e-21 and d_bures = sqrt(2 E_B) = 1e-10, where
+    # sqrt(2 - 2 sqrt(f_max)) cancels to 0.0; the decimal inputs carry 1/2 - kt to ~1e-6 relative
+    code, out, _ = run_cli(capsys, "bures", "--b", "1", "--c", "0.5000000001", "--d", "-0.5000000001")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["d_bures"] == pytest.approx(1e-10, rel=1e-5)
+    assert payload["d_bures"] == math.sqrt(2 * payload["e_b"])
 
 
 def test_bures_separable(capsys):

@@ -101,7 +101,11 @@ def _slope_and_size(x, kappa_sq, kt):
 
 
 def _golden_mode_minimum(kappa_sq, kt):
-    """Reference minimum: a doubling walk from 1/2 + 1e-9, then golden section to 1e-10."""
+    """Reference minimum: a doubling walk from 1/2 + 1e-9, then Brent's method.
+
+    golden_section stops at the resolution sqrt(eps)*|x| + 1e-10/3; at a
+    minimum that places x to ~sqrt(eps) relative and the value to rounding.
+    """
     f = lambda x: mode_objective(x, kappa_sq, kt)
     a, b = bracket_doubling(f, 0.5 + 1e-9, 1e-4)
     return golden_section(f, a, b, 1e-10)
