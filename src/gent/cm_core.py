@@ -193,8 +193,3 @@ def load_cm_json(path) -> np.ndarray:
     if np.max(np.abs(v - v.T)) > 1e-9:
         raise ValueError("field 'v' is not symmetric within 1e-9")
     return 0.5 * (v + v.T)
-
-
-def dump_cm_json(v: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"v": np.asarray(v, dtype=float).tolist()}, fh, indent=1)

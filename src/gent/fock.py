@@ -13,6 +13,14 @@ The fidelity and the relative entropy work one parity block at a time; the
 entropy is -sum w ln w, since U is unitary.  Truncated states are never
 renormalized; the trace deficit is carried so tests can reject inadmissible
 truncations.
+
+A covariance matrix whose q-p block is exactly zero (V = T V T with
+T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
+into rotations and squeezes: its gates, U and rho are real float64 arrays,
+half the memory and a fraction of the arithmetic of complex ones.  Any other
+matrix takes ``williamson`` and ``euler_decompose`` and gives a complex U.
+That predicate is the only choice of route: the gates and the functionals
+take either dtype, and a complex gate makes a real state complex.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .cm_core import OneModeCM, omega, sqrt_cm
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
+    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
@@ -41,7 +50,8 @@ WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entr
 class FockOperator:
     """Density operator U diag(weights) U^dag in a truncated number basis.
 
-    ``unitary`` is a product of truncated gate unitaries, unitary to rounding,
+    ``unitary`` is a product of truncated gate unitaries, unitary to rounding
+    (real for a covariance matrix without q-p correlation, else complex),
     and ``weights`` are the thermal-core populations.  Gates act on
     ``unitary`` alone; its entries between levels of opposite photon parity
     are exact zeros.  ``matrix``, ``log_matrix`` and ``parity_blocks`` are
@@ -123,7 +133,7 @@ def thermal_state(nu: float, n: int) -> FockOperator:
         w = ratio ** np.arange(n) / (nbar + 1.0)
         log_w = np.arange(n) * math.log(ratio) - math.log(nbar + 1.0)
     return FockOperator(
-        unitary=np.eye(n, dtype=complex),
+        unitary=np.eye(n),
         weights=w,
         dim_per_mode=n,
         n_modes=1,
@@ -135,6 +145,11 @@ def thermal_state(nu: float, n: int) -> FockOperator:
 def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
     if a.dim_per_mode != b.dim_per_mode:
         raise DimensionMismatch("per-mode dimensions differ")
+    return _product(a, b, np.kron(a.unitary, b.unitary))
+
+
+def _product(a: FockOperator, b: FockOperator, unitary: np.ndarray) -> FockOperator:
+    """The weights of a (x) b, with ``unitary`` as its factor."""
     tr_a = 1.0 - a.trace_deficit
     tr_b = 1.0 - b.trace_deficit
     log_ab = None
@@ -142,7 +157,7 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
         # ln(A (x) B) = ln A (x) 1 + 1 (x) ln B
         log_ab = np.add.outer(a.log_weights, b.log_weights).ravel()
     return FockOperator(
-        unitary=np.kron(a.unitary, b.unitary),
+        unitary=unitary,
         weights=np.kron(a.weights, b.weights),
         dim_per_mode=a.dim_per_mode,
         n_modes=a.n_modes + b.n_modes,
@@ -157,6 +172,8 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
 # one mode at a time, passive unitaries one total-photon sector at a time.
 # A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so the
 # weights, their logarithm and the trace deficit carry over unchanged.
+# Squeezers and rotations (real passive unitaries) are real matrices; a
+# complex passive unitary promotes a real factor to complex.
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -167,25 +184,46 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _squeeze_generator(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigenpairs of the Hermitian (i/2)(adag^2 - a^2) on the even and on the odd levels.
+def _hop_signs(m: int) -> np.ndarray:
+    """(-1)^floor((j - k)/2) for j, k < m; read-only, shared."""
+    k = np.arange(m)
+    return _read_only(1.0 - 2.0 * (np.subtract.outer(k, k) // 2 % 2))[0]
 
-    The generator moves the photon number by two, so it splits into the two
-    parity classes; each is diagonalized alone.  Read-only, shared.
+
+def _exp_hopping(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(t A) for real antisymmetric tridiagonal A, real, from B = vecs diag(lam) vecs^T.
+
+    B is symmetric with a zero diagonal and the lower diagonal of A.  With
+    D = diag(i^k), A = -i D B D^{-1}, so exp(t A) = D (cos tB - i sin tB) D^{-1}.
+    B only hops between neighbours, so cos tB couples levels j - k even and
+    sin tB levels j - k odd, where the phases i^{j-k} and -i^{j-k+1} are both
+    the sign (-1)^floor((j-k)/2).  Works on stacks of B.
+    """
+    f = np.cos(t * lam) + np.sin(t * lam)
+    return _hop_signs(lam.shape[-1]) * ((vecs * f[..., None, :]) @ np.swapaxes(vecs, -1, -2))
+
+
+@cache
+def _squeeze_generator(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs of (adag^2 + a^2)/2 on the even and on the odd levels.
+
+    (adag^2 - a^2)/2 moves the photon number by two, so it splits into the two
+    parity classes, where it is the antisymmetric tridiagonal A of
+    ``_exp_hopping`` and this is its B.  Read-only, shared.
     """
     a = destroy(n)
-    gen = 0.5j * (a.T @ a.T - a @ a)
+    gen = 0.5 * (a.T @ a.T + a @ a)
     return tuple(_read_only(*np.linalg.eigh(gen[p::2, p::2])) for p in (0, 1))
 
 
 def _squeeze_unitary(r: float, n: int) -> np.ndarray:
-    """exp((r/2)(adag^2 - a^2)); maps q -> e^r q in the Heisenberg picture.
+    """exp((r/2)(adag^2 - a^2)), real; maps q -> e^r q in the Heisenberg picture.
 
     Entries between levels of opposite parity are exact zeros.
     """
-    u = np.zeros((n, n), dtype=complex)
+    u = np.zeros((n, n))
     for p, (lam, vec) in enumerate(_squeeze_generator(n)):
-        u[p::2, p::2] = (vec * np.exp(-1j * r * lam)) @ vec.conj().T
+        u[p::2, p::2] = _exp_hopping(lam, vec, r)
     return u
 
 
@@ -199,16 +237,41 @@ def _local_action(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _photon_sectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _photon_sectors(n: int) -> tuple[np.ndarray, ...]:
     """Two-mode levels grouped by total photon number; read-only, shared.
 
     Row t of the (2n - 1, n) arrays ``n1`` and ``n2`` lists the levels with
     n1 + n2 = t, padded at its end; ``valid`` marks the real ones.
+    ``hop`` stacks the symmetric tridiagonal sector matrices whose entry
+    (k + 1, k) is <n1+1, n2-1| a1dag a2 |n1, n2>, with n1 and n2 those of
+    entry k, and (``lam``, ``vecs``) are their eigenpairs; padding stays
+    uncoupled.
     """
     total = np.arange(2 * n - 1)[:, None]
     n1 = np.maximum(0, total - n + 1) + np.arange(n)
     n2 = total - n1
-    return _read_only(n1, n2, (n1 < n) & (n2 >= 0))
+    valid = (n1 < n) & (n2 >= 0)
+    hop = np.zeros((2 * n - 1, n, n))
+    k = np.arange(n - 1)
+    hop[:, k + 1, k] = hop[:, k, k + 1] = np.where(
+        valid[:, 1:], np.sqrt((n1[:, :-1] + 1) * np.maximum(n2[:, :-1], 0)), 0.0
+    )
+    return _read_only(n1, n2, valid, hop, *np.linalg.eigh(hop))
+
+
+@cache
+def _sector_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the two-mode levels each sector block entry lands on.
+
+    ``pair`` masks the real entries of the padded (2n - 1, n, n) blocks;
+    read-only, shared.
+    """
+    n1, n2, valid = _photon_sectors(n)[:3]
+    levels = n1 * n + n2
+    pair = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(levels[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(levels[:, None, :], pair.shape)[pair]
+    return _read_only(rows, cols, pair)
 
 
 @cache
@@ -218,38 +281,38 @@ def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
 
 
-def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), times x.
-
-    Photon number is conserved: one mode picks up a phase per level, and two
-    modes mix within each total-photon sector, where the generator is a small
-    tridiagonal Hermitian matrix.  The phases e^{i k arg h_01} make every
-    sector's generator real; the sectors are diagonalized as one stack,
-    padded with zero rows and columns that stay uncoupled.
-    """
-    if u.shape == (1, 1):
-        return np.exp(1j * np.angle(u[0, 0]) * np.arange(n))[:, None] * x
-    h = 1j * _logm_unitary(u)  # u = exp(-i h), h Hermitian
-    n1, n2, valid = _photon_sectors(n)
+def _phases(u: np.ndarray, n: int) -> np.ndarray:
+    """Fock-space diagonal of a one-mode unitary u: u^k, as (+-1)^k for a real u."""
     k = np.arange(n)
-    gen = np.zeros((2 * n - 1, n, n))
+    if np.isrealobj(u):
+        return np.sign(u[0, 0]) ** k
+    return np.exp(1j * np.angle(u[0, 0]) * k)
+
+
+def _passive_blocks(u: np.ndarray, n: int) -> np.ndarray:
+    """Sector blocks (2n - 1, n, n), padded, of the Fock unitary of a two-mode u.
+
+    The Fock-space unitary of u (a_j -> sum u_jk a_k) conserves photon number
+    and, within each total-photon sector, is exp(-i G) with G tridiagonal.
+    A real u must be a rotation by theta; then -i G = theta (a2dag a1 -
+    a1dag a2) is real antisymmetric and each block is real, from the cached
+    sector eigenpairs.  Otherwise G = sum_jk h_jk ajdag ak with u = exp(-i h):
+    the phases e^{i k arg h_01} make every sector's generator real, and the
+    sectors are diagonalized as one stack, padded with zero rows and columns
+    that stay uncoupled.
+    """
+    n1, n2, valid, hop, lam, vecs = _photon_sectors(n)
+    if np.isrealobj(u):
+        return _exp_hopping(lam, vecs, -math.atan2(u[1, 0], u[0, 0]))
+    h = 1j * _logm_unitary(u)  # u = exp(-i h), h Hermitian
+    k = np.arange(n)
+    gen = abs(h[0, 1]) * hop
     gen[:, k, k] = np.where(valid, h[0, 0].real * n1 + h[1, 1].real * n2, 0.0)
-    # <n1+1, n2-1| a1dag a2 |n1, n2> couples entry k to k + 1 of a sector
-    amp = np.where(valid[:, 1:], np.sqrt((n1[:, :-1] + 1) * np.maximum(n2[:, :-1], 0)), 0.0)
-    gen[:, k[1:], k[:-1]] = gen[:, k[:-1], k[1:]] = abs(h[0, 1]) * amp
     w, vecs = np.linalg.eigh(gen)
     phase = np.exp(1j * np.angle(h[0, 1]) * k)
     blocks = phase[:, None] * ((vecs * np.exp(-1j * w)[:, None, :]) @ vecs.transpose(0, 2, 1))
     blocks *= phase.conj()
-    levels = (n1 * n + n2)[valid]  # row indices of x, sector by sector
-    rows = x[levels]
-    start = 0
-    for block, size in zip(blocks, valid.sum(axis=1)):
-        rows[start : start + size] = block[:size, :size] @ rows[start : start + size]
-        start += size
-    out = np.empty(x.shape, dtype=complex)
-    out[levels] = rows
-    return out
+    return blocks
 
 
 def _logm_unitary(u: np.ndarray) -> np.ndarray:
@@ -264,6 +327,38 @@ def _logm_unitary(u: np.ndarray) -> np.ndarray:
     _, vec = np.linalg.eigh(rotated + rotated.conj().T)
     theta = np.angle(np.diag(vec.conj().T @ u @ vec))
     return (vec * (1j * theta)) @ vec.conj().T
+
+
+def _passive_matrix(u: np.ndarray, n: int) -> np.ndarray:
+    """The Fock-space unitary of a mode-space u, its sector blocks placed in a zero matrix."""
+    if u.shape == (1, 1):
+        return np.diag(_phases(u, n))
+    blocks = _passive_blocks(u, n)
+    rows, cols, pair = _sector_entries(n)
+    out = np.zeros((n * n, n * n), dtype=blocks.dtype)
+    out[rows, cols] = blocks[pair]
+    return out
+
+
+def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), times x.
+
+    One mode picks up a phase per level; two modes mix within each
+    total-photon sector (``_passive_blocks``).
+    """
+    if u.shape == (1, 1):
+        return _phases(u, n)[:, None] * x
+    blocks = _passive_blocks(u, n)
+    n1, n2, valid = _photon_sectors(n)[:3]
+    levels = (n1 * n + n2)[valid]  # row indices of x, sector by sector
+    rows = x[levels].astype(np.result_type(blocks, x), copy=False)
+    start = 0
+    for block, size in zip(blocks, valid.sum(axis=1)):
+        rows[start : start + size] = block[:size, :size] @ rows[start : start + size]
+        start += size
+    out = np.empty_like(rows)
+    out[levels] = rows
+    return out
 
 
 def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
@@ -359,29 +454,70 @@ def _passive_mode_unitary(k: np.ndarray) -> np.ndarray:
     return u
 
 
-def _apply_symplectic(state: FockOperator, s: np.ndarray) -> FockOperator:
-    """Unitary action realizing the covariance-matrix congruence W -> S W S^T."""
-    n = state.dim_per_mode
-    k1, z, k2 = euler_decompose(s)
-    squeezes = [_squeeze_unitary(math.log(z[2 * j, 2 * j]), n) for j in range(state.n_modes)]
-    u = _passive_action(_passive_mode_unitary(k2), n, state.unitary)
-    u = _passive_action(_passive_mode_unitary(k1), n, _local_action(squeezes, u))
-    return replace(state, unitary=u)
+def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Williamson and Euler factors, all real, of a V with no q-p correlation.
+
+    In the ordering (q1, q2, p1, p2) such a V is V_q (+) V_p, and the
+    symplectic S = M (+) M^{-T} with M = V_q^{1/2} O kappa^{-1/2} gives
+    V = S (kappa (+) kappa) S^T, where V_q^{1/2} V_p V_q^{1/2} = O kappa^2 O^T.
+    The SVD M = R1 e^r R2^T, with det R1 = det R2 = +1 (so det O = +1 first),
+    is S = K1 Z K2 with the rotations K1 = R1 (+) R1 and K2 = R2^T (+) R2^T
+    and the squeezes Z = e^r (+) e^{-r}.  Returns (kappas, R2^T, r, R1): the
+    mode-space unitaries of K2 and K1 are the rotations themselves.
+    """
+    vq, vp = v[::2, ::2], v[1::2, 1::2]
+    root = sqrt_cm(vq)
+    kappa_sq, o = np.linalg.eigh(root @ vp @ root)
+    if kappa_sq[0] <= 0:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    if np.linalg.det(o) < 0:
+        o[:, 0] = -o[:, 0]
+    kappas = np.sqrt(kappa_sq)
+    r1, e, r2t = np.linalg.svd(root @ o / np.sqrt(kappas))
+    if np.linalg.det(r1) < 0:  # then det R2 < 0 too, since det M > 0
+        r1[:, -1] = -r1[:, -1]
+        r2t[-1] = -r2t[-1]
+    mq, mp = (r1 * e) @ r2t, (r1 / e) @ r2t  # the q and p blocks of S
+    symplectic_err = np.max(np.abs(mq @ mp.T - np.eye(len(e))))
+    reconstruction_err = max(
+        np.max(np.abs((mq * kappas) @ mq.T - vq)), np.max(np.abs((mp * kappas) @ mp.T - vp))
+    ) / max(1.0, np.max(np.abs(v)))
+    if symplectic_err > 1e-7 or reconstruction_err > WILLIAMSON_TOL:
+        raise DecompositionFailure("mode-space factors fail the symplectic/reconstruction check")
+    return kappas, r2t, np.log(e), r1
 
 
 def gaussian_state_from_cm(v, n: int) -> FockOperator:
     """Build the undisplaced Gaussian state of covariance matrix v.
 
-    Accepts a OneModeCM, a 2x2 or a 4x4 array.
+    Accepts a OneModeCM, a 2x2 or a 4x4 array.  V = S D S^T with S = K1 Z K2
+    is realized as the thermal core of D under the passive unitary of K2,
+    written directly, then the squeezers of Z and the passive unitary of K1.
+    A V with no q-p correlation (V = T V T, T = diag(1, -1, ...)) has real
+    factors (``_qp_free_factors``) and a real state; any other V takes
+    ``williamson`` and ``euler_decompose`` and a complex one.
     """
+    import logging  # here, not at module level: importing gent.fock stays as light as it was
+
     if isinstance(v, OneModeCM):
         v = v.matrix()
     v = np.asarray(v, dtype=float)
-    s, kappas = williamson(v)
-    state = thermal_state(float(kappas[0]), n)
-    for kappa in kappas[1:]:
-        state = tensor(state, thermal_state(float(kappa), n))
-    return _apply_symplectic(state, s)
+    if v[::2, 1::2].any():
+        s, kappas = williamson(v)
+        k1, z, k2 = euler_decompose(s)
+        first, last = _passive_mode_unitary(k2), _passive_mode_unitary(k1)
+        squeezes = np.log(np.diag(z)[::2])
+    else:
+        kappas, first, squeezes, last = _qp_free_factors(v)
+    logging.getLogger("gent").debug(
+        "Fock state at N = %d: %s factors, kappas %s",
+        n, "complex" if np.iscomplexobj(first) else "real", kappas,
+    )
+    cores = [thermal_state(float(kappa), n) for kappa in kappas]
+    u = _passive_matrix(first, n)
+    state = replace(cores[0], unitary=u) if len(cores) == 1 else _product(*cores, u)
+    u = _local_action([_squeeze_unitary(r, n) for r in squeezes], u)
+    return replace(state, unitary=_passive_action(last, n, u))
 
 
 def moments_from_fock(state: FockOperator) -> np.ndarray:

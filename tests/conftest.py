@@ -1,5 +1,6 @@
-"""Shared fixtures: seeded RNG and random-state factories."""
+"""Shared fixtures: seeded RNG, random-state factories and a CM file writer."""
 
+import json
 import os
 
 # Before numpy loads OpenBLAS: the Fock oracle's matrices (up to 400 x 400) run
@@ -81,3 +82,9 @@ def _random_bs(rng):
     return bs_symplectic(
         BeamSplitterParams(theta=rng.uniform(0, np.pi), phi=rng.uniform(-np.pi, np.pi))
     )
+
+
+def dump_cm_json(v, path) -> None:
+    """Write a CM as the JSON file {"v": [[...], ...]} that ``cm_core.load_cm_json`` reads."""
+    with open(path, "w") as fh:
+        json.dump({"v": np.asarray(v, dtype=float).tolist()}, fh, indent=1)

@@ -15,6 +15,8 @@ from gent.errors import UnphysicalState
 from gent.relent import rel_ent_entanglement
 from gent.standard_forms import StandardFormI, SymmetricState, make_scaled_cm, ScaledState, symmetric_sts
 
+from conftest import dump_cm_json
+
 
 def run_cli(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
@@ -194,7 +196,7 @@ def test_cli_json_matches_library(capsys, case):
 
 def test_large_unphysical_cm_rejected(capsys, tmp_path):
     path = tmp_path / "big.json"
-    cm_core.dump_cm_json(np.diag([1e6, 1e-7, 1e6, 1e-7]), path)
+    dump_cm_json(np.diag([1e6, 1e-7, 1e6, 1e-7]), path)
     code, out, _ = run_cli(capsys, "check", "--cm", str(path))
     assert code == 2
     assert "physical:           False" in out
@@ -207,7 +209,7 @@ def test_strongly_squeezed_cm_checked_as_bures_reads_it(capsys, tmp_path):
 
     *_, (state, v) = squeezed_pure_cms(np.random.default_rng(45), 11, 4.0, 5.0)
     path = tmp_path / "cm.json"
-    cm_core.dump_cm_json(v, path)
+    dump_cm_json(v, path)
     code, out, err = run_cli(capsys, "bures", "--cm", str(path))
     assert code == 0, err
     assert json.loads(out)["input"]["b"] == pytest.approx(state.b, rel=1e-9)
@@ -231,7 +233,7 @@ def test_zero_det_c_after_local_symplectic(capsys, tmp_path, rng):
     path = tmp_path / "cm.json"
     for _ in range(20):
         t = random_local_symplectic(rng)
-        cm_core.dump_cm_json(t @ v @ t.T, path)
+        dump_cm_json(t @ v @ t.T, path)
         code, out, _ = run_cli(capsys, "bures", "--cm", str(path))
         assert code == 0
         assert json.loads(out)["e_b"] == 0.0
@@ -240,7 +242,7 @@ def test_zero_det_c_after_local_symplectic(capsys, tmp_path, rng):
 def test_asymmetric_cm_rejected(capsys, tmp_path):
     v = make_scaled_cm(ScaledState(StandardFormI(1.0, 1.3, 0.5, -0.3), 1.0, 1.0))
     path = tmp_path / "asym.json"
-    cm_core.dump_cm_json(v, path)
+    dump_cm_json(v, path)
     code, _, err = run_cli(capsys, "bures", "--cm", str(path))
     assert code == 4
     assert "not symmetric" in err
@@ -249,7 +251,7 @@ def test_asymmetric_cm_rejected(capsys, tmp_path):
 def test_cm_file_roundtrip(capsys, tmp_path):
     v = StandardFormI(1.0, 1.0, 0.8, -0.6).to_cm()
     path = tmp_path / "cm.json"
-    cm_core.dump_cm_json(v, path)
+    dump_cm_json(v, path)
     code, out, _ = run_cli(capsys, "bures", "--cm", str(path))
     assert code == 0
     assert json.loads(out)["e_b"] == pytest.approx(0.03924, abs=1e-5)
@@ -437,7 +439,7 @@ def test_vacuum_after_local_symplectic(capsys, tmp_path, rng):
     path = tmp_path / "vacuum.json"
     for _ in range(50):
         t = random_local_symplectic(rng)
-        cm_core.dump_cm_json(0.5 * t @ t.T, path)
+        dump_cm_json(0.5 * t @ t.T, path)
         for command, key in (("bures", "e_b"), ("relent", "e_s")):
             code, out, err = run_cli(capsys, command, "--cm", str(path))
             assert code == 0, err
@@ -456,7 +458,7 @@ def test_relent_verify_at_strong_squeezing(capsys):
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     path = tmp_path / "npd.json"
-    cm_core.dump_cm_json(np.diag([1.0, 1.0, 1.0, -0.1]), path)
+    dump_cm_json(np.diag([1.0, 1.0, 1.0, -0.1]), path)
     code, _, err = run_cli(capsys, command, "--cm", str(path))
     assert code == cli.EXIT_UNPHYSICAL, err
     assert "unphysical" in err
@@ -508,7 +510,7 @@ def test_non_finite_one_mode_state_exits_parse(capsys, pair):
 
 def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):
     path = tmp_path / "npd.json"
-    cm_core.dump_cm_json(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]), path)
+    dump_cm_json(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]), path)
     code, _, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path))
     assert code == cli.EXIT_UNPHYSICAL, err
     assert "unphysical" in err

@@ -7,7 +7,7 @@ from gent import cm_core
 from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 from gent.standard_forms import symmetric_sts
 
-from conftest import random_local_symplectic, random_physical_cm, squeezed_pure_cms
+from conftest import dump_cm_json, random_local_symplectic, random_physical_cm, squeezed_pure_cms
 
 
 def test_omega_algebra():
@@ -151,19 +151,19 @@ def test_not_positive_definite():
 def test_json_roundtrip(tmp_path):
     v = symmetric_sts(0.3, 0.2).to_cm()
     path = tmp_path / "cm.json"
-    cm_core.dump_cm_json(v, path)
+    dump_cm_json(v, path)
     back = cm_core.load_cm_json(path)
     np.testing.assert_allclose(back, v, atol=1e-15)
 
 
 def test_json_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.json"
-    cm_core.dump_cm_json(np.eye(3), path)
+    dump_cm_json(np.eye(3), path)
     with pytest.raises(ValueError, match="4x4"):
         cm_core.load_cm_json(path)
     v = np.eye(4)
     v[0, 1] = 1e-3  # asymmetric
-    cm_core.dump_cm_json(v, path)
+    dump_cm_json(v, path)
     with pytest.raises(ValueError, match="symmetric"):
         cm_core.load_cm_json(path)
 

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from gent.errors import (
     TruncationWarning,
     UnphysicalState,
 )
-from gent.standard_forms import symmetric_sts
+from gent.standard_forms import ScaledState, StandardFormI, make_scaled_cm, symmetric_sts
 
 from conftest import random_entangled_symmetric, random_physical_cm
 
@@ -366,3 +367,77 @@ def test_passive_action_matches_dense_generator(rng):
         dense = (gvec * np.exp(-1j * gw)) @ gvec.conj().T
         x = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
         np.testing.assert_allclose(fock._passive_action(u, n, x), dense @ x, atol=1e-11)
+
+
+# real factors for covariance matrices without q-p correlation ---------------
+
+# numpy's SVD of this form's mode-space M returns R1 and R2 with determinant -1
+REFLECTED_SCALED_CM = make_scaled_cm(ScaledState(StandardFormI(0.8, 0.7, 0.2, 0.1), 0.8, 1.2))
+
+
+def _local_rotation(a1, a2):
+    out = np.zeros((4, 4))
+    for k, a in ((0, a1), (2, a2)):
+        out[k : k + 2, k : k + 2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+    return out
+
+
+def test_factor_is_real_without_qp_correlation(rng):
+    real = [
+        OneModeCM(0.9, 0.7),
+        symmetric_sts(0.35, 0.15).to_cm(),
+        make_scaled_cm(ScaledState(StandardFormI(1.2, 0.9, 0.4, -0.3), 1.3, 0.7)),
+        REFLECTED_SCALED_CM,
+    ]
+    for v in real:
+        assert fock.gaussian_state_from_cm(v, 12).unitary.dtype == np.float64
+    assert np.iscomplexobj(fock.gaussian_state_from_cm(random_physical_cm(rng), 12).unitary)
+    state = fock.gaussian_state_from_cm(symmetric_sts(0.3).to_cm(), 12)
+    assert np.iscomplexobj(fock.apply_gate(state, fock.BeamSplitter(1.0, 0.3)).unitary)
+
+
+def test_real_and_complex_factors_agree():
+    # a common local rotation moves the pair onto the complex route and leaves
+    # F and S invariant; measured gaps at N = 30: 2.2e-16 and 8.5e-12
+    rho_cm, sigma_cm = symmetric_sts(0.3, 0.15).to_cm(), REFLECTED_SCALED_CM
+    rot = _local_rotation(0.7, -1.9)
+    n = 30
+    rho, sigma = (fock.gaussian_state_from_cm(v, n) for v in (rho_cm, sigma_cm))
+    rho_r, sigma_r = (fock.gaussian_state_from_cm(rot @ v @ rot.T, n) for v in (rho_cm, sigma_cm))
+    assert rho.unitary.dtype == np.float64 and np.iscomplexobj(rho_r.unitary)
+    assert abs(fock.fidelity_fock(rho, sigma) - fock.fidelity_fock(rho_r, sigma_r)) < 1e-13
+    assert abs(fock.rel_entropy_fock(sigma, rho) - fock.rel_entropy_fock(sigma_r, rho_r)) < 1e-10
+
+
+def test_real_factors_of_degenerate_inputs_reproduce_moments():
+    # truncation at N = 20 leaves at most 2.7e-8, on symmetric_sts(0.4)
+    n = 20
+    for v in [0.7 * np.eye(4), 0.5 * np.eye(4), symmetric_sts(0.4).to_cm(), REFLECTED_SCALED_CM]:
+        rho = fock.gaussian_state_from_cm(v, n)
+        assert rho.unitary.dtype == np.float64
+        np.testing.assert_allclose(fock.moments_from_fock(rho), v, atol=3e-7)
+    assert fock.gaussian_state_from_cm(0.5 * np.eye(4), n).log_weights is None
+    _, first, _, last = fock._qp_free_factors(REFLECTED_SCALED_CM)
+    assert np.linalg.det(first) == pytest.approx(1.0) and np.linalg.det(last) == pytest.approx(1.0)
+
+
+def test_real_passive_blocks_match_complex(rng):
+    # a rotation's Fock unitary from the cached real sector eigenpairs, against
+    # the complex generator path, on a factor and written out entry by entry
+    n = 9
+    x = rng.standard_normal((n * n, 3))
+    for theta in (0.3, -2.0, math.pi, 1e-9):
+        u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        out = fock._passive_action(u, n, x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, fock._passive_action(u.astype(complex), n, x), atol=1e-12)
+        np.testing.assert_allclose(fock._passive_matrix(u, n) @ x, out, atol=1e-12)
+
+
+def test_route_is_logged(caplog, rng):
+    with caplog.at_level(logging.DEBUG, logger="gent"):
+        fock.gaussian_state_from_cm(OneModeCM(0.9, 0.7), 10)
+        fock.gaussian_state_from_cm(random_physical_cm(rng), 10)
+    first, second = (r.getMessage() for r in caplog.records if r.name == "gent")
+    assert "real factors" in first and "kappas [0.79" in first
+    assert "complex factors" in second
