@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, bures, cm_core, relent, standard_forms
-from .errors import DomainError, NonPositiveDefinite, NumericalDegeneracy
+from .errors import DecompositionFailure, DomainError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 
 EXIT_SEPARABLE = 0
@@ -401,6 +401,8 @@ def main(argv=None) -> int:
         code = EXIT_UNPHYSICAL
     except NumericalDegeneracy as exc:
         _fail(EXIT_PARSE, f"covariance matrix: {exc}")
+    except DecompositionFailure as exc:
+        _fail(EXIT_PARSE, f"decomposition failure: {exc}")
     raise SystemExit(code)
 
 

@@ -7,9 +7,13 @@ A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
 weights and their exact logarithm; every functional reads these factors,
 and dense matrices are derived only on demand.  Every gate commutes with the
 total photon parity (-1)^(n1 + n2) (squeezers move one mode by two photons,
-passive gates conserve n1 + n2), and the truncated gates are built one parity
-class at a time, so U and rho are exactly block-diagonal in the two classes.
-The fidelity and the relative entropy work one parity block at a time; the
+passive gates conserve n1 + n2), so U is exactly block-diagonal in the two
+parity classes and is stored as its two class blocks, half the size of U
+each.  A class lists its levels by mode parity, (even, even) then (odd, odd)
+for the even class and (even, odd) then (odd, even) for the odd one, so the
+squeezers act on each run as a kron of half-size one-mode blocks; each
+total-photon sector lies in one class, where the passive gates act sector by
+sector.  The fidelity and the relative entropy read the class blocks; the
 entropy is -sum w ln w, since U is unitary.  Truncated states are never
 renormalized; the trace deficit is carried so tests can reject inadmissible
 truncations.
@@ -50,19 +54,23 @@ WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entr
 class FockOperator:
     """Density operator U diag(weights) U^dag in a truncated number basis.
 
-    ``unitary`` is a product of truncated gate unitaries, unitary to rounding
-    (real for a covariance matrix without q-p correlation, else complex),
-    and ``weights`` are the thermal-core populations.  Gates act on
-    ``unitary`` alone; its entries between levels of opposite photon parity
-    are exact zeros.  ``matrix``, ``log_matrix`` and ``parity_blocks`` are
-    derived on first use and cached.
+    U is a product of truncated gate unitaries, unitary to rounding (real for
+    a covariance matrix without q-p correlation, else complex).  Every gate
+    commutes with the total photon parity, so U has no entries between levels
+    of opposite parity and is stored as ``blocks``: U_0 and U_1, its blocks on
+    the even and on the odd class, each on the levels ``_parity_classes``
+    lists for that class and in that order.  Gates act on the blocks alone.
+    ``weights`` are the thermal-core populations in the number basis.
+    ``parity_blocks`` and the dense views ``unitary``, ``matrix`` and
+    ``log_matrix`` are derived on first use and cached; no functional reads
+    a dense view.
 
     ``log_weights`` carries ln(weights) exactly: the thermal-core logarithm is
     analytic, so the entropies keep the deep tail that an eigensolver would
     drown in rounding.  It and ``log_matrix`` are None for a pure core.
     """
 
-    unitary: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray]
     weights: np.ndarray
     dim_per_mode: int
     n_modes: int = 1
@@ -73,18 +81,23 @@ class FockOperator:
     def dim(self) -> int:
         return self.dim_per_mode**self.n_modes
 
+    @property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _parity_classes(self.dim_per_mode, self.n_modes)
+
     @cached_property
     def parity_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """U_p diag(sqrt(w_p)) for the even and odd parity class p.
 
-        U_p is the block of ``unitary`` on the levels ``_parity_classes``
-        lists for class p, so each block of ``matrix`` is A_p A_p^dag.
+        w_p are the weights of class p in its level order, so each block of
+        ``matrix`` is A_p A_p^dag.
         """
-        root = np.sqrt(self.weights)
-        return tuple(
-            self.unitary[np.ix_(idx, idx)] * root[idx]
-            for idx in _parity_classes(self.dim_per_mode, self.n_modes)
-        )
+        return tuple(u * np.sqrt(self.weights[idx]) for u, idx in zip(self.blocks, self._classes))
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """U as a dense matrix."""
+        return self._dense(self.blocks)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -96,8 +109,17 @@ class FockOperator:
         return None if self.log_weights is None else self._spectral(self.log_weights)
 
     def _spectral(self, values: np.ndarray) -> np.ndarray:
-        """U diag(values) U^dag."""
-        return (self.unitary * values) @ self.unitary.conj().T
+        """U diag(values) U^dag, dense."""
+        return self._dense(
+            [(u * values[idx]) @ u.conj().T for u, idx in zip(self.blocks, self._classes)]
+        )
+
+    def _dense(self, blocks) -> np.ndarray:
+        """The matrix with these class blocks and zeros between the classes."""
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*blocks))
+        for idx, block in zip(self._classes, blocks):
+            out[np.ix_(idx, idx)] = block
+        return out
 
 
 @dataclass(frozen=True)
@@ -117,6 +139,36 @@ def quadratures(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Freeze arrays that a cache hands to every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@cache
+def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of even and of odd total photon number, as indices in class order; read-only, shared.
+
+    One mode lists its even and its odd levels in ascending order.  A further
+    mode lists class p as two runs, (the earlier modes' class q) x (its own
+    class p ^ q) for q = 0 then 1, each row-major.  For two modes the even
+    class is (even, even) then (odd, odd) and the odd class (even, odd) then
+    (odd, even), so a product of one-mode operators acts on each run as the
+    kron of their class blocks.
+    """
+    one = (np.arange(0, n, 2), np.arange(1, n, 2))
+    if n_modes == 1:
+        return _read_only(*one)
+    rest = _parity_classes(n, n_modes - 1)
+    return _read_only(
+        *(
+            np.concatenate([np.add.outer(rest[q] * n, one[p ^ q]).ravel() for q in (0, 1)])
+            for p in (0, 1)
+        )
+    )
+
+
 def thermal_state(nu: float, n: int) -> FockOperator:
     """Thermal state of symplectic eigenvalue nu (mean photons nu - 1/2)."""
     if nu < 0.5 - 1e-9:
@@ -133,7 +185,7 @@ def thermal_state(nu: float, n: int) -> FockOperator:
         w = ratio ** np.arange(n) / (nbar + 1.0)
         log_w = np.arange(n) * math.log(ratio) - math.log(nbar + 1.0)
     return FockOperator(
-        unitary=np.eye(n),
+        blocks=(np.eye((n + 1) // 2), np.eye(n // 2)),
         weights=w,
         dim_per_mode=n,
         n_modes=1,
@@ -143,13 +195,23 @@ def thermal_state(nu: float, n: int) -> FockOperator:
 
 
 def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
+    """a (x) b for a one-mode b: class p of the product is kron(A_q, B_{p^q}), q = 0, 1."""
     if a.dim_per_mode != b.dim_per_mode:
         raise DimensionMismatch("per-mode dimensions differ")
-    return _product(a, b, np.kron(a.unitary, b.unitary))
+    if b.n_modes != 1:
+        raise DimensionMismatch("tensor appends one mode at a time")
+    blocks = []
+    for p in (0, 1):
+        first, second = (np.kron(a.blocks[q], b.blocks[p ^ q]) for q in (0, 1))
+        k = len(first)
+        block = np.zeros((k + len(second),) * 2, dtype=np.result_type(first, second))
+        block[:k, :k], block[k:, k:] = first, second
+        blocks.append(block)
+    return _product(a, b, tuple(blocks))
 
 
-def _product(a: FockOperator, b: FockOperator, unitary: np.ndarray) -> FockOperator:
-    """The weights of a (x) b, with ``unitary`` as its factor."""
+def _product(a: FockOperator, b: FockOperator, blocks) -> FockOperator:
+    """The weights of a (x) b, with ``blocks`` as its factor."""
     tr_a = 1.0 - a.trace_deficit
     tr_b = 1.0 - b.trace_deficit
     log_ab = None
@@ -157,7 +219,7 @@ def _product(a: FockOperator, b: FockOperator, unitary: np.ndarray) -> FockOpera
         # ln(A (x) B) = ln A (x) 1 + 1 (x) ln B
         log_ab = np.add.outer(a.log_weights, b.log_weights).ravel()
     return FockOperator(
-        unitary=unitary,
+        blocks=blocks,
         weights=np.kron(a.weights, b.weights),
         dim_per_mode=a.dim_per_mode,
         n_modes=a.n_modes + b.n_modes,
@@ -168,19 +230,13 @@ def _product(a: FockOperator, b: FockOperator, unitary: np.ndarray) -> FockOpera
 
 # gate actions ----------------------------------------------------------------
 #
-# Each gate is applied to the unitary factor through its structure: squeezers
-# one mode at a time, passive unitaries one total-photon sector at a time.
-# A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so the
-# weights, their logarithm and the trace deficit carry over unchanged.
+# Each gate is applied to the class blocks of the unitary factor through its
+# structure: squeezers one mode and one run of ``_parity_classes`` at a time,
+# passive unitaries one total-photon sector at a time (each sector lies in one
+# class).  A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so
+# the weights, their logarithm and the trace deficit carry over unchanged.
 # Squeezers and rotations (real passive unitaries) are real matrices; a
 # complex passive unitary promotes a real factor to complex.
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Freeze arrays that a cache hands to every caller."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 @cache
@@ -216,24 +272,32 @@ def _squeeze_generator(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_read_only(*np.linalg.eigh(gen[p::2, p::2])) for p in (0, 1))
 
 
-def _squeeze_unitary(r: float, n: int) -> np.ndarray:
-    """exp((r/2)(adag^2 - a^2)), real; maps q -> e^r q in the Heisenberg picture.
+def _squeeze_blocks(r: float, n: int) -> tuple[np.ndarray, ...]:
+    """Class blocks of exp((r/2)(adag^2 - a^2)), real; it maps q -> e^r q in the Heisenberg picture."""
+    return tuple(_exp_hopping(lam, vec, r) for lam, vec in _squeeze_generator(n))
 
-    Entries between levels of opposite parity are exact zeros.
+
+def _squeeze_action(squeezes, n: int, blocks) -> tuple[np.ndarray, ...]:
+    """The squeezer of r_k on each mode k (one or two modes), applied to the rows of class blocks.
+
+    On one mode the squeezer's class blocks act on the factor's.  On two,
+    S1 (x) S2 acts on run q of class p, the levels (class q) x (class p ^ q),
+    as the kron of S1's block q and S2's block p ^ q.
     """
-    u = np.zeros((n, n))
-    for p, (lam, vec) in enumerate(_squeeze_generator(n)):
-        u[p::2, p::2] = _exp_hopping(lam, vec, r)
-    return u
-
-
-def _local_action(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """(ops[0] (x) ops[1] ...) @ x for one n x n operator per mode (one or two modes)."""
+    ops = [_squeeze_blocks(r, n) for r in squeezes]
     if len(ops) == 1:
-        return ops[0] @ x
-    n, m = ops[0].shape[0], x.shape[1]
-    y = (ops[0] @ x.reshape(n, n * m)).reshape(n, n, m)
-    return (ops[1] @ y).reshape(n * n, m)
+        return tuple(s @ x for s, x in zip(ops[0], blocks))
+    out = []
+    for p, x in enumerate(blocks):
+        y, start = np.empty_like(x), 0
+        for q in (0, 1):
+            s1, s2 = ops[0][q], ops[1][p ^ q]
+            run = slice(start, start + len(s1) * len(s2))
+            half = (s1 @ x[run].reshape(len(s1), -1)).reshape(len(s1), len(s2), -1)
+            np.matmul(s2, half, out=y[run].reshape(half.shape))
+            start = run.stop
+        out.append(y)
+    return tuple(out)
 
 
 @cache
@@ -260,25 +324,28 @@ def _photon_sectors(n: int) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _sector_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of the two-mode levels each sector block entry lands on.
+def _class_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The total-photon sectors of each two-mode parity class; read-only, shared.
 
-    ``pair`` masks the real entries of the padded (2n - 1, n, n) blocks;
-    read-only, shared.
+    Entry p holds, for class p and its sectors t = p + 2i: ``order``, the
+    positions in the class's level order of its levels sector by sector, each
+    sector as ``_photon_sectors`` lists it, with sector i at
+    order[bounds[i]:bounds[i + 1]]; ``pair``, the mask of the real entries of
+    its padded sector blocks, and ``flat``, the flat positions in the class
+    block that these entries land on.
     """
     n1, n2, valid = _photon_sectors(n)[:3]
-    levels = n1 * n + n2
-    pair = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(levels[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(levels[:, None, :], pair.shape)[pair]
-    return _read_only(rows, cols, pair)
-
-
-@cache
-def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of even and of odd total photon number, as indices; read-only, shared."""
-    parity = np.indices((n,) * n_modes).sum(axis=0).ravel() % 2
-    return _read_only(np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+    out = []
+    for p, idx in enumerate(_parity_classes(n, 2)):
+        position = np.zeros(n * n, dtype=np.intp)
+        position[idx] = np.arange(len(idx))
+        mask = valid[p::2]
+        rows = position[np.where(mask, n1[p::2] * n + n2[p::2], 0)]
+        bounds = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        pair = mask[:, :, None] & mask[:, None, :]
+        flat = (rows[:, :, None] * len(idx) + rows[:, None, :])[pair]
+        out.append(_read_only(rows[mask], bounds, pair, flat))
+    return tuple(out)
 
 
 def _phases(u: np.ndarray, n: int) -> np.ndarray:
@@ -329,36 +396,40 @@ def _logm_unitary(u: np.ndarray) -> np.ndarray:
     return (vec * (1j * theta)) @ vec.conj().T
 
 
-def _passive_matrix(u: np.ndarray, n: int) -> np.ndarray:
-    """The Fock-space unitary of a mode-space u, its sector blocks placed in a zero matrix."""
+def _passive_matrix(u: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Class blocks of the Fock-space unitary of a mode-space u, each sector written into its class."""
     if u.shape == (1, 1):
-        return np.diag(_phases(u, n))
-    blocks = _passive_blocks(u, n)
-    rows, cols, pair = _sector_entries(n)
-    out = np.zeros((n * n, n * n), dtype=blocks.dtype)
-    out[rows, cols] = blocks[pair]
-    return out
+        phases = _phases(u, n)
+        return tuple(np.diag(phases[p::2]) for p in (0, 1))
+    sectors = _passive_blocks(u, n)
+    out = []
+    for p, (order, _, pair, flat) in enumerate(_class_sectors(n)):
+        block = np.zeros((len(order), len(order)), dtype=sectors.dtype)
+        np.put(block, flat, sectors[p::2][pair])
+        out.append(block)
+    return tuple(out)
 
 
-def _passive_action(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), times x.
+def _passive_action(u: np.ndarray, n: int, blocks) -> tuple[np.ndarray, ...]:
+    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), on the rows of class blocks.
 
     One mode picks up a phase per level; two modes mix within each
-    total-photon sector (``_passive_blocks``).
+    total-photon sector (``_passive_blocks``), whose rows are gathered
+    sector by sector.
     """
     if u.shape == (1, 1):
-        return _phases(u, n)[:, None] * x
-    blocks = _passive_blocks(u, n)
-    n1, n2, valid = _photon_sectors(n)[:3]
-    levels = (n1 * n + n2)[valid]  # row indices of x, sector by sector
-    rows = x[levels].astype(np.result_type(blocks, x), copy=False)
-    start = 0
-    for block, size in zip(blocks, valid.sum(axis=1)):
-        rows[start : start + size] = block[:size, :size] @ rows[start : start + size]
-        start += size
-    out = np.empty_like(rows)
-    out[levels] = rows
-    return out
+        phases = _phases(u, n)
+        return tuple(phases[p::2, None] * x for p, x in enumerate(blocks))
+    sectors = _passive_blocks(u, n)
+    out = []
+    for p, ((order, bounds, _, _), x) in enumerate(zip(_class_sectors(n), blocks)):
+        rows = x[order].astype(np.result_type(sectors, x), copy=False)
+        for block, start, stop in zip(sectors[p::2], bounds[:-1], bounds[1:]):
+            rows[start:stop] = block[: stop - start, : stop - start] @ rows[start:stop]
+        y = np.empty_like(rows)
+        y[order] = rows
+        out.append(y)
+    return tuple(out)
 
 
 def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
@@ -367,7 +438,7 @@ def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
     # wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)]
     c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
     mode_u = np.array([[c, -np.exp(1j * gate.phi) * s], [np.exp(-1j * gate.phi) * s, c]])
-    return replace(state, unitary=_passive_action(mode_u, state.dim_per_mode, state.unitary))
+    return replace(state, blocks=_passive_action(mode_u, state.dim_per_mode, state.blocks))
 
 
 # decompositions -------------------------------------------------------------
@@ -406,7 +477,15 @@ def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Uses the polar decomposition S = O P.  One eigh of S^T S gives the
     eigenpairs (sqrt(w), vz) of P = (S^T S)^{1/2}, hence O = S vz diag(w^{-1/2}) vz^T.
     The positive symplectic P is diagonalized by a passive K built from its
-    eigenvectors, whose partner columns are -Omega times the primaries.
+    eigenvectors, whose partner columns are -Omega times the primaries (P v =
+    z v gives P (-Omega v) = (-Omega v) / z).  Primaries are taken in order of
+    falling z, each projected against the pairs already chosen.  Within a
+    degenerate eigenspace (all of it for a passive S, where P = I) the raw
+    eigenvectors need not come in symplectic pairs, and one that the chosen
+    pairs already span, or nearly, is passed over for the next.  Until half of
+    an eigenspace of dimension 2m is chosen, one of its eigenvectors not yet
+    passed over keeps a residual of norm at least 1/sqrt(m), so the cut-off
+    1/2 always finds the primaries for up to four modes.
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
@@ -414,25 +493,26 @@ def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, vz = np.linalg.eigh(s.T @ s)
     wz = np.sqrt(w)
     o = (s @ vz / wz) @ vz.T
-    order = np.argsort(-wz)[:n]
     k = np.zeros_like(s)
     zs = []
     chosen = []  # primary columns and their -Omega partners
-    for j, i in enumerate(order):
+    for i in np.argsort(-wz):
+        if len(zs) == n:
+            break
         vec_i = vz[:, i].copy()
-        # within degenerate groups (z ~ 1 in particular) the raw eigenvectors
-        # need not come in symplectic pairs; project against what is chosen
         for prev in chosen:
             vec_i -= (prev @ vec_i) * prev
         norm = np.linalg.norm(vec_i)
-        if norm < 1e-8:
-            raise DecompositionFailure("degenerate squeeze subspace defeated pairing")
+        if norm < 0.5:
+            continue
         vec_i /= norm
         partner = -om @ vec_i
-        k[:, 2 * j] = vec_i
-        k[:, 2 * j + 1] = partner
+        k[:, 2 * len(zs)] = vec_i
+        k[:, 2 * len(zs) + 1] = partner
         chosen.extend([vec_i, partner])
         zs.append(wz[i])
+    if len(zs) < n:
+        raise DecompositionFailure("degenerate squeeze subspace defeated pairing")
     z = np.diag([f for zi in zs for f in (zi, 1.0 / zi)])
     k1 = o @ k
     k2 = k.T
@@ -492,7 +572,8 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
 
     Accepts a OneModeCM, a 2x2 or a 4x4 array.  V = S D S^T with S = K1 Z K2
     is realized as the thermal core of D under the passive unitary of K2,
-    written directly, then the squeezers of Z and the passive unitary of K1.
+    written directly into the class blocks, then the squeezers of Z and the
+    passive unitary of K1, acting on those blocks.
     A V with no q-p correlation (V = T V T, T = diag(1, -1, ...)) has real
     factors (``_qp_free_factors``) and a real state; any other V takes
     ``williamson`` and ``euler_decompose`` and a complex one.
@@ -514,10 +595,10 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         n, "complex" if np.iscomplexobj(first) else "real", kappas,
     )
     cores = [thermal_state(float(kappa), n) for kappa in kappas]
-    u = _passive_matrix(first, n)
-    state = replace(cores[0], unitary=u) if len(cores) == 1 else _product(*cores, u)
-    u = _local_action([_squeeze_unitary(r, n) for r in squeezes], u)
-    return replace(state, unitary=_passive_action(last, n, u))
+    blocks = _passive_matrix(first, n)
+    state = replace(cores[0], blocks=blocks) if len(cores) == 1 else _product(*cores, blocks)
+    blocks = _squeeze_action(squeezes, n, blocks)
+    return replace(state, blocks=_passive_action(last, n, blocks))
 
 
 def moments_from_fock(state: FockOperator) -> np.ndarray:
@@ -559,15 +640,17 @@ def fidelity_fock(rho: FockOperator, rho_p: FockOperator) -> float:
     G = A^dag B has G G^dag = diag(sqrt(w)) U^dag rho' U diag(sqrt(w)), unitarily
     similar to sqrt(rho) rho' sqrt(rho), so the root fidelity is the sum of
     the singular values of G.  Both states are block-diagonal in photon
-    parity, so G is too: the sum runs over the SVDs of the two half-size
-    blocks A_p^dag B_p.  No eigendecomposition of rho, no dense matrix and no
-    clipping; the factors are cached on rho for repeated probes.
+    parity, so G is too: the sum runs over the SVDs of the two class blocks
+    G_p = A_p^dag U'_p diag(sqrt(w'_p)), read from the stored blocks.  No
+    eigendecomposition of rho, no dense matrix and no clipping; A_p is cached
+    on rho for repeated probes, and rho' is read as it is.
     """
     _check_same_dims(rho, rho_p)
-    root = sum(
-        np.linalg.svd(a.conj().T @ b, compute_uv=False).sum()
-        for a, b in zip(rho.parity_blocks, rho_p.parity_blocks)
-    )
+    root = 0.0
+    for a, u_p, idx in zip(rho.parity_blocks, rho_p.blocks, rho_p._classes):
+        g = a.conj().T @ u_p
+        g *= np.sqrt(rho_p.weights[idx])
+        root += np.linalg.svd(g, compute_uv=False).sum()
     return float(root**2)
 
 
@@ -590,18 +673,19 @@ def rel_entropy_fock(rho_p: FockOperator, rho: FockOperator) -> float:
 
     rho puts the population pops_j = sum_i w_i |(U^dag U')_ij|^2 on level j of
     rho' = U' diag(w') U'^dag, so Tr[rho ln rho'] = pops . ln w'.  U^dag U' is
-    block-diagonal in photon parity and is formed one block at a time.  An
-    empty level of a pure core (ln w' = -inf) that holds population is a
+    block-diagonal in photon parity and is formed one class block at a time.
+    An empty level of a pure core (ln w' = -inf) that holds population is a
     support violation.
     """
     _check_same_dims(rho_p, rho)
-    pops = np.empty(rho.dim)
-    for idx in _parity_classes(rho.dim_per_mode, rho.n_modes):
-        block = np.ix_(idx, idx)
-        overlap = rho.unitary[block].conj().T @ rho_p.unitary[block]
-        pops[idx] = rho.weights[idx] @ (overlap.real**2 + overlap.imag**2)
     ln_wp = _ln_weights(rho_p)
-    full = np.isfinite(ln_wp)
-    if np.any(pops[~full] > 1e-8):
-        raise SupportViolation("rho has weight outside the support of rho'")
-    return float(-entropy_fock(rho) - pops[full] @ ln_wp[full])
+    cross = 0.0
+    for idx, u, u_p in zip(rho._classes, rho.blocks, rho_p.blocks):
+        overlap = u.conj().T @ u_p
+        pops = rho.weights[idx] @ (overlap.real**2 + overlap.imag**2)
+        ln_w = ln_wp[idx]
+        full = np.isfinite(ln_w)
+        if np.any(pops[~full] > 1e-8):
+            raise SupportViolation("rho has weight outside the support of rho'")
+        cross += pops[full] @ ln_w[full]
+    return float(-entropy_fock(rho) - cross)

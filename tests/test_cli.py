@@ -514,3 +514,17 @@ def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):
     code, _, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path))
     assert code == cli.EXIT_UNPHYSICAL, err
     assert "unphysical" in err
+
+
+def test_oracle_decomposition_failure_exits_parse(tmp_path):
+    # entries of about e^12 defeat the decomposition checks; the CLI reports it in one line
+    path = tmp_path / "sts6.json"
+    dump_cm_json(symmetric_sts(6).to_cm(), path)
+    src = os.path.dirname(os.path.dirname(gent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["oracle", "entropy", "--cm1", str(path), "--dim", "6"]
+    proc = subprocess.run([sys.executable, "-m", "gent.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: decomposition failure:")
+    assert proc.stderr.count("\n") == 1

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_beamsplitter_gate_matches_cm_action():
 
 def test_squeeze_gate_scales_quadratures():
     vac = fock.thermal_state(0.5, 40)
-    out = replace(vac, unitary=fock._squeeze_unitary(0.3, 40))
+    out = replace(vac, blocks=fock._squeeze_blocks(0.3, 40))
     expected = np.diag([0.5 * math.exp(0.6), 0.5 * math.exp(-0.6)])
     np.testing.assert_allclose(fock.moments_from_fock(out), expected, atol=1e-8)
 
@@ -159,8 +160,8 @@ def test_theta_zero_bs_is_identity():
 
 def test_squeeze_inverse_roundtrip():
     rho = fock.thermal_state(0.8, 40)
-    u = fock._squeeze_unitary(-0.25, 40) @ fock._squeeze_unitary(0.25, 40)
-    back = replace(rho, unitary=u)
+    u = tuple(a @ b for a, b in zip(fock._squeeze_blocks(-0.25, 40), fock._squeeze_blocks(0.25, 40)))
+    back = replace(rho, blocks=u)
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-9
 
 
@@ -366,7 +367,10 @@ def test_passive_action_matches_dense_generator(rng):
         gw, gvec = np.linalg.eigh(gen)
         dense = (gvec * np.exp(-1j * gw)) @ gvec.conj().T
         x = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
-        np.testing.assert_allclose(fock._passive_action(u, n, x), dense @ x, atol=1e-11)
+        classes = fock._parity_classes(n, 2)
+        out = fock._passive_action(u, n, tuple(x[idx] for idx in classes))
+        for idx, block in zip(classes, out):
+            np.testing.assert_allclose(block, (dense @ x)[idx], atol=1e-11)
 
 
 # real factors for covariance matrices without q-p correlation ---------------
@@ -426,12 +430,15 @@ def test_real_passive_blocks_match_complex(rng):
     # the complex generator path, on a factor and written out entry by entry
     n = 9
     x = rng.standard_normal((n * n, 3))
+    xs = tuple(x[idx] for idx in fock._parity_classes(n, 2))
     for theta in (0.3, -2.0, math.pi, 1e-9):
         u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        out = fock._passive_action(u, n, x)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, fock._passive_action(u.astype(complex), n, x), atol=1e-12)
-        np.testing.assert_allclose(fock._passive_matrix(u, n) @ x, out, atol=1e-12)
+        outs = fock._passive_action(u, n, xs)
+        complex_outs = fock._passive_action(u.astype(complex), n, xs)
+        for out, out_c, placed, x_p in zip(outs, complex_outs, fock._passive_matrix(u, n), xs):
+            assert out.dtype == np.float64
+            np.testing.assert_allclose(out, out_c, atol=1e-12)
+            np.testing.assert_allclose(placed @ x_p, out, atol=1e-12)
 
 
 def test_route_is_logged(caplog, rng):
@@ -441,3 +448,91 @@ def test_route_is_logged(caplog, rng):
     first, second = (r.getMessage() for r in caplog.records if r.name == "gent")
     assert "real factors" in first and "kappas [0.79" in first
     assert "complex factors" in second
+
+
+def test_euler_decompose_passive_and_degenerate_inputs():
+    # a passive S has P = I: every eigenvector of S^T S is degenerate
+    from gent.optics import BeamSplitterParams, bs_symplectic
+
+    om = cm_core.omega(2)
+    squeeze = np.diag([math.exp(0.3), math.exp(-0.3), 1.0, 1.0])
+    for s in [
+        np.eye(4),
+        _local_rotation(0.7, 0.0),
+        _local_rotation(0.4, -1.1),
+        bs_symplectic(BeamSplitterParams(0.8, 0.5)),
+        squeeze @ _local_rotation(0.0, 0.9),
+    ]:
+        k1, z, k2 = fock.euler_decompose(s)
+        np.testing.assert_allclose(k1 @ z @ k2, s, atol=1e-12)
+        for k in (k1, k2):
+            assert np.max(np.abs(k.T @ k - np.eye(4))) < 1e-12
+            assert np.max(np.abs(k @ om - om @ k)) < 1e-12
+
+
+# the block layout at odd cutoffs --------------------------------------------
+
+# truncation leaves these moment errors on the weak states below; measured
+# 9.0e-5 at N = 5, 9.9e-7 at N = 7 and 1.2e-14 at N = 15
+ODD_MOMENT_TOL = {5: 3e-4, 7: 3e-6, 15: 1e-13}
+
+
+def _odd_cutoff_states(n):
+    """(state, V) pairs: one- and two-mode, real and complex, after tensor and after a gate."""
+    from gent.optics import BeamSplitterParams, bs_symplectic
+
+    one_real = 0.51 * np.diag([math.exp(0.1), math.exp(-0.1)])
+    rot = _local_rotation(0.7, 0.0)[:2, :2]
+    one_complex = rot @ one_real @ rot.T
+    two_real = symmetric_sts(0.08, 0.02).to_cm()
+    m = bs_symplectic(BeamSplitterParams(0.8, 0.5))
+    two_complex = m @ np.diag([0.52 * math.exp(0.1), 0.52 * math.exp(-0.1), 0.51, 0.51]) @ m.T
+    gate = fock.BeamSplitter(1.1, 0.4)
+    m_gate = bs_symplectic(BeamSplitterParams(gate.theta, gate.phi))
+    product = np.zeros((4, 4))
+    product[:2, :2], product[2:, 2:] = one_real, one_complex
+    build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
+    return [
+        (build(one_real), one_real),
+        (build(one_complex), one_complex),
+        (build(two_real), two_real),
+        (build(two_complex), two_complex),
+        (fock.tensor(build(one_real), build(one_complex)), product),
+        (fock.apply_gate(build(two_real), gate), m_gate @ two_real @ m_gate.T),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 7, 15])
+def test_odd_cutoff_block_layout(n):
+    states = _odd_cutoff_states(n)
+    kinds = [np.iscomplexobj(state.blocks[0]) for state, _ in states]
+    assert kinds == [False, True, False, True, True, True]
+    for state, v in states:
+        dim = n**state.n_modes
+        assert [b.shape[0] for b in state.blocks] == [(dim + 1) // 2, dim // 2]
+        u = state.unitary
+        assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # the tail at N = 5 is part of the tolerance
+            moments = fock.moments_from_fock(state)
+        assert np.max(np.abs(moments - v)) < ODD_MOMENT_TOL[n]
+    for (rho, _), (sigma, _) in zip(states[::2], states[1::2]):
+        assert abs(fock.fidelity_fock(rho, sigma) - _dense_fidelity(rho, sigma)) < 1e-9
+        assert abs(fock.rel_entropy_fock(sigma, rho) - _dense_rel_entropy(sigma, rho)) < 1e-12
+
+
+def test_functionals_form_no_dense_matrix():
+    # criterion 2's path at N = 20: only the class blocks of 200 levels each
+    # and rho's cached square-root factors are ever formed
+    n = 20
+    rho = fock.gaussian_state_from_cm(symmetric_sts(0.35, 0.15).to_cm(), n)
+    sigma = fock.gaussian_state_from_cm(REFLECTED_SCALED_CM, n)
+    fock.fidelity_fock(rho, sigma)
+    fock.rel_entropy_fock(sigma, rho)
+    assert "parity_blocks" in vars(rho)
+    for state in (rho, sigma):
+        assert [b.shape for b in state.blocks] == [(200, 200), (200, 200)]
+        assert not {"matrix", "log_matrix", "unitary"} & set(vars(state))
+        for value in vars(state).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                assert np.ndim(arr) < 2 or max(np.shape(arr)) < state.dim
