@@ -311,6 +311,9 @@ def cmd_oracle(args) -> int:
     need = 1 if args.functional == "entropy" else 2
     if len(inputs) != need:
         _fail(EXIT_PARSE, f"oracle {args.functional} needs exactly {need} state(s)")
+    if len({isinstance(cm, cm_core.OneModeCM) for cm, _ in inputs}) > 1:
+        _fail(EXIT_PARSE, f"oracle {args.functional}: one state has one mode and the other two; "
+                          "give --state1/--state2 or --cm1/--cm2")
     states = [(fock.gaussian_state_from_cm(cm, n), cm) for cm, n in inputs]
     payload = {"version": __version__, "command": f"oracle {args.functional}"}
     try:

@@ -7,6 +7,7 @@ Conventions used throughout the package: hbar = 1, vacuum covariance matrix
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ class OneModeCM:
 
     @property
     def nu(self) -> float:
-        """Symplectic eigenvalue sqrt(det V); physical states have nu >= 1/2."""
-        return float(np.sqrt(self.sigma_qq * self.sigma_pp))
+        """Symplectic eigenvalue sqrt(det V); physical states have nu >= 1/2, and det V < 0 gives NaN."""
+        det = self.sigma_qq * self.sigma_pp
+        return math.sqrt(det) if det >= 0 else math.nan
 
     def is_physical(self) -> bool:
         # sqrt(sqq*spp) does not cancel: its rounding is relative to nu, 1/2 at the threshold

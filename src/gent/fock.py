@@ -21,10 +21,16 @@ truncations.
 A covariance matrix whose q-p block is exactly zero (V = T V T with
 T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
 into rotations and squeezes: its gates, U and rho are real float64 arrays,
-half the memory and a fraction of the arithmetic of complex ones.  Any other
-matrix takes ``williamson`` and ``euler_decompose`` and gives a complex U.
-That predicate is the only choice of route: the gates and the functionals
-take either dtype, and a complex gate makes a real state complex.
+half the memory and a fraction of the arithmetic of complex ones.  One mode
+of this kind, diag(v_qq, v_pp), is factored from the two scalars with no
+linear algebra.  Any other matrix takes ``williamson`` and
+``euler_decompose`` and gives a complex U.  That predicate is the only
+choice of route: the gates and the functionals take either dtype, and a
+complex gate makes a real state complex.
+
+A gate that is exactly the identity, a real passive gate of mode unitary I
+or a squeezer of r = 0, is not applied; a one-mode build on the real route
+applies no passive gate and takes the squeezer's class blocks as U itself.
 """
 
 from __future__ import annotations
@@ -200,14 +206,19 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
         raise DimensionMismatch("per-mode dimensions differ")
     if b.n_modes != 1:
         raise DimensionMismatch("tensor appends one mode at a time")
+    return _product(a, b, _kron_blocks(a.blocks, b.blocks))
+
+
+def _kron_blocks(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Class blocks of A (x) B from the class blocks of A and of a one-mode B."""
     blocks = []
     for p in (0, 1):
-        first, second = (np.kron(a.blocks[q], b.blocks[p ^ q]) for q in (0, 1))
+        first, second = (np.kron(a[q], b[p ^ q]) for q in (0, 1))
         k = len(first)
         block = np.zeros((k + len(second),) * 2, dtype=np.result_type(first, second))
         block[:k, :k], block[k:, k:] = first, second
         blocks.append(block)
-    return _product(a, b, tuple(blocks))
+    return tuple(blocks)
 
 
 def _product(a: FockOperator, b: FockOperator, blocks) -> FockOperator:
@@ -236,7 +247,8 @@ def _product(a: FockOperator, b: FockOperator, blocks) -> FockOperator:
 # class).  A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so
 # the weights, their logarithm and the trace deficit carry over unchanged.
 # Squeezers and rotations (real passive unitaries) are real matrices; a
-# complex passive unitary promotes a real factor to complex.
+# complex passive unitary promotes a real factor to complex.  Blocks given as
+# None stand for the identity: the gate's own class blocks are returned.
 
 
 @cache
@@ -285,6 +297,8 @@ def _squeeze_action(squeezes, n: int, blocks) -> tuple[np.ndarray, ...]:
     as the kron of S1's block q and S2's block p ^ q.
     """
     ops = [_squeeze_blocks(r, n) for r in squeezes]
+    if blocks is None:
+        return ops[0] if len(ops) == 1 else _kron_blocks(*ops)
     if len(ops) == 1:
         return tuple(s @ x for s, x in zip(ops[0], blocks))
     out = []
@@ -417,6 +431,8 @@ def _passive_action(u: np.ndarray, n: int, blocks) -> tuple[np.ndarray, ...]:
     total-photon sector (``_passive_blocks``), whose rows are gathered
     sector by sector.
     """
+    if blocks is None:
+        return _passive_matrix(u, n)
     if u.shape == (1, 1):
         phases = _phases(u, n)
         return tuple(phases[p::2, None] * x for p, x in enumerate(blocks))
@@ -534,6 +550,11 @@ def _passive_mode_unitary(k: np.ndarray) -> np.ndarray:
     return u
 
 
+def _is_identity(u: np.ndarray) -> bool:
+    """u is a real mode unitary exactly equal to I (a complex u keeps the complex route's dtype)."""
+    return not np.iscomplexobj(u) and bool((u == np.eye(len(u))).all())
+
+
 def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Williamson and Euler factors, all real, of a V with no q-p correlation.
 
@@ -544,7 +565,28 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     is S = K1 Z K2 with the rotations K1 = R1 (+) R1 and K2 = R2^T (+) R2^T
     and the squeezes Z = e^r (+) e^{-r}.  Returns (kappas, R2^T, r, R1): the
     mode-space unitaries of K2 and K1 are the rotations themselves.
+
+    One mode, V = diag(v_qq, v_pp), is read from the scalars with no linear
+    algebra: kappa = sqrt(v_qq v_pp), r = ln(v_qq / kappa)/2 and R1 = R2 = 1
+    (the sign fixes above make them +1), under the same checks.
     """
+    if v.shape == (2, 2):
+        vqq, vpp = float(v[0, 0]), float(v[1, 1])
+        det = vqq * vpp
+        if not (vqq > 0 and det > 0):  # also a NaN, and a det that underflows, as kappa^2 <= 0 above
+            raise NonPositiveDefinite("covariance matrix is not positive definite")
+        if det == math.inf:
+            raise DecompositionFailure(f"det V = {vqq:.3g} * {vpp:.3g} overflows")
+        kappa = math.sqrt(det)
+        r = 0.5 * math.log(vqq / kappa)
+        mq, mp = math.exp(r), math.exp(-r)
+        symplectic_err = abs(mq * mp - 1.0)
+        reconstruction_err = max(abs(mq * mq * kappa - vqq), abs(mp * mp * kappa - vpp)) / max(
+            1.0, vqq, vpp
+        )
+        if symplectic_err > 1e-7 or reconstruction_err > WILLIAMSON_TOL:
+            raise DecompositionFailure("mode-space factors fail the symplectic/reconstruction check")
+        return np.array([kappa]), np.ones((1, 1)), np.array([r]), np.ones((1, 1))
     vq, vp = v[::2, ::2], v[1::2, 1::2]
     root = sqrt_cm(vq)
     kappa_sq, o = np.linalg.eigh(root @ vp @ root)
@@ -573,7 +615,11 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     Accepts a OneModeCM, a 2x2 or a 4x4 array.  V = S D S^T with S = K1 Z K2
     is realized as the thermal core of D under the passive unitary of K2,
     written directly into the class blocks, then the squeezers of Z and the
-    passive unitary of K1, acting on those blocks.
+    passive unitary of K1, acting on those blocks.  A gate that is exactly
+    the identity (``_is_identity``, or all squeezes 0) is skipped: until one
+    acts, the cores' identity blocks stand, and the first gate that acts
+    writes its own class blocks.  So a one-mode V without q-p correlation is
+    its core under the squeezer's blocks alone, and a thermal one the core.
     A V with no q-p correlation (V = T V T, T = diag(1, -1, ...)) has real
     factors (``_qp_free_factors``) and a real state; any other V takes
     ``williamson`` and ``euler_decompose`` and a complex one.
@@ -595,34 +641,39 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         n, "complex" if np.iscomplexobj(first) else "real", kappas,
     )
     cores = [thermal_state(float(kappa), n) for kappa in kappas]
-    blocks = _passive_matrix(first, n)
-    state = replace(cores[0], blocks=blocks) if len(cores) == 1 else _product(*cores, blocks)
-    blocks = _squeeze_action(squeezes, n, blocks)
-    return replace(state, blocks=_passive_action(last, n, blocks))
+    blocks = None  # the identity
+    if not _is_identity(first):
+        blocks = _passive_matrix(first, n)
+    if any(squeezes):
+        blocks = _squeeze_action(squeezes, n, blocks)
+    if not _is_identity(last):
+        blocks = _passive_action(last, n, blocks)
+    if len(cores) == 1:
+        return cores[0] if blocks is None else replace(cores[0], blocks=blocks)
+    return tensor(*cores) if blocks is None else _product(*cores, blocks)
 
 
 def moments_from_fock(state: FockOperator) -> np.ndarray:
-    """Symmetrized second moments of the quadratures."""
+    """Symmetrized second moments of the quadratures, ordered (q1, p1, q2, p2).
+
+    With rho = A A^dag and Hermitian quadratures, Tr(rho O_i O_j) =
+    <O_i A, O_j A> (Frobenius), and its real part is the symmetrized moment.
+    A is the square-root factor ``parity_blocks`` written out densely, and
+    each O_i acts on its mode's axis of the rows of A: one small matmul per
+    quadrature, and no operator-operator product.
+    """
     if state.trace_deficit > TRACE_DEFICIT_TOL:
         warnings.warn(
             f"trace deficit {state.trace_deficit:.3e} exceeds {TRACE_DEFICIT_TOL}",
             TruncationWarning,
         )
     n = state.dim_per_mode
-    q, p = quadratures(n)
-    if state.n_modes == 1:
-        ops = [q, p]
-    else:
-        eye = np.eye(n)
-        ops = [np.kron(q, eye), np.kron(p, eye), np.kron(eye, q), np.kron(eye, p)]
-    m = len(ops)
-    out = np.zeros((m, m))
-    rho = state.matrix
-    for i in range(m):
-        for j in range(i, m):
-            sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            out[i, j] = out[j, i] = float(np.real(np.trace(rho @ sym)))
-    return out
+    a = state._dense(state.parity_blocks)
+    x = np.stack(
+        [(op @ a.reshape(n**mode, n, -1)).ravel() for mode in range(state.n_modes) for op in quadratures(n)]
+    )
+    gram = (x.conj() @ x.T).real
+    return 0.5 * (gram + gram.T)
 
 
 # scalar functionals ----------------------------------------------------------

@@ -410,11 +410,17 @@ def test_usage_errors_exit_parse(capsys, argv):
     assert "usage:" in err
 
 
-def test_cli_import_leaves_out_oracle_and_scipy():
+def _python(*argv):
+    """Run the interpreter on argv in a new process that imports gent from this tree."""
     src = os.path.dirname(os.path.dirname(gent.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_out_oracle_and_scipy():
     code = "import sys, gent.cli; print([m for m in sys.modules if m == 'gent.fock' or m.split('.')[0] == 'scipy'])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
@@ -520,11 +526,23 @@ def test_oracle_decomposition_failure_exits_parse(tmp_path):
     # entries of about e^12 defeat the decomposition checks; the CLI reports it in one line
     path = tmp_path / "sts6.json"
     dump_cm_json(symmetric_sts(6).to_cm(), path)
-    src = os.path.dirname(os.path.dirname(gent.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["oracle", "entropy", "--cm1", str(path), "--dim", "6"]
-    proc = subprocess.run([sys.executable, "-m", "gent.cli", *argv], capture_output=True, text=True, env=env)
+    proc = _python("-m", "gent.cli", "oracle", "entropy", "--cm1", str(path), "--dim", "6")
     assert proc.returncode == cli.EXIT_PARSE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: decomposition failure:")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("functional, first, second", [("fidelity", "state", "cm"), ("relent", "cm", "state")])
+def test_oracle_mixed_mode_counts_exit_parse(tmp_path, functional, first, second):
+    # a one-mode --stateK against a two-mode --cmK is refused before any state is built
+    path = tmp_path / "sts.json"
+    dump_cm_json(symmetric_sts(0.3).to_cm(), path)
+    value = {"state": "0.6,0.6", "cm": str(path)}
+    flags = [f"--{first}1", value[first], f"--{second}2", value[second]]
+    proc = _python("-m", "gent.cli", "oracle", functional, *flags, "--dim", "6")
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: oracle {functional}: one state has one mode")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

@@ -93,6 +93,19 @@ def test_unphysical_verdict():
         cm_core.is_separable(v)
 
 
+def test_one_mode_nu_is_numpy_sqrt_bit_for_bit():
+    # math.sqrt and np.sqrt are both correctly rounded; a negative det gives NaN in both
+    rng = np.random.default_rng(4242)
+    sigmas = np.exp(rng.uniform(-20.0, 20.0, (400, 2)))
+    sigmas[::7, 0] *= -1.0
+    for sqq, spp in sigmas.tolist():
+        nu = cm_core.OneModeCM(sqq, spp).nu
+        with np.errstate(invalid="ignore"):
+            ref = float(np.sqrt(sqq * spp))
+        assert nu == ref or (math.isnan(nu) and math.isnan(ref))
+    assert math.isnan(cm_core.OneModeCM(math.nan, 1.0).nu)
+
+
 def test_large_entries_do_not_widen_the_threshold():
     # kappa_- = sqrt(1e6 * 1e-7) = 0.316, exact for a diagonal CM whatever its scale
     v = np.diag([1e6, 1e-7, 1e6, 1e-7])

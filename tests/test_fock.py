@@ -536,3 +536,147 @@ def test_functionals_form_no_dense_matrix():
         for value in vars(state).values():
             for arr in value if isinstance(value, tuple) else (value,):
                 assert np.ndim(arr) < 2 or max(np.shape(arr)) < state.dim
+
+
+# one-mode builds in closed form ---------------------------------------------
+
+
+def _one_mode_inputs():
+    """About 50 diagonal one-mode CMs: vacuum, thermal, squeezing up to |z| = 2, and 2x2 arrays."""
+    rng = np.random.default_rng(1414)
+    cms = [OneModeCM(0.5, 0.5), OneModeCM(0.5 * math.exp(4), 0.5 * math.exp(-4))]
+    cms += [OneModeCM(nu, nu) for nu in (0.5 + 1e-13, 0.51, 0.8, 1.7)]
+    for nu, z in zip(rng.uniform(0.5, 1.5, 36), rng.uniform(-2.0, 2.0, 36)):
+        cms.append(OneModeCM(nu * math.exp(2 * z), nu * math.exp(-2 * z)))
+    cms += [np.diag([0.7, 0.9]), np.diag([0.5, 0.5]), np.diag([1.3, 1.3]), np.diag([3.0, 0.2])]
+    cms += [np.diag([0.5 * math.exp(2 * z), 0.5 * math.exp(-2 * z)]) for z in (-2.0, -0.3, 1.1, 2.0)]
+    return cms
+
+
+def _gate_chain_state(v, n):
+    """The one-mode build as the explicit passive - squeeze - passive sequence on the thermal core.
+
+    The squeeze is read as the mode-space route reads a 1x1 V_q:
+    M = V_q^{1/2} kappa^{-1/2} = e^r, with rotations R1 = R2 = 1.  The core
+    takes kappa = sqrt(v_qq v_pp); the mode-space route's
+    (V_q^{1/2} V_p V_q^{1/2})^{1/2} agrees with it to an ulp.
+    """
+    sqq, spp = (v.sigma_qq, v.sigma_pp) if isinstance(v, OneModeCM) else (v[0, 0], v[1, 1])
+    root, kappa = math.sqrt(sqq), math.sqrt(sqq * spp)
+    assert math.sqrt(root * spp * root) == pytest.approx(kappa, rel=3e-16, abs=0)
+    eye = np.eye(1)
+    blocks = fock._passive_matrix(eye, n)
+    blocks = fock._squeeze_action([math.log(root / math.sqrt(kappa))], n, blocks)
+    blocks = fock._passive_action(eye, n, blocks)
+    return replace(fock.thermal_state(kappa, n), blocks=blocks)
+
+
+@pytest.mark.parametrize("n", [15, 60])
+def test_one_mode_blocks_match_gate_chain(n):
+    # measured: at most 2.8e-15 at N = 15 and 6.9e-15 at N = 60 over these inputs,
+    # all from the rounding of r, which differs between the two forms
+    cms = _one_mode_inputs()
+    assert len(cms) >= 50
+    worst = 0.0
+    for v in cms:
+        state, ref = fock.gaussian_state_from_cm(v, n), _gate_chain_state(v, n)
+        assert [b.dtype for b in state.blocks] == [np.float64, np.float64]
+        worst = max(worst, *(np.max(np.abs(b - b_ref)) for b, b_ref in zip(state.blocks, ref.blocks)))
+        np.testing.assert_array_equal(state.weights, ref.weights)
+        assert (state.log_weights is None) == (ref.log_weights is None)
+        if ref.log_weights is not None:
+            np.testing.assert_array_equal(state.log_weights, ref.log_weights)
+        assert state.trace_deficit == ref.trace_deficit
+    assert worst < 1e-14
+    assert fock.gaussian_state_from_cm(OneModeCM(0.5, 0.5), n).log_weights is None
+
+
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
+def test_one_mode_build_calls_no_linalg(monkeypatch):
+    n = 24
+    cms = [OneModeCM(0.9, 0.7), OneModeCM(0.5, 0.5), OneModeCM(1.1, 1.1), np.diag([2.0, 0.3])]
+    expected = [fock.gaussian_state_from_cm(v, n) for v in cms]  # also fills the per-N caches
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    for v, ref in zip(cms, expected):
+        state = fock.gaussian_state_from_cm(v, n)
+        for b, b_ref in zip(state.blocks, ref.blocks):
+            assert np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize(
+    "v, error",
+    [
+        (OneModeCM(-1.0, 1.0), NonPositiveDefinite),
+        (OneModeCM(1.0, -1.0), NonPositiveDefinite),
+        (OneModeCM(-1.0, -1.0), NonPositiveDefinite),
+        (OneModeCM(0.0, 1.0), NonPositiveDefinite),
+        (OneModeCM(1.0, 0.0), NonPositiveDefinite),
+        (OneModeCM(1e-200, 1e-200), NonPositiveDefinite),  # det V underflows to 0
+        (np.diag([-0.5, -2.0]), NonPositiveDefinite),
+        (np.zeros((2, 2)), NonPositiveDefinite),
+        (OneModeCM(0.3, 0.3), UnphysicalState),
+        (OneModeCM(0.49, 0.5), UnphysicalState),
+        (OneModeCM(1e-3, 1.0), UnphysicalState),
+        (np.diag([0.2, 0.5]), UnphysicalState),
+    ],
+)
+def test_one_mode_refusals(v, error):
+    with pytest.raises(error):
+        fock.gaussian_state_from_cm(v, 10)
+
+
+def test_one_mode_overflow_is_a_decomposition_failure():
+    with pytest.raises(DecompositionFailure):
+        fock.gaussian_state_from_cm(OneModeCM(1e200, 1e200), 10)
+
+
+def test_identity_gates_are_skipped():
+    # a diagonal two-mode V whose mode-space rotations come out as exactly I:
+    # its state is the product of the one-mode builds, or of the bare cores
+    # when nothing is squeezed
+    n = 8
+    a = np.diag([0.7 * math.exp(0.4), 0.7 * math.exp(-0.4)])
+    b = np.diag([1.2 * math.exp(-0.2), 1.2 * math.exp(0.2)])
+    v = np.zeros((4, 4))
+    v[:2, :2], v[2:, 2:] = a, b
+    _, first, _, last = fock._qp_free_factors(v)
+    assert fock._is_identity(first) and fock._is_identity(last)
+    build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
+    state, ref = build(v), fock.tensor(build(a), build(b))
+    for block, block_ref in zip(state.blocks, ref.blocks):
+        np.testing.assert_allclose(block, block_ref, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(state.weights, ref.weights)
+    thermal = build(np.diag([0.7, 0.7, 1.2, 1.2]))
+    for block, block_ref in zip(thermal.blocks, fock.tensor(build(0.7 * np.eye(2)), build(1.2 * np.eye(2))).blocks):
+        assert np.array_equal(block, np.eye(len(block))) and np.array_equal(block, block_ref)
+    assert not fock._is_identity(np.eye(2, dtype=complex))
+    assert not fock._is_identity(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# moments from the square-root factor ------------------------------------------
+
+
+def _dense_moments(state):
+    """Tr(rho (O_i O_j + O_j O_i)/2) from dense operator products: the reference."""
+    n = state.dim_per_mode
+    q, p = fock.quadratures(n)
+    eye = np.eye(n)
+    ops = [q, p] if state.n_modes == 1 else [np.kron(q, eye), np.kron(p, eye), np.kron(eye, q), np.kron(eye, p)]
+    rho = state.matrix
+    return np.array([[np.real(np.trace(rho @ (0.5 * (a @ b + b @ a)))) for b in ops] for a in ops])
+
+
+def test_moments_match_dense_products():
+    states = [state for state, _ in _odd_cutoff_states(7)]
+    states += [fock.gaussian_state_from_cm(v, 20) for v in (symmetric_sts(0.4).to_cm(), _squeezed_split_thermal(0.6))]
+    for state in states:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            moments = fock.moments_from_fock(state)
+        assert moments.shape == (2 * state.n_modes,) * 2
+        assert np.array_equal(moments, moments.T)
+        assert np.max(np.abs(moments - _dense_moments(state))) < 1e-12
