@@ -20,29 +20,33 @@ truncations.
 
 A covariance matrix whose q-p block is exactly zero (V = T V T with
 T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
-into rotations and squeezes: its gates, U and rho are real float64 arrays,
-half the memory and a fraction of the arithmetic of complex ones.  One mode
-of this kind, diag(v_qq, v_pp), is factored from the two scalars with no
-linear algebra.  Any other matrix takes ``williamson`` and
-``euler_decompose`` and gives a complex U.  That predicate is the only
-choice of route: the gates and the functionals take either dtype, and a
-complex gate makes a real state complex.
+into rotations and squeezes; one mode of this kind, diag(v_qq, v_pp), from
+its two scalars with no linear algebra.  Any other matrix takes
+``williamson`` and ``euler_decompose``.  That predicate is the only choice
+of route.
 
-A gate that is exactly the identity, a real passive gate of mode unitary I
-or a squeezer of r = 0, is not applied; a one-mode build on the real route
-applies no passive gate and takes the squeezer's class blocks as U itself.
+Every passive gate, of either route and of ``apply_gate``, is its mode
+unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}): phases, diagonal
+in the number basis, around one real rotation that acts sector by sector
+from cached eigenpairs.  No gate runs an eigensolve, and U and rho are real
+float64 arrays (half the memory, a fraction of the arithmetic) unless a
+nonzero phase acts, as it never does on the real route.  On the complete
+sectors n1 + n2 < N the product is the Fock unitary of u; on the truncated
+ones each factor is the exponential of its truncated generator.  A gate
+that is exactly the identity is not applied.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .cm_core import OneModeCM, omega, sqrt_cm
+from .cm_core import VACUUM, OneModeCM, above_vacuum, entry_scale, omega, sqrt_cm
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
@@ -51,6 +55,8 @@ from .errors import (
     TruncationWarning,
     UnphysicalState,
 )
+from .optics import BeamSplitterParams as BeamSplitter
+from .optics import bs_symplectic
 
 TRACE_DEFICIT_TOL = 1e-8
 WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entry
@@ -60,12 +66,10 @@ WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entr
 class FockOperator:
     """Density operator U diag(weights) U^dag in a truncated number basis.
 
-    U is a product of truncated gate unitaries, unitary to rounding (real for
-    a covariance matrix without q-p correlation, else complex).  Every gate
-    commutes with the total photon parity, so U has no entries between levels
-    of opposite parity and is stored as ``blocks``: U_0 and U_1, its blocks on
-    the even and on the odd class, each on the levels ``_parity_classes``
-    lists for that class and in that order.  Gates act on the blocks alone.
+    U is a product of truncated gate unitaries, unitary to rounding, and is
+    stored as ``blocks``: U_0 and U_1, its blocks on the even and on the odd
+    parity class, each on the levels ``_parity_classes`` lists for that class
+    and in that order.  Gates act on the blocks alone.
     ``weights`` are the thermal-core populations in the number basis.
     ``parity_blocks`` and the dense views ``unitary``, ``matrix`` and
     ``log_matrix`` are derived on first use and cached; no functional reads
@@ -128,12 +132,6 @@ class FockOperator:
         return out
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
-    theta: float
-    phi: float = 0.0
-
-
 def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1)
 
@@ -177,7 +175,7 @@ def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def thermal_state(nu: float, n: int) -> FockOperator:
     """Thermal state of symplectic eigenvalue nu (mean photons nu - 1/2)."""
-    if nu < 0.5 - 1e-9:
+    if nu < VACUUM and not above_vacuum(nu, VACUUM):
         raise UnphysicalState(f"nu = {nu} < 1/2")
     if n < 2:
         raise ValueError("need at least two Fock levels")
@@ -243,12 +241,12 @@ def _product(a: FockOperator, b: FockOperator, blocks) -> FockOperator:
 #
 # Each gate is applied to the class blocks of the unitary factor through its
 # structure: squeezers one mode and one run of ``_parity_classes`` at a time,
-# passive unitaries one total-photon sector at a time (each sector lies in one
-# class).  A gate u maps rho = U diag(w) U^dag to (u U) diag(w) (u U)^dag, so
-# the weights, their logarithm and the trace deficit carry over unchanged.
-# Squeezers and rotations (real passive unitaries) are real matrices; a
-# complex passive unitary promotes a real factor to complex.  Blocks given as
-# None stand for the identity: the gate's own class blocks are returned.
+# rotations one total-photon sector at a time (each sector lies in one
+# class), phases as a diagonal.  A gate u maps rho = U diag(w) U^dag to
+# (u U) diag(w) (u U)^dag, so the weights, their logarithm and the trace
+# deficit carry over unchanged.  Only phases make a real factor complex.
+# Blocks given as None stand for the identity: the gate's own class blocks
+# are returned, or None again for a gate of angle 0.
 
 
 @cache
@@ -315,15 +313,18 @@ def _squeeze_action(squeezes, n: int, blocks) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _photon_sectors(n: int) -> tuple[np.ndarray, ...]:
-    """Two-mode levels grouped by total photon number; read-only, shared.
+def _photon_sectors(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """Two-mode levels grouped by total photon number t = n1 + n2; read-only, shared.
 
-    Row t of the (2n - 1, n) arrays ``n1`` and ``n2`` lists the levels with
-    n1 + n2 = t, padded at its end; ``valid`` marks the real ones.
-    ``hop`` stacks the symmetric tridiagonal sector matrices whose entry
-    (k + 1, k) is <n1+1, n2-1| a1dag a2 |n1, n2>, with n1 and n2 those of
-    entry k, and (``lam``, ``vecs``) are their eigenpairs; padding stays
-    uncoupled.
+    Sector t lists its levels by rising n1, padded at its end to n entries.
+    (``lam``, ``vecs``) are the eigenpairs of the stacked symmetric
+    tridiagonal sector matrices with entry (k + 1, k) = <n1+1, n2-1| a1dag a2
+    |n1, n2> for the n1, n2 of entry k; padding stays uncoupled.  Entry p of
+    ``classes`` holds, for parity class p and its sectors t = p + 2i:
+    ``order``, the positions in the class's level order of its levels sector
+    by sector, sector i at order[bounds[i]:bounds[i + 1]]; ``pair``, the mask
+    of the real entries of its padded sector blocks, and ``flat``, the flat
+    positions in the class block that these entries land on.
     """
     total = np.arange(2 * n - 1)[:, None]
     n1 = np.maximum(0, total - n + 1) + np.arange(n)
@@ -334,22 +335,7 @@ def _photon_sectors(n: int) -> tuple[np.ndarray, ...]:
     hop[:, k + 1, k] = hop[:, k, k + 1] = np.where(
         valid[:, 1:], np.sqrt((n1[:, :-1] + 1) * np.maximum(n2[:, :-1], 0)), 0.0
     )
-    return _read_only(n1, n2, valid, hop, *np.linalg.eigh(hop))
-
-
-@cache
-def _class_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The total-photon sectors of each two-mode parity class; read-only, shared.
-
-    Entry p holds, for class p and its sectors t = p + 2i: ``order``, the
-    positions in the class's level order of its levels sector by sector, each
-    sector as ``_photon_sectors`` lists it, with sector i at
-    order[bounds[i]:bounds[i + 1]]; ``pair``, the mask of the real entries of
-    its padded sector blocks, and ``flat``, the flat positions in the class
-    block that these entries land on.
-    """
-    n1, n2, valid = _photon_sectors(n)[:3]
-    out = []
+    classes = []
     for p, idx in enumerate(_parity_classes(n, 2)):
         position = np.zeros(n * n, dtype=np.intp)
         position[idx] = np.arange(len(idx))
@@ -358,103 +344,85 @@ def _class_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         bounds = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
         pair = mask[:, :, None] & mask[:, None, :]
         flat = (rows[:, :, None] * len(idx) + rows[:, None, :])[pair]
-        out.append(_read_only(rows[mask], bounds, pair, flat))
-    return tuple(out)
+        classes.append(_read_only(rows[mask], bounds, pair, flat))
+    return (*_read_only(*np.linalg.eigh(hop)), tuple(classes))
 
 
-def _phases(u: np.ndarray, n: int) -> np.ndarray:
-    """Fock-space diagonal of a one-mode unitary u: u^k, as (+-1)^k for a real u."""
-    k = np.arange(n)
-    if np.isrealobj(u):
-        return np.sign(u[0, 0]) ** k
-    return np.exp(1j * np.angle(u[0, 0]) * k)
+def _mode_angles(u: np.ndarray) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    """(alpha, theta, beta) with u = diag(e^{i alpha}) R(theta) diag(e^{i beta}), R(theta) = [[c, -s], [s, c]].
 
-
-def _passive_blocks(u: np.ndarray, n: int) -> np.ndarray:
-    """Sector blocks (2n - 1, n, n), padded, of the Fock unitary of a two-mode u.
-
-    The Fock-space unitary of u (a_j -> sum u_jk a_k) conserves photon number
-    and, within each total-photon sector, is exp(-i G) with G tridiagonal.
-    A real u must be a rotation by theta; then -i G = theta (a2dag a1 -
-    a1dag a2) is real antisymmetric and each block is real, from the cached
-    sector eigenpairs.  Otherwise G = sum_jk h_jk ajdag ak with u = exp(-i h):
-    the phases e^{i k arg h_01} make every sector's generator real, and the
-    sectors are diagonalized as one stack, padded with zero rows and columns
-    that stay uncoupled.
+    A rotation (no imaginary part, det u = +1) takes theta = atan2(u10, u00)
+    and no phases.  Any other two-mode u is e^{ig} D(x) R(theta) D(y) with
+    D(x) = diag(e^{ix}, e^{-ix}) and g = arg(det u)/2 (Reck et al., PRL 73,
+    58 (1994)): the first column of e^{-ig} u, an SU(2) matrix, is
+    (e^{i(x+y)} cos theta, e^{i(y-x)} sin theta) and fixes the second.  One
+    mode is the phase beta = arg u00 alone.
     """
-    n1, n2, valid, hop, lam, vecs = _photon_sectors(n)
-    if np.isrealobj(u):
-        return _exp_hopping(lam, vecs, -math.atan2(u[1, 0], u[0, 0]))
-    h = 1j * _logm_unitary(u)  # u = exp(-i h), h Hermitian
-    k = np.arange(n)
-    gen = abs(h[0, 1]) * hop
-    gen[:, k, k] = np.where(valid, h[0, 0].real * n1 + h[1, 1].real * n2, 0.0)
-    w, vecs = np.linalg.eigh(gen)
-    phase = np.exp(1j * np.angle(h[0, 1]) * k)
-    blocks = phase[:, None] * ((vecs * np.exp(-1j * w)[:, None, :]) @ vecs.transpose(0, 2, 1))
-    blocks *= phase.conj()
-    return blocks
-
-
-def _logm_unitary(u: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a 2x2 unitary matrix.
-
-    u is normal, so it shares its eigenvectors with the Hermitian
-    e^{-i phi} u + e^{i phi} u^dag, whose eigenvalues 2 cos(theta_k - phi) are
-    +-2 sin((theta_1 - theta_2)/2) at phi = arg(det u)/2 + pi/2: distinct
-    whenever those of u are.
-    """
-    rotated = np.exp(-1j * (np.angle(np.linalg.det(u)) / 2 + np.pi / 2)) * u
-    _, vec = np.linalg.eigh(rotated + rotated.conj().T)
-    theta = np.angle(np.diag(vec.conj().T @ u @ vec))
-    return (vec * (1j * theta)) @ vec.conj().T
-
-
-def _passive_matrix(u: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Class blocks of the Fock-space unitary of a mode-space u, each sector written into its class."""
     if u.shape == (1, 1):
-        phases = _phases(u, n)
-        return tuple(np.diag(phases[p::2]) for p in (0, 1))
-    sectors = _passive_blocks(u, n)
-    out = []
-    for p, (order, _, pair, flat) in enumerate(_class_sectors(n)):
-        block = np.zeros((len(order), len(order)), dtype=sectors.dtype)
-        np.put(block, flat, sectors[p::2][pair])
-        out.append(block)
-    return tuple(out)
+        return (0.0,), 0.0, (cmath.phase(u[0, 0]),)
+    r = u.real
+    if not u.imag.any() and r[0, 0] * r[1, 1] > r[0, 1] * r[1, 0]:
+        return (0.0, 0.0), math.atan2(r[1, 0], r[0, 0]), (0.0, 0.0)
+    g = cmath.phase(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) / 2
+    xy, yx = (cmath.phase(cmath.exp(-1j * g) * w) for w in u[:, 0])  # x + y and y - x
+    x, y = (xy - yx) / 2, (xy + yx) / 2
+    return (g + x, g - x), math.atan2(abs(u[1, 0]), abs(u[0, 0])), (y, -y)
 
 
-def _passive_action(u: np.ndarray, n: int, blocks) -> tuple[np.ndarray, ...]:
-    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), on the rows of class blocks.
-
-    One mode picks up a phase per level; two modes mix within each
-    total-photon sector (``_passive_blocks``), whose rows are gathered
-    sector by sector.
-    """
+def _phase_action(angles: tuple[float, ...], n: int, blocks) -> tuple[np.ndarray, ...]:
+    """diag(e^{i sum_k angles_k n_k}), the Fock unitary of diag(e^{i angles}), on the rows of class blocks."""
+    if not any(angles):
+        return blocks
+    levels = np.exp(1j * reduce(np.add.outer, [a * np.arange(n) for a in angles]).ravel())
+    phases = [levels[idx] for idx in _parity_classes(n, len(angles))]
     if blocks is None:
-        return _passive_matrix(u, n)
-    if u.shape == (1, 1):
-        phases = _phases(u, n)
-        return tuple(phases[p::2, None] * x for p, x in enumerate(blocks))
-    sectors = _passive_blocks(u, n)
+        return tuple(np.diag(ph) for ph in phases)
+    return tuple(ph[:, None] * x for ph, x in zip(phases, blocks))
+
+
+def _rotation_action(theta: float, n: int, blocks) -> tuple[np.ndarray, ...]:
+    """Fock unitary of the two-mode rotation R(theta), on the rows of class blocks.
+
+    On each sector it is exp(theta (a2dag a1 - a1dag a2)), real, from the
+    cached eigenpairs; it acts on the rows of each class gathered sector by
+    sector, or is written into the class blocks.
+    """
+    if theta == 0:
+        return blocks
+    lam, vecs, classes = _photon_sectors(n)
+    sectors = _exp_hopping(lam, vecs, -theta)
     out = []
-    for p, ((order, bounds, _, _), x) in enumerate(zip(_class_sectors(n), blocks)):
-        rows = x[order].astype(np.result_type(sectors, x), copy=False)
-        for block, start, stop in zip(sectors[p::2], bounds[:-1], bounds[1:]):
-            rows[start:stop] = block[: stop - start, : stop - start] @ rows[start:stop]
+    for p, (order, bounds, pair, flat) in enumerate(classes):
+        if blocks is None:
+            out.append(np.zeros((len(order), len(order))))
+            np.put(out[-1], flat, sectors[p::2][pair])
+            continue
+        rows = blocks[p][order]
+        for sector, start, stop in zip(sectors[p::2], bounds[:-1], bounds[1:]):
+            rows[start:stop] = sector[: stop - start, : stop - start] @ rows[start:stop]
         y = np.empty_like(rows)
         y[order] = rows
         out.append(y)
     return tuple(out)
 
 
+def _passive_action(u: np.ndarray, n: int, blocks) -> tuple[np.ndarray, ...]:
+    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), on the rows of class blocks.
+
+    u = diag(e^{i alpha}) R(theta) diag(e^{i beta}) (``_mode_angles``) acts
+    factor by factor, right to left.
+    """
+    alpha, theta, beta = _mode_angles(u)
+    blocks = _phase_action(beta, n, blocks)
+    blocks = _rotation_action(theta, n, blocks)
+    return _phase_action(alpha, n, blocks)
+
+
 def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
     if state.n_modes != 2:
         raise DimensionMismatch("beam splitter needs a two-mode state")
-    # wave mixing exp[-(theta/2)(e^{i phi} a1dag a2 - h.c.)]
-    c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
-    mode_u = np.array([[c, -np.exp(1j * gate.phi) * s], [np.exp(-1j * gate.phi) * s, c]])
-    return replace(state, blocks=_passive_action(mode_u, state.dim_per_mode, state.blocks))
+    u = _passive_mode_unitary(bs_symplectic(gate))
+    return replace(state, blocks=_passive_action(u, state.dim_per_mode, state.blocks))
 
 
 # decompositions -------------------------------------------------------------
@@ -540,19 +508,25 @@ def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _passive_mode_unitary(k: np.ndarray) -> np.ndarray:
     """Complex mode-space unitary of a passive (orthogonal symplectic) K."""
     n = k.shape[0] // 2
-    u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for m in range(n):
-            blk = k[2 * j : 2 * j + 2, 2 * m : 2 * m + 2]
-            if abs(blk[0, 0] - blk[1, 1]) > 1e-8 or abs(blk[0, 1] + blk[1, 0]) > 1e-8:
-                raise DecompositionFailure("K is not passive (blocks do not commute with J)")
-            u[j, m] = blk[0, 0] + 1j * blk[1, 0]
-    return u
+    blk = k.reshape(n, 2, n, 2)  # blk[j, :, m, :] is the 2x2 block of modes j and m
+    a, b, c, d = blk[:, 0, :, 0], blk[:, 0, :, 1], blk[:, 1, :, 0], blk[:, 1, :, 1]
+    if np.max(np.abs(a - d)) > 1e-8 or np.max(np.abs(b + c)) > 1e-8:
+        raise DecompositionFailure("K is not passive (blocks do not commute with J)")
+    return a + 1j * c
 
 
-def _is_identity(u: np.ndarray) -> bool:
-    """u is a real mode unitary exactly equal to I (a complex u keeps the complex route's dtype)."""
-    return not np.iscomplexobj(u) and bool((u == np.eye(len(u))).all())
+def _nearest_rotation(r: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Column order and signs that turn the 2x2 orthogonal r into the rotation nearest I.
+
+    The columns swap when the off-diagonal outweighs the diagonal (ties
+    stay), then signs make det +1 and the trace positive, so the angle lies
+    in [-pi/4, pi/4]: a truncated rotation is exact only on the complete
+    sectors, and no factor should turn by 90 or 180 degrees needlessly.
+    """
+    order = [1, 0] if abs(r[0, 1]) + abs(r[1, 0]) > abs(r[0, 0]) + abs(r[1, 1]) else [0, 1]
+    q = r[:, order]
+    det_sign = np.sign(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
+    return order, np.sign(q[0, 0] + det_sign * q[1, 1]) * np.array([1.0, det_sign])
 
 
 def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -561,14 +535,16 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     In the ordering (q1, q2, p1, p2) such a V is V_q (+) V_p, and the
     symplectic S = M (+) M^{-T} with M = V_q^{1/2} O kappa^{-1/2} gives
     V = S (kappa (+) kappa) S^T, where V_q^{1/2} V_p V_q^{1/2} = O kappa^2 O^T.
-    The SVD M = R1 e^r R2^T, with det R1 = det R2 = +1 (so det O = +1 first),
-    is S = K1 Z K2 with the rotations K1 = R1 (+) R1 and K2 = R2^T (+) R2^T
-    and the squeezes Z = e^r (+) e^{-r}.  Returns (kappas, R2^T, r, R1): the
-    mode-space unitaries of K2 and K1 are the rotations themselves.
+    The SVD M = R1 e^r R2^T is S = K1 Z K2 with K1 = R1 (+) R1,
+    K2 = R2^T (+) R2^T and the squeezes Z = e^r (+) e^{-r}, its columns
+    reordered and signed so that R1, then R2^T, is the rotation nearest I
+    (``_nearest_rotation``; a column of R2^T takes its kappa along).
+    Returns (kappas, R2^T, r, R1): the mode-space unitaries of K2 and K1 are
+    the rotations themselves.
 
     One mode, V = diag(v_qq, v_pp), is read from the scalars with no linear
-    algebra: kappa = sqrt(v_qq v_pp), r = ln(v_qq / kappa)/2 and R1 = R2 = 1
-    (the sign fixes above make them +1), under the same checks.
+    algebra: kappa = sqrt(v_qq v_pp), r = ln(v_qq / kappa)/2 and R1 = R2 = 1,
+    under the same checks.
     """
     if v.shape == (2, 2):
         vqq, vpp = float(v[0, 0]), float(v[1, 1])
@@ -592,13 +568,12 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     kappa_sq, o = np.linalg.eigh(root @ vp @ root)
     if kappa_sq[0] <= 0:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    if np.linalg.det(o) < 0:
-        o[:, 0] = -o[:, 0]
     kappas = np.sqrt(kappa_sq)
     r1, e, r2t = np.linalg.svd(root @ o / np.sqrt(kappas))
-    if np.linalg.det(r1) < 0:  # then det R2 < 0 too, since det M > 0
-        r1[:, -1] = -r1[:, -1]
-        r2t[-1] = -r2t[-1]
+    order, signs = _nearest_rotation(r1)  # M = R1 e R2^T for any common order and signs
+    r1, e, r2t = r1[:, order] * signs, e[order], r2t[order] * signs[:, None]
+    order, signs = _nearest_rotation(r2t)  # M P D factors V as well, with the kappas reordered by P
+    r2t, kappas = r2t[:, order] * signs, kappas[order]
     mq, mp = (r1 * e) @ r2t, (r1 / e) @ r2t  # the q and p blocks of S
     symplectic_err = np.max(np.abs(mq @ mp.T - np.eye(len(e))))
     reconstruction_err = max(
@@ -614,15 +589,15 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
 
     Accepts a OneModeCM, a 2x2 or a 4x4 array.  V = S D S^T with S = K1 Z K2
     is realized as the thermal core of D under the passive unitary of K2,
-    written directly into the class blocks, then the squeezers of Z and the
-    passive unitary of K1, acting on those blocks.  A gate that is exactly
-    the identity (``_is_identity``, or all squeezes 0) is skipped: until one
-    acts, the cores' identity blocks stand, and the first gate that acts
-    writes its own class blocks.  So a one-mode V without q-p correlation is
-    its core under the squeezer's blocks alone, and a thermal one the core.
-    A V with no q-p correlation (V = T V T, T = diag(1, -1, ...)) has real
-    factors (``_qp_free_factors``) and a real state; any other V takes
-    ``williamson`` and ``euler_decompose`` and a complex one.
+    written directly into the class blocks and without its right phases
+    (diagonal, as the core is, they leave rho as it is), then the squeezers
+    of Z and the passive unitary of K1, acting on those blocks.  A gate that
+    is exactly the identity is skipped: until one acts, the cores' identity
+    blocks stand.  A V with no q-p correlation (V = T V T,
+    T = diag(1, -1, ...)) takes ``_qp_free_factors``, any other V
+    ``williamson`` and ``euler_decompose``.  A kappa below 1/2 is decided by
+    ``cm_core.above_vacuum`` at the entry scale of V: within its allowance it
+    is read as 1/2, below it the state is refused as unphysical.
     """
     import logging  # here, not at module level: importing gent.fock stays as light as it was
 
@@ -640,14 +615,14 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         "Fock state at N = %d: %s factors, kappas %s",
         n, "complex" if np.iscomplexobj(first) else "real", kappas,
     )
-    cores = [thermal_state(float(kappa), n) for kappa in kappas]
-    blocks = None  # the identity
-    if not _is_identity(first):
-        blocks = _passive_matrix(first, n)
+    if kappas.min() < VACUUM and not above_vacuum(kappas.min(), entry_scale(v)):
+        raise UnphysicalState(f"kappa = {kappas.min():.10g} < 1/2 at entry size {entry_scale(v):.3g}")
+    cores = [thermal_state(max(float(kappa), VACUUM), n) for kappa in kappas]
+    alpha, theta, _ = _mode_angles(first)
+    blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity
     if any(squeezes):
         blocks = _squeeze_action(squeezes, n, blocks)
-    if not _is_identity(last):
-        blocks = _passive_action(last, n, blocks)
+    blocks = _passive_action(last, n, blocks)
     if len(cores) == 1:
         return cores[0] if blocks is None else replace(cores[0], blocks=blocks)
     return tensor(*cores) if blocks is None else _product(*cores, blocks)

@@ -78,11 +78,7 @@ def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
     if nup - 0.5 <= _PURE_TOL:
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
     cross = (v.sigma_qq * vp.sigma_pp + v.sigma_pp * vp.sigma_qq) / nup
-    return (
-        -_entropy_nu(v.nu)
-        + 0.5 * math.log(nup + 0.5) * (1 + cross)
-        + 0.5 * math.log(nup - 0.5) * (1 - cross)
-    )
+    return _brace(nup - 0.5, cross - 1) - _entropy_nu(v.nu)
 
 
 def mode_objective(x: float, kappa_sq: float, kt: float) -> float:
@@ -94,14 +90,18 @@ def mode_objective(x: float, kappa_sq: float, kt: float) -> float:
     """
     if x <= 0.5:
         raise DomainError(f"x = {x} must exceed 1/2")
-    return _objective(x - 0.5, kappa_sq, kt)
+    e = x - 0.5
+    return _brace(e, _g_minus_1(e, kappa_sq, kt))
 
 
-def _objective(e: float, kappa_sq: float, kt: float) -> float:
-    """mode_objective at x = 1/2 + e, written ln(x+1/2) + (g-1) L/2 with
-    L = ln((x+1/2)/(x-1/2)), so that no two terms cancel at large x, and
-    taken from e itself, so that x -> 1/2 keeps its digits."""
-    return math.log1p(e) + 0.5 * _g_minus_1(e, kappa_sq, kt) * math.log1p(1 / e)
+def _brace(e: float, g_minus_1: float) -> float:
+    """(1+g) ln(x+1/2)/2 + (1-g) ln(x-1/2)/2 at x = 1/2 + e: the one-mode
+    relative-entropy brace -Tr(rho ln rho') for diagonal CMs V of rho and V'
+    of rho', with x = sqrt(det V') and g = (v_qq v'_pp + v_pp v'_qq)/x.
+    Written ln(x+1/2) + (g-1) L/2 with L = ln((x+1/2)/(x-1/2)), so that no
+    two terms cancel at large x, and taken from e itself, so that x -> 1/2
+    keeps its digits."""
+    return math.log1p(e) + 0.5 * g_minus_1 * math.log1p(1 / e)
 
 
 def _g_minus_1(e: float, kappa_sq: float, kt: float) -> float:
@@ -185,7 +185,7 @@ def minimize_mode(kappa_sq: float, kt: float, lower: float = 0.5) -> tuple[float
     else:
         raise OptimizerNoConverge(f"no stationary point in {_NEWTON_MAX_STEPS} steps")
     # e >= lower - 1/2 throughout; max() only undoes the rounding of 1/2 + e
-    return max(0.5 + e, lower), _objective(e, kappa_sq, kt)
+    return max(0.5 + e, lower), _brace(e, _g_minus_1(e, kappa_sq, kt))
 
 
 def _vacuum_floor(kappa: float) -> float:

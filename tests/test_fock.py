@@ -11,14 +11,16 @@ from gent.cm_core import OneModeCM
 from gent.errors import (
     DecompositionFailure,
     DimensionMismatch,
+    DomainError,
     NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
 )
+from gent.optics import BeamSplitterParams
 from gent.standard_forms import ScaledState, StandardFormI, make_scaled_cm, symmetric_sts
 
-from conftest import random_entangled_symmetric, random_physical_cm
+from conftest import random_entangled_symmetric, random_local_symplectic, random_physical_cm
 
 
 def test_thermal_state_basics():
@@ -351,26 +353,38 @@ def test_log_matrix_of_pure_core_is_none():
     np.testing.assert_allclose(np.sort(w), np.sort(mixed.log_weights), atol=1e-12)
 
 
-def test_passive_action_matches_dense_generator(rng):
-    # per-sector exponentials against exp(-i G) of the full truncated generator
-    # G = sum_jk h_jk aj^dag ak, where u = exp(-i h) and h has eigenvalues in (-pi, pi)
-    n = 9
+def _dense_passive(h, n):
+    """exp(-i G) of the truncated generator G = sum_jk h_jk aj^dag ak of u = exp(-i h), dense."""
     a = fock.destroy(n)
     ops = [np.kron(a, np.eye(n)), np.kron(np.eye(n), a)]
+    gen = sum(h[j, k] * ops[j].T @ ops[k] for j in range(2) for k in range(2))
+    gw, gvec = np.linalg.eigh(gen)
+    return (gvec * np.exp(-1j * gw)) @ gvec.conj().T
+
+
+def test_passive_action_matches_dense_generator(rng):
+    # on the complete sectors n1 + n2 < N, the Fock unitary of u is exp(-i G)
+    # for the principal logarithm h of u = exp(-i h); on the truncated ones it
+    # is the product of the truncated generators' exponentials of its three
+    # factors diag(e^{i alpha}) R(theta) diag(e^{i beta})
+    n = 9
+    complete = np.add.outer(np.arange(n), np.arange(n)).ravel() < n
+    classes = fock._parity_classes(n, 2)
     for _ in range(5):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = z + z.conj().T
         h *= 3.0 / np.max(np.abs(np.linalg.eigvalsh(h)))  # the principal logarithm of u
         w, vec = np.linalg.eigh(h)
         u = (vec * np.exp(-1j * w)) @ vec.conj().T
-        gen = sum(h[j, k] * ops[j].T @ ops[k] for j in range(2) for k in range(2))
-        gw, gvec = np.linalg.eigh(gen)
-        dense = (gvec * np.exp(-1j * gw)) @ gvec.conj().T
+        alpha, theta, beta = fock._mode_angles(u)
+        rotation = theta * np.array([[0.0, -1j], [1j, 0.0]])  # R(theta) = exp(-i rotation)
+        factors = _dense_passive(-np.diag(alpha), n) @ _dense_passive(rotation, n) @ _dense_passive(-np.diag(beta), n)
         x = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
-        classes = fock._parity_classes(n, 2)
         out = fock._passive_action(u, n, tuple(x[idx] for idx in classes))
         for idx, block in zip(classes, out):
-            np.testing.assert_allclose(block, (dense @ x)[idx], atol=1e-11)
+            full = complete[idx]
+            np.testing.assert_allclose(block[full], (_dense_passive(h, n) @ x)[idx][full], rtol=0, atol=1e-11)
+            np.testing.assert_allclose(block[~full], (factors @ x)[idx][~full], rtol=0, atol=1e-11)
 
 
 # real factors for covariance matrices without q-p correlation ---------------
@@ -402,7 +416,7 @@ def test_factor_is_real_without_qp_correlation(rng):
 
 def test_real_and_complex_factors_agree():
     # a common local rotation moves the pair onto the complex route and leaves
-    # F and S invariant; measured gaps at N = 30: 2.2e-16 and 8.5e-12
+    # F and S invariant; measured gaps at N = 30: 0.0 and 9.9e-13
     rho_cm, sigma_cm = symmetric_sts(0.3, 0.15).to_cm(), REFLECTED_SCALED_CM
     rot = _local_rotation(0.7, -1.9)
     n = 30
@@ -426,19 +440,104 @@ def test_real_factors_of_degenerate_inputs_reproduce_moments():
 
 
 def test_real_passive_blocks_match_complex(rng):
-    # a rotation's Fock unitary from the cached real sector eigenpairs, against
-    # the complex generator path, on a factor and written out entry by entry
+    # a rotation's Fock unitary from the cached real sector eigenpairs is the
+    # same whatever the dtype of u, matches its class blocks written out, and
+    # is e^{-ig(n1 + n2)} times that of e^{ig} R(theta), which takes the phases
+    # around R(theta') with theta' in [0, pi/2]: the same operator on the
+    # complete sectors n1 + n2 < N, but not on the truncated ones once |theta| > pi/2
     n = 9
     x = rng.standard_normal((n * n, 3))
-    xs = tuple(x[idx] for idx in fock._parity_classes(n, 2))
+    classes = fock._parity_classes(n, 2)
+    xs = tuple(x[idx] for idx in classes)
+    total = np.add.outer(np.arange(n), np.arange(n)).ravel()
+    g = 0.4
     for theta in (0.3, -2.0, math.pi, 1e-9):
         u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         outs = fock._passive_action(u, n, xs)
-        complex_outs = fock._passive_action(u.astype(complex), n, xs)
-        for out, out_c, placed, x_p in zip(outs, complex_outs, fock._passive_matrix(u, n), xs):
-            assert out.dtype == np.float64
-            np.testing.assert_allclose(out, out_c, atol=1e-12)
-            np.testing.assert_allclose(placed @ x_p, out, atol=1e-12)
+        typed_outs = fock._passive_action(u.astype(complex), n, xs)
+        phased_outs = fock._passive_action(np.exp(1j * g) * u, n, xs)
+        placed = fock._rotation_action(theta, n, None)
+        for idx, out, out_t, out_g, block, x_p in zip(classes, outs, typed_outs, phased_outs, placed, xs):
+            assert out.dtype == np.float64 and np.array_equal(out, out_t)
+            assert np.iscomplexobj(out_g)
+            full = total[idx] < n
+            unphased = np.exp(-1j * g * total[idx])[:, None] * out_g
+            np.testing.assert_allclose(unphased[full], out[full], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block @ x_p, out, rtol=0, atol=1e-12)
+
+
+def _rebuild(angles, shape):
+    """diag(e^{i alpha}) R(theta) diag(e^{i beta}) from ``_mode_angles``; R is 1 for one mode."""
+    alpha, theta, beta = angles
+    r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])[: shape[0], : shape[1]]
+    return np.exp(1j * np.array(alpha))[:, None] * r * np.exp(1j * np.array(beta))
+
+
+def _degenerate_unitaries():
+    """Rotations (also complex-typed), reflections, diagonal and anti-diagonal U(2), and one-mode phases."""
+    out = []
+    for a in (0.0, 0.3, -2.0, math.pi / 2, math.pi):
+        c, s, ph = math.cos(a), math.sin(a), np.exp(1j * a)
+        rotation = np.array([[c, -s], [s, c]])
+        out += [rotation, rotation.astype(complex), np.array([[c, s], [s, -c]]), -rotation]
+        out += [np.diag([ph, ph.conj() ** 2]), np.array([[0, ph], [np.exp(0.5j * a), 0]]), np.array([[ph]])]
+    return out + [np.ones((1, 1)), -np.ones((1, 1)), np.eye(2, dtype=complex)]
+
+
+def test_mode_angles_round_trip():
+    rng = np.random.default_rng(1515)
+    us = []
+    for _ in range(200):
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        us.append(q * (np.diag(r) / abs(np.diag(r))))  # Haar-distributed U(2)
+    for u in us + _degenerate_unitaries():
+        angles = fock._mode_angles(u)
+        assert np.max(np.abs(_rebuild(angles, u.shape) - u)) < 1e-15
+        if not u.imag.any():
+            # a real rotation (or one mode's 1) takes no phases
+            rotation = u[0, 0] == 1 if u.shape == (1, 1) else np.linalg.det(u.real) > 0
+            assert (not any(angles[0]) and not any(angles[2])) == rotation
+            if rotation and u.shape == (2, 2):
+                assert angles[1] == math.atan2(u[1, 0].real, u[0, 0].real)
+
+
+def test_build_leaves_out_right_phases_of_first_gate(rng):
+    # they are diagonal in the number basis, as the thermal core is, so rho
+    # is that of the full gate chain
+    n = 10
+    for _ in range(3):
+        v = random_physical_cm(rng)
+        s, kappas = fock.williamson(v)
+        k1, z, k2 = fock.euler_decompose(s)
+        first = fock._passive_mode_unitary(k2)
+        assert any(fock._mode_angles(first)[2])
+        blocks = fock._passive_action(first, n, None)
+        blocks = fock._squeeze_action(np.log(np.diag(z)[::2]), n, blocks)
+        blocks = fock._passive_action(fock._passive_mode_unitary(k1), n, blocks)
+        chain = replace(fock.tensor(*(fock.thermal_state(k, n) for k in kappas)), blocks=blocks)
+        assert np.max(np.abs(fock.gaussian_state_from_cm(v, n).matrix - chain.matrix)) < 1e-13
+
+
+def test_passive_gates_call_no_linalg(monkeypatch):
+    n = 12
+    state = fock.gaussian_state_from_cm(symmetric_sts(0.3, 0.1).to_cm(), n)  # fills the per-N caches
+    gate = fock.BeamSplitter(1.0, 0.3)
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]]) * np.exp(0.2j)
+    expected = fock.apply_gate(state, gate), fock._passive_action(u, n, state.blocks)
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    for out, ref in zip((fock.apply_gate(state, gate).blocks, fock._passive_action(u, n, state.blocks)),
+                        (expected[0].blocks, expected[1])):
+        for block, block_ref in zip(out, ref):
+            assert np.iscomplexobj(block) and np.array_equal(block, block_ref)
+
+
+def test_beam_splitter_is_the_optics_type():
+    assert fock.BeamSplitter is BeamSplitterParams
+    with pytest.raises(DomainError):
+        fock.BeamSplitter(theta=-0.1)
+    # phi = 0 gives a real mode unitary, so a real state stays real
+    state = fock.gaussian_state_from_cm(symmetric_sts(0.3).to_cm(), 10)
+    assert fock.apply_gate(state, fock.BeamSplitter(1.0)).unitary.dtype == np.float64
 
 
 def test_route_is_logged(caplog, rng):
@@ -564,11 +663,11 @@ def _gate_chain_state(v, n):
     sqq, spp = (v.sigma_qq, v.sigma_pp) if isinstance(v, OneModeCM) else (v[0, 0], v[1, 1])
     root, kappa = math.sqrt(sqq), math.sqrt(sqq * spp)
     assert math.sqrt(root * spp * root) == pytest.approx(kappa, rel=3e-16, abs=0)
-    eye = np.eye(1)
-    blocks = fock._passive_matrix(eye, n)
+    core = fock.thermal_state(kappa, n)
+    blocks = fock._passive_action(np.eye(1), n, core.blocks)
     blocks = fock._squeeze_action([math.log(root / math.sqrt(kappa))], n, blocks)
-    blocks = fock._passive_action(eye, n, blocks)
-    return replace(fock.thermal_state(kappa, n), blocks=blocks)
+    blocks = fock._passive_action(np.eye(1), n, blocks)
+    return replace(core, blocks=blocks)
 
 
 @pytest.mark.parametrize("n", [15, 60])
@@ -629,6 +728,30 @@ def test_one_mode_refusals(v, error):
         fock.gaussian_state_from_cm(v, 10)
 
 
+def test_physical_states_are_built():
+    # pure states under local symplectics, entries up to a few thousand: every
+    # one is physical by cm_core's threshold rule, which the build shares
+    rng = np.random.default_rng(7)
+    refused = []
+    for _ in range(200):
+        t = random_local_symplectic(rng)
+        v = t @ symmetric_sts(4.0).to_cm() @ t.T
+        assert cm_core.is_physical(v)
+        try:
+            fock.gaussian_state_from_cm(v, 6)
+        except DecompositionFailure:
+            # 2 of the 200: euler_decompose's polar factor loses digits at this squeezing
+            continue
+        except UnphysicalState:
+            refused.append(cm_core.symplectic_spectrum(v).kappa_minus)
+    assert not refused
+    with pytest.raises(UnphysicalState):
+        fock.gaussian_state_from_cm(0.4 * np.eye(4), 6)
+    fock.thermal_state(0.5 - 1e-13, 6)  # within the rule at scale 1/2
+    with pytest.raises(UnphysicalState):
+        fock.thermal_state(0.5 - 1e-11, 6)
+
+
 def test_one_mode_overflow_is_a_decomposition_failure():
     with pytest.raises(DecompositionFailure):
         fock.gaussian_state_from_cm(OneModeCM(1e200, 1e200), 10)
@@ -644,7 +767,7 @@ def test_identity_gates_are_skipped():
     v = np.zeros((4, 4))
     v[:2, :2], v[2:, 2:] = a, b
     _, first, _, last = fock._qp_free_factors(v)
-    assert fock._is_identity(first) and fock._is_identity(last)
+    assert fock._passive_action(first, n, None) is None and fock._passive_action(last, n, None) is None
     build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
     state, ref = build(v), fock.tensor(build(a), build(b))
     for block, block_ref in zip(state.blocks, ref.blocks):
@@ -653,8 +776,25 @@ def test_identity_gates_are_skipped():
     thermal = build(np.diag([0.7, 0.7, 1.2, 1.2]))
     for block, block_ref in zip(thermal.blocks, fock.tensor(build(0.7 * np.eye(2)), build(1.2 * np.eye(2))).blocks):
         assert np.array_equal(block, np.eye(len(block))) and np.array_equal(block, block_ref)
-    assert not fock._is_identity(np.eye(2, dtype=complex))
-    assert not fock._is_identity(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # a gate is complex if and only if a phase acts: I typed complex acts as
+    # nothing, and the real reflection that swaps the modes takes phases
+    assert fock._passive_action(np.eye(2, dtype=complex), n, None) is None
+    swap = fock._passive_action(np.array([[0.0, 1.0], [1.0, 0.0]]), n, None)
+    assert all(np.iscomplexobj(block) for block in swap)
+
+
+def test_diagonal_state_is_the_product_of_its_modes():
+    # eigh and the SVD order by eigenvalue, which would swap the modes of this
+    # V through two truncated 90 degree rotations; the factors take the
+    # rotations nearest I instead, here I itself
+    n = 8
+    v = np.diag([0.6, 0.9, 2.0, 0.8])
+    _, first, _, last = fock._qp_free_factors(v)
+    np.testing.assert_array_equal(first, np.eye(2))
+    np.testing.assert_array_equal(last, np.eye(2))
+    build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
+    product = fock.tensor(build(v[:2, :2]), build(v[2:, 2:]))
+    assert np.max(np.abs(build(v).matrix - product.matrix)) < 1e-14
 
 
 # moments from the square-root factor ------------------------------------------

@@ -75,6 +75,22 @@ def test_mode_objective_value():
         mode_objective(0.5, 0.32, math.sqrt(0.08))
 
 
+def test_one_mode_rel_entropy_is_the_mode_objective():
+    # mode_objective(x, k^2, kt) = S(rho'||rho) + S(rho) for rho of CM
+    # diag(k^2/kt, kt) and rho' of CM diag(2x^2, 1/2); both read one brace
+    rng = np.random.default_rng(1616)
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    for _ in range(500):
+        kt, k, x = rng.uniform(0.01, 0.49), rng.uniform(0.5, 3.0), 0.5 + 10 ** rng.uniform(-6, 1.5)
+        entropy = von_neumann_entropy(OneModeCM(k, k))
+        g = k * k / (2 * x * kt) + 2 * x * kt
+        size = entropy + math.log(x + 0.5) + abs(g - 1) / 2 * math.log((x + 0.5) / (x - 0.5))
+        gap = rel_entropy_one_mode(OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt)) + entropy
+        worst = max(worst, abs(gap - mode_objective(x, k * k, kt)) / size)
+    assert worst < 16 * eps
+
+
 def test_minimize_mode():
     kt = math.sqrt(0.08)
     x1, m1 = minimize_mode(0.72, kt)
