@@ -140,13 +140,15 @@ def _fail(code: int, message: str):
 
 def cmd_check(args) -> int:
     v = _resolve_cm(args)
-    # one spectrum and one threshold rule decide both tests before anything prints
+    # one spectrum and one threshold rule decide both tests before anything
+    # prints; every number below comes from it and from standard form I
     spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
     physical = cm_core.above_vacuum(spec.kappa_minus, scale)
     separable = physical and cm_core.above_vacuum(spec.kappa_tilde_minus, scale)
-    inv = cm_core.invariants(v)
+    # det(V + i Omega / 2) = (k+^2 - 1/4)(k-^2 - 1/4); a physical kappa the rule reads as 1/2 is 1/2
+    kp, km = (max(k, cm_core.VACUUM) if physical else k for k in (spec.kappa_plus, spec.kappa_minus))
     print(f"physical:           {physical}  (kappa_minus = {spec.kappa_minus:.9g})")
-    print(f"uncertainty det:    {inv.sp2:.9g}")
+    print(f"uncertainty det:    {(kp - 0.5) * (kp + 0.5) * (km - 0.5) * (km + 0.5):.9g}")
     if not physical:
         print("separable:          n/a (unphysical)")
         return EXIT_UNPHYSICAL
@@ -155,11 +157,12 @@ def cmd_check(args) -> int:
         f"kappas:             k+ = {spec.kappa_plus:.9g}  k- = {spec.kappa_minus:.9g}  "
         f"kt+ = {spec.kappa_tilde_plus:.9g}  kt- = {spec.kappa_tilde_minus:.9g}"
     )
-    print(
-        f"invariants:         det V1 = {inv.det_v1:.9g}  det V2 = {inv.det_v2:.9g}  "
-        f"det C = {inv.det_c:.9g}  det V = {inv.det_v:.9g}"
-    )
+    # local symplectics keep det V1 = b1^2, det V2 = b2^2 and det C = c d
     form = standard_forms.to_standard_form_I(v)
+    print(
+        f"invariants:         det V1 = {form.b1**2:.9g}  det V2 = {form.b2**2:.9g}  "
+        f"det C = {form.c * form.d:.9g}  det V = {(kp * km) ** 2:.9g}"
+    )
     print(
         f"standard form I:    b1 = {form.b1:.9g}  b2 = {form.b2:.9g}  "
         f"c = {form.c:.9g}  d = {form.d:.9g}"

@@ -71,21 +71,6 @@ class SymplecticSpectrum:
 
 
 @dataclass(frozen=True)
-class Invariants4:
-    """Sp(2,R) x Sp(2,R) invariant determinants."""
-
-    det_v1: float
-    det_v2: float
-    det_c: float
-    det_v: float
-
-    @property
-    def sp2(self) -> float:
-        """det(V + (i/2)Omega) written with the four invariant determinants."""
-        return self.det_v - 0.25 * (self.det_v1 + self.det_v2 + 2 * self.det_c) + 1.0 / 16.0
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Boolean test result carrying the raw symplectic eigenvalue."""
 
@@ -94,21 +79,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def invariants(v: np.ndarray) -> Invariants4:
-    v = np.asarray(v, dtype=float)
-    return Invariants4(
-        det_v1=float(np.linalg.det(v[:2, :2])),
-        det_v2=float(np.linalg.det(v[2:, 2:])),
-        det_c=float(np.linalg.det(v[:2, 2:])),
-        det_v=float(np.linalg.det(v)),
-    )
-
-
-def sp2_value(v: np.ndarray) -> float:
-    """det(V + (i/2)Omega); see ``Invariants4.sp2``."""
-    return invariants(v).sp2
 
 
 def partial_transpose(v: np.ndarray) -> np.ndarray:

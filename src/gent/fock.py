@@ -458,8 +458,9 @@ def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor a symplectic S = K1 Z K2 with K passive and Z diagonal squeezes.
 
-    Uses the polar decomposition S = O P.  One eigh of S^T S gives the
-    eigenpairs (sqrt(w), vz) of P = (S^T S)^{1/2}, hence O = S vz diag(w^{-1/2}) vz^T.
+    Uses the polar decomposition S = O P.  One SVD S = W diag(z) V^T gives the
+    eigenpairs (z, V) of P = (S^T S)^{1/2} and O = W V^T, with an error of order
+    eps cond(S); an eigh of S^T S would square the condition number.
     The positive symplectic P is diagonalized by a passive K built from its
     eigenvectors, whose partner columns are -Omega times the primaries (P v =
     z v gives P (-Omega v) = (-Omega v) / z).  Primaries are taken in order of
@@ -474,16 +475,15 @@ def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
     om = omega(n)
-    w, vz = np.linalg.eigh(s.T @ s)
-    wz = np.sqrt(w)
-    o = (s @ vz / wz) @ vz.T
+    left, wz, vzt = np.linalg.svd(s)
+    o = left @ vzt
     k = np.zeros_like(s)
     zs = []
     chosen = []  # primary columns and their -Omega partners
     for i in np.argsort(-wz):
         if len(zs) == n:
             break
-        vec_i = vz[:, i].copy()
+        vec_i = vzt[i].copy()  # column i of V
         for prev in chosen:
             vec_i -= (prev @ vec_i) * prev
         norm = np.linalg.norm(vec_i)

@@ -11,6 +11,8 @@ from .cm_core import omega
 from .errors import DomainError, NotSymplectic
 from .standard_forms import SymmetricState
 
+SYMPLECTIC_TOL = 1e-8  # largest entry of M^T Omega M - Omega that transform_cm accepts
+
 
 @dataclass(frozen=True)
 class BeamSplitterParams:
@@ -40,10 +42,10 @@ def bs_symplectic(p: BeamSplitterParams) -> np.ndarray:
     return np.block([[ct * i2, -st * rot], [st * rot.T, ct * i2]])
 
 
-def transform_cm(v: np.ndarray, m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Congruence M^T V M after checking that M is symplectic."""
+def transform_cm(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Congruence M^T V M after checking that M is symplectic to SYMPLECTIC_TOL."""
     om = omega(2)
-    if np.max(np.abs(m.T @ om @ m - om)) > tol:
+    if np.max(np.abs(m.T @ om @ m - om)) > SYMPLECTIC_TOL:
         raise NotSymplectic("M^T Omega M deviates from Omega beyond tolerance")
     return m.T @ np.asarray(v, dtype=float) @ m
 

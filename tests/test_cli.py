@@ -15,7 +15,7 @@ from gent.errors import UnphysicalState
 from gent.relent import rel_ent_entanglement
 from gent.standard_forms import StandardFormI, SymmetricState, make_scaled_cm, ScaledState, symmetric_sts
 
-from conftest import dump_cm_json
+from conftest import dump_cm_json, random_local_symplectic, random_physical_cm
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +87,47 @@ def test_check_report_byte_for_byte(capsys, monkeypatch, bcd):
     assert (code, out) == CHECK_REPORTS[bcd]
     assert err == ""
     assert len(calls) == 1  # one spectrum decides physicality and separability
+
+
+def _check_numbers(out):
+    """The uncertainty det and the invariants (det V1, det V2, det C, det V) of a gent check report."""
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    inv = [float(field.split("=")[1]) for field in lines["invariants"].split("  ") if "=" in field]
+    return float(lines["uncertainty det"]), inv
+
+
+@pytest.mark.parametrize("r", ["4", "5", "6"])
+def test_pure_state_uncertainty_det_is_nonnegative(capsys, r):
+    # kappa_- reads 1/2 within the rule, so (k^2 - 1/4) is taken as 0, not as
+    # a rounding below it; a sum of determinants of size b^2 would cancel here
+    code, out, _ = run_cli(capsys, "check", "--r", r)
+    assert code == 3
+    assert _check_numbers(out)[0] >= 0
+
+
+def test_check_report_matches_matrix_determinants(capsys, tmp_path):
+    # the report reads the uncertainty det from the spectrum and the
+    # invariants from standard form I; both agree with the determinants of V
+    # to the 9 printed digits, and no physical state prints a negative det
+    rng = np.random.default_rng(1616)
+    om = cm_core.omega(2)
+    path = tmp_path / "v.json"
+    for i in range(300):
+        if i % 2:
+            v = random_physical_cm(rng)
+        else:
+            t = random_local_symplectic(rng)
+            v = t @ symmetric_sts(rng.uniform(0.0, 4.0)).to_cm() @ t.T
+        dump_cm_json(v, path)
+        code, out, _ = run_cli(capsys, "check", "--cm", str(path))
+        assert code in (0, 3)
+        sp2, inv = _check_numbers(out)
+        v = cm_core.load_cm_json(path)
+        bound = 1e-8 * max(1.0, cm_core.entry_scale(v)) ** 4
+        assert sp2 >= 0
+        assert abs(sp2 - np.linalg.det(v + 0.5j * om).real) <= bound
+        ref = [np.linalg.det(v[:2, :2]), np.linalg.det(v[2:, 2:]), np.linalg.det(v[:2, 2:]), np.linalg.det(v)]
+        assert np.max(np.abs(np.subtract(inv, ref))) <= bound
 
 
 def test_parse_errors(capsys, tmp_path):

@@ -7,7 +7,7 @@ from gent import cm_core
 from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 from gent.standard_forms import symmetric_sts
 
-from conftest import dump_cm_json, random_local_symplectic, random_physical_cm, squeezed_pure_cms
+from conftest import dump_cm_json, random_physical_cm, squeezed_pure_cms
 
 
 def test_omega_algebra():
@@ -15,19 +15,6 @@ def test_omega_algebra():
     np.testing.assert_array_equal(om @ om, -np.eye(4))
     np.testing.assert_array_equal(om.T, -om)
     assert np.linalg.det(om) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_vacuum_invariants():
-    inv = cm_core.invariants(0.5 * np.eye(4))
-    assert (inv.det_v1, inv.det_v2, inv.det_c, inv.det_v) == (0.25, 0.25, 0.0, 0.0625)
-
-
-def test_sp2_factorizes_over_spectrum(rng):
-    for _ in range(10):
-        v = random_physical_cm(rng)
-        spec = cm_core.symplectic_spectrum(v)
-        fact = (spec.kappa_plus**2 - 0.25) * (spec.kappa_minus**2 - 0.25)
-        assert cm_core.sp2_value(v) == pytest.approx(fact, abs=1e-10)
 
 
 def test_below_floor_symmetric_state():
@@ -63,25 +50,6 @@ def test_partial_transpose_involution():
     rng = np.random.default_rng(3)
     v = random_physical_cm(rng)
     assert np.array_equal(cm_core.partial_transpose(cm_core.partial_transpose(v)), v)
-
-
-def test_sp2_value_matches_complex_determinant(rng):
-    for _ in range(20):
-        v = random_physical_cm(rng)
-        direct = np.linalg.det(v + 0.5j * cm_core.omega(2)).real
-        assert cm_core.sp2_value(v) == pytest.approx(direct, abs=1e-10)
-
-
-def test_invariants_under_local_symplectics(rng):
-    v = random_physical_cm(rng)
-    inv = cm_core.invariants(v)
-    for _ in range(20):
-        s = random_local_symplectic(rng)
-        inv2 = cm_core.invariants(s @ v @ s.T)
-        assert inv2.det_v1 == pytest.approx(inv.det_v1, rel=1e-9)
-        assert inv2.det_v2 == pytest.approx(inv.det_v2, rel=1e-9)
-        assert inv2.det_c == pytest.approx(inv.det_c, abs=1e-9)
-        assert inv2.det_v == pytest.approx(inv.det_v, rel=1e-9)
 
 
 def test_unphysical_verdict():
