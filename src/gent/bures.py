@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cm_core import OneModeCM
 from .errors import DomainError, OptimizerNoConverge, UnphysicalState
+from .scalar import OneModeCM, SymmetricState
 from .scalar_min import golden_section, resolution
-from .standard_forms import SymmetricState
 
 # numeric_max_fidelity: absolute part of the search resolution; e-folds by which each
 # search range reaches past the variances of the given state

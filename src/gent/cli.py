@@ -19,11 +19,12 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import __version__, bures, cm_core, relent, standard_forms
+# the matrix layers (cm_core, standard_forms, fock) load numpy: the commands
+# that need them import them where they run, so the others start without it
+from . import __version__, bures, relent
 from .errors import DecompositionFailure, DomainError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
+from .scalar import OneModeCM, StandardFormI, SymmetricState, rounding_tol, symmetric_sts
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -78,56 +79,88 @@ def _add_state_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nbar", type=_finite_float, default=0.0, help="thermal mean photon number")
 
 
-def _load_cm(path: str, flag: str) -> np.ndarray:
-    """The CM in a JSON file; exits EXIT_PARSE if it cannot be read."""
+def _load_cm(path: str, flag: str):
+    """The CM array in a JSON file; exits EXIT_PARSE if it cannot be read."""
+    from . import cm_core
+
     try:
         return cm_core.load_cm_json(path)
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         _fail(EXIT_PARSE, f"{flag}: {exc}")
 
 
-def _resolve_cm(args) -> np.ndarray:
-    """Build the 4x4 CM from whichever input form was given."""
+def _resolve_cm(args):
+    """Build the 4x4 CM array from whichever input form was given."""
     if args.cm is not None:
         return _load_cm(args.cm, "--cm")
     if args.b is not None:
-        if args.c is None or args.d is None:
-            _fail(EXIT_PARSE, "--b requires --c and --d")
-        return standard_forms.StandardFormI(args.b, args.b, args.c, args.d).to_cm()
+        return StandardFormI(args.b, args.b, *_c_and_d(args)).to_cm()
     return _resolve_sts(args).to_cm()
 
 
-def _resolve_sts(args) -> standard_forms.SymmetricState:
+def _c_and_d(args) -> tuple[float, float]:
+    if args.c is None or args.d is None:
+        _fail(EXIT_PARSE, "--b requires --c and --d")
+    return args.c, args.d
+
+
+def _resolve_sts(args) -> SymmetricState:
     if args.r is None:
         _fail(EXIT_PARSE, "no state given: use --cm, or --b/--c/--d, or --r [--nbar]")
     if args.r < 0:
         _fail(EXIT_PARSE, "--r: must be nonnegative")
     if args.nbar < 0:
         _fail(EXIT_PARSE, "--nbar: must be nonnegative")
-    return standard_forms.symmetric_sts(args.r, args.nbar)
+    return symmetric_sts(args.r, args.nbar)
 
 
-def _resolve_state(args) -> standard_forms.SymmetricState:
+def _resolve_state(args) -> SymmetricState:
     """The symmetric state the input flags name; exits 4 if it has none, 2 if unphysical."""
     if args.cm is None and args.b is None:
         return _resolve_sts(args)
-    v = _resolve_cm(args)
     try:
-        form = standard_forms.to_standard_form_I(v)
-        tol = cm_core.rounding_tol(cm_core.entry_scale(v))
-        if abs(form.b1 - form.b2) > tol:
-            _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
-        if form.d > tol:
-            _fail(
-                EXIT_NOT_SYMMETRIC,
-                f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
-                "are held in the form d = -|d|",
-            )
-        # a vacuum-local block comes back up to a rounding below b = 1/2
-        b = 0.5 if 0.5 - tol <= form.b1 < 0.5 else form.b1
-        return standard_forms.SymmetricState(b, form.c, abs(form.d))
+        if args.cm is not None:
+            return _state_from_cm(_load_cm(args.cm, "--cm"))
+        return _state_from_parameters(args.b, *_c_and_d(args))
     except DomainError as exc:
         _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
+
+
+def _state_from_cm(v) -> SymmetricState:
+    """The symmetric state of a CM array, from its standard form I."""
+    from . import cm_core, standard_forms
+
+    form = standard_forms.to_standard_form_I(v)
+    tol = cm_core.rounding_tol(cm_core.entry_scale(v))
+    if abs(form.b1 - form.b2) > tol:
+        _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
+    return _symmetric_state(form.b1, form.c, form.d, tol)
+
+
+def _state_from_parameters(b: float, c: float, d: float) -> SymmetricState:
+    """The symmetric state of standard form I (b, b, c, d), read as ``_state_from_cm``
+    reads its CM but without building it, so that b, c and |d| keep their digits.
+
+    Local rotations and mirrors bring C = diag(c, d) to diag(c', d') with
+    c' = max(|c|, |d|), |d'| = min(|c|, |d|) and sign(d') = sign(det C) =
+    sign(c d); ``rounding_tol`` takes the largest entry of the CM.
+    """
+    if b <= 0:  # as the matrix path refuses a diagonal block that is not positive definite
+        raise NonPositiveDefinite("a diagonal block of V is not positive definite")
+    c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
+    return _symmetric_state(b, c_abs, math.copysign(d_abs, c * d), rounding_tol(max(b, c_abs)))
+
+
+def _symmetric_state(b: float, c: float, d: float, tol: float) -> SymmetricState:
+    """SymmetricState(b, c, |d|) of standard form I (b, b, c, d); exits 4 if d > 0 beyond ``tol``."""
+    if d > tol:
+        _fail(
+            EXIT_NOT_SYMMETRIC,
+            f"det C > 0 (d = {d:.9g}): separable by PPT, but symmetric states "
+            "are held in the form d = -|d|",
+        )
+    # a vacuum-local block comes back up to a rounding below b = 1/2
+    return SymmetricState(0.5 if 0.5 - tol <= b < 0.5 else b, c, abs(d))
 
 
 def _fail(code: int, message: str):
@@ -139,6 +172,8 @@ def _fail(code: int, message: str):
 
 
 def cmd_check(args) -> int:
+    from . import cm_core, standard_forms
+
     v = _resolve_cm(args)
     # one spectrum and one threshold rule decide both tests before anything
     # prints; every number below comes from it and from standard form I
@@ -238,12 +273,14 @@ def cmd_sweep(args) -> int:
         _fail(EXIT_PARSE, "--steps must be at least 2")
     if args.parameter == "kappa_tilde" and (args.start <= 0 or args.stop > 0.5):
         _fail(EXIT_PARSE, "--parameter kappa_tilde needs a range within (0, 1/2]")
+    import numpy as np  # np.linspace fixes the sweep's parameter values to the last bit
+
     rows = []
     for val in np.linspace(args.start, args.stop, args.steps):
         if args.parameter == "r":
-            state = standard_forms.symmetric_sts(float(val), args.nbar)
+            state = symmetric_sts(float(val), args.nbar)
         else:  # pure two-mode squeezed vacuum with kappa_tilde_minus = val
-            state = standard_forms.symmetric_sts(-0.5 * math.log(2 * float(val)), 0.0)
+            state = symmetric_sts(-0.5 * math.log(2 * float(val)), 0.0)
         row = {
             "param": float(val),
             "b": state.b,
@@ -284,14 +321,14 @@ def _write_sweep(rows, path, fmt) -> None:
             )
 
 
-def _parse_one_mode(text: str, flag: str) -> cm_core.OneModeCM:
+def _parse_one_mode(text: str, flag: str) -> OneModeCM:
     try:
         sqq, spp = (float(t) for t in text.split(","))
     except ValueError:
         _fail(EXIT_PARSE, f"{flag}: expected 'sigma_qq,sigma_pp', got {text!r}")
     if not (0 < sqq < math.inf and 0 < spp < math.inf):  # NaN fails both
         _fail(EXIT_PARSE, f"{flag}: variances must be positive and finite")
-    return cm_core.OneModeCM(sqq, spp)
+    return OneModeCM(sqq, spp)
 
 
 def _oracle_inputs(args):
@@ -308,13 +345,13 @@ def _oracle_inputs(args):
 
 
 def cmd_oracle(args) -> int:
-    from . import fock  # only the oracle needs it; the other commands start without it
+    from . import cm_core, fock  # only the oracle needs fock; the other commands start without it
 
     inputs = _oracle_inputs(args)
     need = 1 if args.functional == "entropy" else 2
     if len(inputs) != need:
         _fail(EXIT_PARSE, f"oracle {args.functional} needs exactly {need} state(s)")
-    if len({isinstance(cm, cm_core.OneModeCM) for cm, _ in inputs}) > 1:
+    if len({isinstance(cm, OneModeCM) for cm, _ in inputs}) > 1:
         _fail(EXIT_PARSE, f"oracle {args.functional}: one state has one mode and the other two; "
                           "give --state1/--state2 or --cm1/--cm2")
     states = [(fock.gaussian_state_from_cm(cm, n), cm) for cm, n in inputs]
@@ -323,17 +360,17 @@ def cmd_oracle(args) -> int:
         if args.functional == "fidelity":
             (rho, cm_a), (rho_p, cm_b) = states
             payload["value"] = fock.fidelity_fock(rho, rho_p)
-            if isinstance(cm_a, cm_core.OneModeCM) and isinstance(cm_b, cm_core.OneModeCM):
+            if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
                 payload["closed_form"] = bures.one_mode_fidelity(cm_a, cm_b)
         elif args.functional == "relent":
             (rho, cm_a), (rho_p, cm_b) = states
             payload["value"] = fock.rel_entropy_fock(rho_p, rho)
-            if isinstance(cm_a, cm_core.OneModeCM) and isinstance(cm_b, cm_core.OneModeCM):
+            if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
                 payload["closed_form"] = relent.rel_entropy_one_mode(cm_b, cm_a)
         else:
             rho, cm_a = states[0]
             payload["value"] = fock.entropy_fock(rho)
-            if isinstance(cm_a, cm_core.OneModeCM):
+            if isinstance(cm_a, OneModeCM):
                 payload["closed_form"] = relent.von_neumann_entropy(cm_a)
             else:
                 spec = cm_core.symplectic_spectrum(cm_a)

@@ -1,5 +1,10 @@
 """Covariance-matrix core: symplectic spectra, physicality and separability.
 
+The matrix layer.  The threshold rule it decides with (``above_vacuum``,
+``rounding_tol`` and their constants) and ``OneModeCM`` are defined in the
+numpy-free ``gent.scalar`` and re-exported here, so both layers share one
+definition of each.  Importing this module loads numpy.
+
 Conventions used throughout the package: hbar = 1, vacuum covariance matrix
 (1/2)*identity, quadrature ordering (q1, p1, q2, p2).
 """
@@ -7,21 +12,20 @@ Conventions used throughout the package: hbar = 1, vacuum covariance matrix
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonPositiveDefinite,
-    NumericalDegeneracy,
-    UnphysicalState,
+from .errors import NonPositiveDefinite, UnphysicalState
+from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar core
+    KAPPA_TOL,
+    MAX_ROUNDING_TOL,
+    ROUNDING_PER_SCALE_SQ,
+    VACUUM,
+    OneModeCM,
+    above_vacuum,
+    rounding_tol,
 )
-
-VACUUM = 0.5
-KAPPA_TOL = 1e-12
-ROUNDING_PER_SCALE_SQ = 128 * float(np.finfo(float).eps)
-MAX_ROUNDING_TOL = 1e-3
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -39,27 +43,6 @@ def omega(n_modes: int = 2) -> np.ndarray:
 
 # Omega and its partial transpose Lambda Omega Lambda, stacked for one eigvalsh
 _FORMS = np.stack([omega(2), LAMBDA_PT @ omega(2) @ LAMBDA_PT])
-
-
-@dataclass(frozen=True)
-class OneModeCM:
-    """Diagonal 2x2 covariance matrix of a single mode."""
-
-    sigma_qq: float
-    sigma_pp: float
-
-    @property
-    def nu(self) -> float:
-        """Symplectic eigenvalue sqrt(det V); physical states have nu >= 1/2, and det V < 0 gives NaN."""
-        det = self.sigma_qq * self.sigma_pp
-        return math.sqrt(det) if det >= 0 else math.nan
-
-    def is_physical(self) -> bool:
-        # sqrt(sqq*spp) does not cancel: its rounding is relative to nu, 1/2 at the threshold
-        return self.sigma_qq > 0 and self.sigma_pp > 0 and above_vacuum(self.nu, VACUUM)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag([self.sigma_qq, self.sigma_pp])
 
 
 @dataclass(frozen=True)
@@ -89,32 +72,6 @@ def partial_transpose(v: np.ndarray) -> np.ndarray:
 def entry_scale(v: np.ndarray) -> float:
     """Largest entry of a CM: the ``scale`` of ``rounding_tol``."""
     return float(np.max(np.abs(v)))
-
-
-def rounding_tol(scale: float) -> float:
-    """Allowance for rounding in a symplectic eigenvalue from entries of size ``scale``.
-
-    Entries rounded to eps*scale move kappa by a few eps*scale^2: under local
-    symplectics, ``symplectic_spectrum`` puts a pure state's kappa = 1/2 up to
-    ~23 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
-    ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 5.
-    The floor KAPPA_TOL covers entries of order 1.
-    """
-    return max(KAPPA_TOL, ROUNDING_PER_SCALE_SQ * scale * scale)
-
-
-def above_vacuum(kappa: float, scale: float) -> bool:
-    """kappa >= 1/2 up to ``rounding_tol(scale)``: the one physicality and PPT threshold.
-
-    Raises NumericalDegeneracy when kappa lies within an allowance above
-    MAX_ROUNDING_TOL of 1/2: entries of that size cannot decide the test.
-    """
-    tol = rounding_tol(scale)
-    if tol > MAX_ROUNDING_TOL and abs(kappa - VACUUM) <= tol:
-        raise NumericalDegeneracy(
-            f"ill-conditioned: kappa = {kappa:.6g} is within {tol:.3g} of 1/2 at entry size {scale:.3g}"
-        )
-    return kappa >= VACUUM - tol
 
 
 def sqrt_cm(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ alone, falling strictly with it; E_S is not (see EQUAL_KT_PAIR in the tests).
 from __future__ import annotations
 
 from .relent import _entropy_excess
-from .standard_forms import SymmetricState
+from .scalar import SymmetricState
 
 
 def entanglement_of_formation(s: SymmetricState) -> float:

@@ -11,12 +11,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cm_core import OneModeCM
 from .errors import DomainError, OptimizerNoConverge, SupportViolation, UnphysicalState
+from .scalar import OneModeCM, SymmetricState
 from .scalar_min import grid_minimize
-from .standard_forms import SymmetricState
 
 _PURE_TOL = 1e-12
 # minimize_mode: rounding unit, step cap, longest step in t (keeps exp finite),
@@ -246,6 +243,8 @@ def grid_rel_ent(s: SymmetricState) -> float:
     the upper limit grows as kt falls; at weak squeezing it lies about r^2
     above 1/2 (pure states), so the scan starts a few ulp above 1/2.
     """
+    import numpy as np
+
     kt = s.kappa_tilde_minus
     total = 0.0
     for kappa in (_vacuum_floor(s.kappa_plus), _vacuum_floor(s.kappa_minus)):

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .errors import BracketFailure
 
 GOLDEN = (3 - math.sqrt(5)) / 2  # 1 - 1/phi: the golden step, as a share of the larger side
@@ -113,6 +111,8 @@ def grid_minimize(f, lo: float, hi: float, points: int = 2000, refinements: int 
     ``f`` must accept a numpy array.  Independent of golden_section; used as
     the brute-force oracle for the 1-D transcendental minimizations.
     """
+    import numpy as np
+
     a, b = lo, hi
     xbest, fbest = None, np.inf
     for _ in range(refinements):

@@ -1,4 +1,11 @@
-"""Standard forms I and II of two-mode covariance matrices."""
+"""Standard forms I and II of two-mode covariance matrices.
+
+The matrix side of the standard forms: the CM of a (scaled) standard state
+and the recovery of standard form I from a CM.  The parameter records
+``StandardFormI`` and ``SymmetricState`` and ``symmetric_sts`` are defined in
+the numpy-free ``gent.scalar`` and re-exported here, so each has one
+definition.  Importing this module loads numpy.
+"""
 
 from __future__ import annotations
 
@@ -7,66 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cm_core
 from .errors import DomainError, NonPositiveDefinite, UnphysicalState
-
-
-@dataclass(frozen=True)
-class StandardFormI:
-    """Standard form I parameters: V1 = b1*I, V2 = b2*I, C = diag(c, d)."""
-
-    b1: float
-    b2: float
-    c: float
-    d: float
-
-    def to_cm(self) -> np.ndarray:
-        return make_scaled_cm(ScaledState(self, 1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class SymmetricState:
-    """Symmetric state in standard form: b1 = b2 = b, c >= |d|, d = -|d|."""
-
-    b: float
-    c: float
-    d_abs: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.b + self.c + self.d_abs):  # NaN fails every test below
-            raise DomainError(f"non-finite symmetric parameters {self}")
-        if self.b < 0.5 or self.c < 0 or self.d_abs < 0:
-            raise DomainError(f"invalid symmetric parameters {self}")
-        if self.c < self.d_abs - 1e-12:
-            raise DomainError(f"requires c >= |d|, got c={self.c}, |d|={self.d_abs}")
-        if self.b - self.c <= 0:
-            raise DomainError(f"requires b > c, got b={self.b}, c={self.c}")
-
-    @property
-    def kappa_plus(self) -> float:
-        return math.sqrt((self.b - self.d_abs) * (self.b + self.c))
-
-    @property
-    def kappa_minus(self) -> float:
-        return math.sqrt((self.b + self.d_abs) * (self.b - self.c))
-
-    @property
-    def kappa_tilde_minus(self) -> float:
-        return math.sqrt((self.b - self.d_abs) * (self.b - self.c))
-
-    def is_physical(self) -> bool:
-        return cm_core.above_vacuum(self.kappa_minus, self.b)
-
-    def is_separable(self) -> bool:
-        if not self.is_physical():
-            raise UnphysicalState(f"kappa_- = {self.kappa_minus:.6g} < 1/2")
-        return cm_core.above_vacuum(self.kappa_tilde_minus, self.b)
-
-    def to_form_I(self) -> StandardFormI:
-        return StandardFormI(self.b, self.b, self.c, -self.d_abs)
-
-    def to_cm(self, u: float = 1.0) -> np.ndarray:
-        return make_scaled_cm(ScaledState(self.to_form_I(), u, u))
+from .scalar import StandardFormI, SymmetricState, symmetric_sts  # noqa: F401  re-exported
 
 
 @dataclass(frozen=True)
@@ -128,11 +77,3 @@ def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:
         raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
     v = math.sqrt((s.b - s.d_abs) / (s.b - s.c))
     return v, s.to_cm(u=v)
-
-
-def symmetric_sts(r: float, nbar: float = 0.0) -> SymmetricState:
-    """Symmetric squeezed thermal state: two-mode squeezing r on thermal inputs."""
-    if r < 0 or nbar < 0:
-        raise DomainError("r and nbar must be nonnegative")
-    nu = nbar + 0.5
-    return SymmetricState(b=nu * math.cosh(2 * r), c=nu * math.sinh(2 * r), d_abs=nu * math.sinh(2 * r))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -463,6 +464,108 @@ def test_cli_import_leaves_out_oracle_and_scipy():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# each entry point in one fresh interpreter, in this order: (label, argv or None for
+# `import gent`, exit code, whether numpy may be loaded once it has run)
+ENTRY_POINTS = [
+    ("import gent", None, None, False),
+    ("bures --b --verify", ["bures", "--b", "1", "--c", "0.8", "--d", "-0.6", "--verify"], 0, False),
+    ("relent --r", ["relent", "--r", "0.5", "--nbar", "0.1"], 0, False),
+    ("--help", ["--help"], 0, False),
+    ("check --b", ["check", "--b", "1", "--c", "0.8", "--d", "-0.6"], 3, True),
+    ("bures --cm", ["bures", "--cm", "{cm}"], 0, True),
+    ("check --cm", ["check", "--cm", "{cm}"], 3, True),
+    ("relent --verify", ["relent", "--r", "0.5", "--verify"], 0, True),
+    ("sweep", ["sweep", "--measure", "both", "--parameter", "r", "--start", "0", "--stop", "1",
+               "--steps", "3", "--output", "{csv}"], 0, True),
+    ("oracle", ["oracle", "fidelity", "--state1", "1,1", "--state2", "0.5,0.5", "--dim", "8"], 0, True),
+]
+
+_ENTRY_POINT_SCRIPT = """
+import contextlib, io, json, sys
+report = []
+for label, argv, _, _ in json.loads(sys.argv[1]):
+    code = None
+    with contextlib.redirect_stdout(io.StringIO()):
+        if argv is None:
+            import gent
+        else:
+            from gent import cli
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    report.append([label, code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_parameter_path_loads_no_numpy(tmp_path):
+    path = tmp_path / "cm.json"
+    dump_cm_json(StandardFormI(1.0, 1.0, 0.8, -0.6).to_cm(), path)
+    fill = {"{cm}": str(path), "{csv}": str(tmp_path / "sweep.csv")}
+    entries = [(label, argv and [fill.get(a, a) for a in argv], code, numpy)
+               for label, argv, code, numpy in ENTRY_POINTS]
+    proc = _python("-c", _ENTRY_POINT_SCRIPT, json.dumps(entries))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[label, code, numpy] for label, _, code, numpy in entries]
+
+
+def _library_payloads(state):
+    """The `--b` JSON fields of gent bures and gent relent, from the library itself."""
+    inp = {"b": state.b, "c": state.c, "d": -state.d_abs}
+    lib_b, lib_s = bures_entanglement(state), rel_ent_entanglement(state)
+    return ({"input": inp, **dataclasses.asdict(lib_b)},
+            {"input": inp, **dataclasses.asdict(lib_s), "kappa_tilde_minus": state.kappa_tilde_minus})
+
+
+def _parameter_cases():
+    """(state, c and d flags) on seeded physical states: as given, with c and |d| swapped,
+    and with either sign of det C < 0; then vacuum-local b read as 1/2 and det C > 0
+    within rounding."""
+    rng = np.random.default_rng(1717)
+    cases = []
+    while len(cases) < 4 * 150:
+        b = rng.uniform(0.5, 4.0)
+        c = rng.uniform(0.0, b)
+        d_abs = rng.uniform(0.0, c)
+        state = SymmetricState(b, c, d_abs)
+        if not state.is_physical():
+            continue
+        for cd in ((c, -d_abs), (-c, d_abs), (d_abs, -c), (-d_abs, c)):
+            cases.append((state, ("--b", repr(b), "--c", repr(cd[0]), "--d", repr(cd[1]))))
+    for db in (0.0, 1e-16, 5e-13, 1e-12):
+        for cd in ((0.0, 0.0), (0.0, -1e-13), (1e-13, 1e-13), (-3e-13, -2e-13)):
+            d_abs, c = sorted(abs(x) for x in cd)
+            flags = ("--b", repr(0.5 - db), "--c", repr(cd[0]), "--d", repr(cd[1]))
+            cases.append((SymmetricState(0.5, c, d_abs), flags))
+    return cases
+
+
+def test_parameter_json_is_the_library_bit_for_bit(capsys):
+    for state, flags in _parameter_cases():
+        want_b, want_s = _library_payloads(state)
+        for command, want in (("bures", want_b), ("relent", want_s)):
+            code, out, err = run_cli(capsys, command, *flags)
+            assert code == 0, (flags, err)
+            got = json.loads(out)
+            assert {k: got[k] for k in want} == want, (command, flags)
+
+
+def test_parameter_path_refuses_as_the_matrix_path(capsys, tmp_path):
+    # det C > 0 beyond rounding exits 4 with the message of --cm; b <= 0 is not positive definite
+    for b, c, d in (("1", "0.3", "0.2"), ("1", "-0.2", "-0.3"), ("0.4", "0.1", "0.1")):
+        _, _, err_b = run_cli(capsys, "bures", "--b", b, "--c", c, "--d", d)
+        path = tmp_path / "cm.json"
+        dump_cm_json(StandardFormI(float(b), float(b), float(c), float(d)).to_cm(), path)
+        code, _, err_cm = run_cli(capsys, "bures", "--cm", str(path))
+        assert code == cli.EXIT_NOT_SYMMETRIC
+        assert err_b == err_cm
+    for b in ("0", "-1"):
+        code, _, err = run_cli(capsys, "relent", "--b", b, "--c", "0.3", "--d", "0.2")
+        assert code == cli.EXIT_UNPHYSICAL
+        assert err == "error: unphysical state: a diagonal block of V is not positive definite\n"
 
 
 def test_threshold_within_rounding_is_separable(capsys):
