@@ -33,9 +33,6 @@ EXIT_ENTANGLED = 3
 EXIT_NOT_SYMMETRIC = 4
 EXIT_SUPPORT = 5
 
-log = logging.getLogger("gent")
-
-
 def _configure_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("GENT_LOG", "error").lower(), logging.ERROR
@@ -71,12 +68,21 @@ def _finite_float(text: str) -> float:
 
 
 def _add_state_inputs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cm", help="JSON file with a 4x4 covariance matrix")
-    p.add_argument("--b", type=_finite_float, help="standard-form b (symmetric states)")
-    p.add_argument("--c", type=_finite_float, help="standard-form c")
-    p.add_argument("--d", type=_finite_float, help="standard-form d (signed)")
-    p.add_argument("--r", type=_finite_float, help="two-mode squeeze parameter")
-    p.add_argument("--nbar", type=_finite_float, default=0.0, help="thermal mean photon number")
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--cm", help="JSON file with a 4x4 covariance matrix")
+    form.add_argument("--b", type=_finite_float, help="standard-form b (symmetric states)")
+    form.add_argument("--r", type=_finite_float, help="two-mode squeeze parameter")
+    p.add_argument("--c", type=_finite_float, help="standard-form c, with --b")
+    p.add_argument("--d", type=_finite_float, help="standard-form d (signed), with --b")
+    p.add_argument("--nbar", type=_finite_float, help="thermal mean photon number, with --r (default 0)")
+
+
+def _check_companions(args) -> None:
+    """Exits EXIT_PARSE on a flag of a state form other than the one given."""
+    if args.b is None and (args.c is not None or args.d is not None):
+        _fail(EXIT_PARSE, "--c and --d go with --b")
+    if args.r is None and args.nbar is not None:
+        _fail(EXIT_PARSE, "--nbar goes with --r")
 
 
 def _load_cm(path: str, flag: str):
@@ -91,6 +97,7 @@ def _load_cm(path: str, flag: str):
 
 def _resolve_cm(args):
     """Build the 4x4 CM array from whichever input form was given."""
+    _check_companions(args)
     if args.cm is not None:
         return _load_cm(args.cm, "--cm")
     if args.b is not None:
@@ -105,18 +112,18 @@ def _c_and_d(args) -> tuple[float, float]:
 
 
 def _resolve_sts(args) -> SymmetricState:
-    if args.r is None:
-        _fail(EXIT_PARSE, "no state given: use --cm, or --b/--c/--d, or --r [--nbar]")
+    nbar = 0.0 if args.nbar is None else args.nbar
     if args.r < 0:
         _fail(EXIT_PARSE, "--r: must be nonnegative")
-    if args.nbar < 0:
+    if nbar < 0:
         _fail(EXIT_PARSE, "--nbar: must be nonnegative")
-    return symmetric_sts(args.r, args.nbar)
+    return symmetric_sts(args.r, nbar)
 
 
 def _resolve_state(args) -> SymmetricState:
     """The symmetric state the input flags name; exits 4 if it has none, 2 if unphysical."""
-    if args.cm is None and args.b is None:
+    _check_companions(args)
+    if args.r is not None:
         return _resolve_sts(args)
     try:
         if args.cm is not None:

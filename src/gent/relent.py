@@ -127,7 +127,7 @@ def _mode_slope(e: float, kappa_sq: float, kt: float) -> tuple[float, float, flo
     return f1, f2, 1 / xp + abs(gm1) / (2 * d) + (gm1 + 1) * l / (2 * x)
 
 
-def minimize_mode(kappa_sq: float, kt: float, lower: float = 0.5) -> tuple[float, float]:
+def minimize_mode(kappa_sq: float, kt: float) -> tuple[float, float]:
     """Global minimum (x*, f(x*)) of mode_objective over (1/2, inf).
 
     f rises to +inf at both ends and has one stationary point, the root of
@@ -139,20 +139,15 @@ def minimize_mode(kappa_sq: float, kt: float, lower: float = 0.5) -> tuple[float
     is widened geometrically.  The solve stops once |f'| is at the rounding
     of its terms, a Newton step falls below sqrt(eps) in t (the step after
     it would be of order eps), or the bracket closes.
-
-    ``lower`` is a point known to lie at or below x*: the bracket starts
-    there, the point itself is tried before the bracket is first bisected,
-    and the result is never below it.
     """
     if not 0.0 < kt < 0.5:
         raise DomainError(f"kt = {kt} outside the entangled regime (0, 1/2)")
     if not _g_minus_1(0.0, kappa_sq, kt) > 0:
         # g <= 1 at x = 1/2: f falls to -inf there and has no minimum
         raise DomainError(f"kappa^2 = {kappa_sq} must exceed kt (1 - kt) = {kt * (1 - kt)}")
-    lo, hi = max(lower - 0.5, 0.0), math.inf  # bracket of x* - 1/2
+    lo, hi = 0.0, math.inf  # bracket of x* - 1/2
     x0 = math.sqrt(kappa_sq / (2 * kt))
-    e = max((2 * kappa_sq - kt) / (4 * kt * (x0 + 0.5)), lo)  # x0 - 1/2
-    try_lower = lo > 0
+    e = (2 * kappa_sq - kt) / (4 * kt * (x0 + 0.5))  # x0 - 1/2
     reach = 1.0  # largest step in t
     for _ in range(_NEWTON_MAX_STEPS):
         f1, f2, size = _mode_slope(e, kappa_sq, kt)
@@ -172,8 +167,6 @@ def minimize_mode(kappa_sq: float, kt: float, lower: float = 0.5) -> tuple[float
             if abs(step) <= _NEWTON_LAST_STEP:
                 e = e_next  # quadratic convergence: its error is of order step^2
                 break
-        elif try_lower and e_next <= lo:
-            e_next, try_lower = lo, False
         else:
             e_next = math.sqrt(lo * hi)  # bisection in t
         if abs(e_next - e) <= 2 * _EPS * e:
@@ -181,8 +174,7 @@ def minimize_mode(kappa_sq: float, kt: float, lower: float = 0.5) -> tuple[float
         e = e_next
     else:
         raise OptimizerNoConverge(f"no stationary point in {_NEWTON_MAX_STEPS} steps")
-    # e >= lower - 1/2 throughout; max() only undoes the rounding of 1/2 + e
-    return max(0.5 + e, lower), _brace(e, _g_minus_1(e, kappa_sq, kt))
+    return 0.5 + e, _brace(e, _g_minus_1(e, kappa_sq, kt))
 
 
 def _vacuum_floor(kappa: float) -> float:
@@ -205,9 +197,9 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
     The minimizers satisfy x1* >= x2*, the order a separable candidate needs:
     d(mode_objective)/d(kappa^2) is ln((x+1/2)/(x-1/2)) / (4 x kt), which
     falls with x, so the minimizer is nondecreasing in kappa^2, and
-    kappa_+^2 - kappa_-^2 = 2b(c - |d|) >= 0.  Mode 2 is solved first and x2*
-    bounds mode 1's search from below, so the order holds in floating point
-    too, where the two minimizers agree to rounding.
+    kappa_+^2 - kappa_-^2 = 2b(c - |d|) >= 0.  The two solves can break the
+    order only by rounding, where kappa_+ = kappa_- and the minimizers agree,
+    so x1* is raised to x2* there; q_s1 stays mode 1's own minimum.
 
     E_S is returned nonnegative: near kt = 1/2 it is a difference of O(1)
     terms that cancel to rounding.
@@ -219,8 +211,9 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
     s_n2 = _entropy_nu(km)
     if separable:
         return RelEntResult(0.0, kp, km, 0.0, 0.0, s_n1, s_n2)
+    x1, m1 = minimize_mode(kp * kp, kt)
     x2, m2 = minimize_mode(km * km, kt)
-    x1, m1 = minimize_mode(kp * kp, kt, lower=x2)
+    x1 = max(x1, x2)
     q1 = m1 - s_n1
     q2 = m2 - s_n2
     return RelEntResult(

@@ -139,8 +139,21 @@ class SymmetricState:
 
 
 def symmetric_sts(r: float, nbar: float = 0.0) -> SymmetricState:
-    """Symmetric squeezed thermal state: two-mode squeezing r on thermal inputs."""
+    """Symmetric squeezed thermal state: two-mode squeezing r on thermal inputs.
+
+    Raises NumericalDegeneracy where b - c = nu e^{-2r} rounds to 0 or below
+    (from r of about 9.4 at nbar = 0) or cosh 2r overflows: floats of that
+    size cannot hold the state.
+    """
     if r < 0 or nbar < 0:
         raise DomainError("r and nbar must be nonnegative")
     nu = nbar + 0.5
-    return SymmetricState(b=nu * math.cosh(2 * r), c=nu * math.sinh(2 * r), d_abs=nu * math.sinh(2 * r))
+    try:
+        b, c = nu * math.cosh(2 * r), nu * math.sinh(2 * r)
+    except OverflowError:
+        b = c = math.inf
+    if not b - c > 0:  # inf - inf is NaN
+        raise NumericalDegeneracy(
+            f"ill-conditioned: b - c = nu e^(-2r) is lost to rounding at r = {r:.6g}, nbar = {nbar:.6g}"
+        )
+    return SymmetricState(b=b, c=c, d_abs=c)

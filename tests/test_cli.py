@@ -260,11 +260,29 @@ def test_strongly_squeezed_cm_checked_as_bures_reads_it(capsys, tmp_path):
     assert "physical:           True" in out
 
 
+@pytest.mark.parametrize("r", ["7.5", "9.5", "20", "400"])
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
-def test_ill_conditioned_state_refused(capsys, command):
-    code, _, err = run_cli(capsys, command, "--r", "7.5")
+def test_ill_conditioned_state_refused(capsys, command, r):
+    # from r = 7.5 kappa_tilde_- cannot be told from 1/2; from about 9.4 b - c
+    # rounds to 0, and from about 355 cosh 2r overflows
+    code, out, err = run_cli(capsys, command, "--r", r)
     assert code == 1
     assert "ill-conditioned" in err
+    assert err.count("\n") == 1
+    assert out == ""
+
+
+def test_sweep_beyond_symmetric_sts_refused(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--measure", "both", "--parameter", "r",
+        "--start", "0", "--stop", "20", "--steps", "2",
+        "--output", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert "ill-conditioned" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_zero_det_c_after_local_symplectic(capsys, tmp_path, rng):
@@ -376,15 +394,26 @@ def test_sweep_thermal_threshold(capsys, tmp_path):
     assert sorted(e_b) == e_b
 
 
-def test_sweep_validation(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "parameter, start, stop, steps, message",
+    [
+        ("kappa_tilde", "0.2", "0.9", "5", "--parameter kappa_tilde needs a range within (0, 1/2]"),
+        ("r", "0.5", "0.5", "3", "--start must be below --stop"),
+        ("r", "0.6", "0.5", "3", "--start must be below --stop"),
+        ("r", "0.1", "0.5", "1", "--steps must be at least 2"),
+    ],
+)
+def test_sweep_validation(capsys, tmp_path, parameter, start, stop, steps, message):
+    path = tmp_path / "x.csv"
     code, _, err = run_cli(
         capsys,
-        "sweep", "--measure", "bures", "--parameter", "kappa_tilde",
-        "--start", "0.2", "--stop", "0.9", "--steps", "5",
-        "--output", str(tmp_path / "x.csv"),
+        "sweep", "--measure", "bures", "--parameter", parameter,
+        "--start", start, "--stop", stop, "--steps", steps,
+        "--output", str(path),
     )
     assert code == 1
-    assert "kappa_tilde" in err
+    assert err == f"error: {message}\n"
+    assert not path.exists()
 
 
 def test_oracle_fidelity_identical(capsys):
@@ -450,6 +479,105 @@ def test_usage_errors_exit_parse(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_PARSE
     assert "usage:" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--r", "0.5", "--b", "1", "--c", "0.8", "--d", "-0.6"),
+        ("--cm", "state.json", "--r", "0.5"),
+        ("--cm", "state.json", "--b", "1", "--c", "0.8", "--d", "-0.6"),
+        ("--b", "1", "--c", "0.8", "--d", "-0.6", "--nbar", "5"),
+        ("--r", "0.5", "--c", "0.8"),
+        ("--r", "0.5", "--nbar", "0.1", "--d", "-0.6"),
+        ("--cm", "state.json", "--nbar", "1"),
+        ("--cm", "state.json", "--c", "0.8", "--d", "-0.6"),
+        ("--nbar", "1"),
+        ("--c", "0.8", "--d", "-0.6"),
+        (),
+    ],
+    ids=lambda flags: " ".join(flags) or "no-flags",
+)
+@pytest.mark.parametrize("command", ["check", "bures", "relent"])
+def test_mixed_state_inputs_exit_parse(capsys, tmp_path, monkeypatch, command, flags):
+    # one state form per call: a flag of another form is refused, never dropped
+    monkeypatch.chdir(tmp_path)
+    dump_cm_json(symmetric_sts(0.3).to_cm(), tmp_path / "state.json")
+    code, out, err = run_cli(capsys, command, *flags)
+    assert code == cli.EXIT_PARSE, err
+    assert out == ""
+    assert err.strip().splitlines()[-1].startswith(("error:", f"gent {command}: error:"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bures", "--r", "-1"), "--r: must be nonnegative"),
+        (("relent", "--r", "0.5", "--nbar", "-1"), "--nbar: must be nonnegative"),
+        (("check", "--r", "-1"), "--r: must be nonnegative"),
+    ],
+)
+def test_negative_squeezing_parameters_exit_parse(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_parameters_outside_symmetric_form_are_unphysical(capsys):
+    # b = c is no SymmetricState: the DomainError exits 2 with one line
+    code, out, err = run_cli(capsys, "bures", "--b", "1", "--c", "1", "--d", "-0.5")
+    assert code == cli.EXIT_UNPHYSICAL
+    assert out == ""
+    assert err.startswith("error: unphysical state: requires b > c")
+    assert err.count("\n") == 1
+
+
+def test_sweep_json_output(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--measure", "bures", "--parameter", "r",
+        "--start", "0.1", "--stop", "0.5", "--steps", "3",
+        "--output", str(path), "--format", "json",
+    )
+    assert code == 0, err
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"version", "rows"}
+    assert payload["version"] == gent.__version__
+    assert [row["param"] for row in payload["rows"]] == pytest.approx([0.1, 0.3, 0.5], abs=1e-15)
+    for row in payload["rows"]:
+        assert set(row) == set(cli.SWEEP_COLUMNS)
+        assert row["e_b"] == bures_entanglement(symmetric_sts(row["param"])).e_b
+        # a bures-only sweep writes the relent measures as null
+        assert row["e_s"] is None and row["x1_star"] is None and row["x2_star"] is None
+
+
+def test_sweep_unwritable_output_exits_parse(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--measure", "bures", "--parameter", "r",
+        "--start", "0.1", "--stop", "0.5", "--steps", "3",
+        "--output", str(path),
+    )
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: cannot write output:")
+    assert err.count("\n") == 1
+
+
+def test_oracle_entropy_of_two_mode_cm(capsys, tmp_path):
+    # the closed form of a two-mode CM is the entropy sum over its symplectic spectrum
+    path = tmp_path / "sts.json"
+    dump_cm_json(symmetric_sts(0.2, 0.3).to_cm(), path)
+    code, out, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path), "--dim", "30")
+    assert code == 0, err
+    payload = json.loads(out)
+    nu = 0.8  # both symplectic eigenvalues are nbar + 1/2
+    expected = 2 * ((nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5))
+    assert payload["closed_form"] == pytest.approx(expected, rel=1e-12)
+    assert payload["value"] == pytest.approx(payload["closed_form"], abs=1e-8)
+    assert payload["discrepancy"] < 1e-8
 
 
 def _python(*argv):

@@ -31,6 +31,8 @@ def test_thermal_state_basics():
     )
     with pytest.raises(UnphysicalState):
         fock.thermal_state(0.3, 10)
+    with pytest.raises(ValueError):
+        fock.thermal_state(1.0, 1)
 
 
 def test_vacuum_has_no_deficit():
@@ -145,6 +147,9 @@ def test_dimension_mismatch():
         fock.fidelity_fock(a, b)
     with pytest.raises(DimensionMismatch):
         fock.tensor(a, b)
+    two_mode = fock.tensor(a, a)
+    with pytest.raises(DimensionMismatch):
+        fock.tensor(a, two_mode)  # the right factor must have one mode
 
 
 def test_rel_entropy_support_violation():
@@ -745,6 +750,8 @@ def test_physical_states_are_built():
     assert not refused
     with pytest.raises(UnphysicalState):
         fock.gaussian_state_from_cm(0.4 * np.eye(4), 6)
+    with pytest.raises(NonPositiveDefinite):
+        fock.gaussian_state_from_cm(np.diag([1.0, 1.0, 1.0, -1.0]), 6)
     fock.thermal_state(0.5 - 1e-13, 6)  # within the rule at scale 1/2
     with pytest.raises(UnphysicalState):
         fock.thermal_state(0.5 - 1e-11, 6)

@@ -6,7 +6,7 @@ import pytest
 from gent import cm_core
 from gent.errors import DomainError, NotSymplectic
 from gent.optics import BeamSplitterParams, bs_symplectic, diagonalize_symmetric, transform_cm
-from gent.standard_forms import form_II_symmetric, make_scaled_cm, ScaledState
+from gent.standard_forms import form_II_symmetric, make_scaled_cm, ScaledState, SymmetricState
 
 from conftest import random_entangled_symmetric
 
@@ -57,3 +57,9 @@ def test_form_II_image_entries(rng):
         kt = s.kappa_tilde_minus
         expected = [s.kappa_plus**2 / kt, kt, kt, s.kappa_minus**2 / kt]
         np.testing.assert_allclose(np.diag(image), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("u", [0.0, -1.0])
+def test_diagonalize_symmetric_refuses_non_positive_scale(u):
+    with pytest.raises(DomainError):
+        diagonalize_symmetric(SymmetricState(1.0, 0.8, 0.6), u)

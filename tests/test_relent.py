@@ -62,6 +62,14 @@ def test_rel_entropy_vs_fock_oracle():
     assert value == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("vp, v", [(OneModeCM(0.3, 0.3), OneModeCM(1.0, 1.0)),
+                                   (OneModeCM(1.0, 1.0), OneModeCM(0.3, 0.3)),
+                                   (OneModeCM(1e3, 1e-4), OneModeCM(0.8, 0.8))])
+def test_rel_entropy_refuses_unphysical_input(vp, v):
+    with pytest.raises(UnphysicalState):
+        rel_entropy_one_mode(vp, v)
+
+
 def test_rel_entropy_pure_reference_diverges():
     with pytest.raises(SupportViolation):
         rel_entropy_one_mode(OneModeCM(0.5, 0.5), OneModeCM(1.0, 1.0))

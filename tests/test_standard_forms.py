@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gent import cm_core, standard_forms as sf
-from gent.errors import DomainError
+from gent.errors import DomainError, NumericalDegeneracy, UnphysicalState
 
 from conftest import random_entangled_symmetric
 
@@ -68,8 +68,26 @@ def test_symmetric_sts_parameters():
     assert s.c == pytest.approx(nu * math.sinh(1.0))
     assert s.c == s.d_abs
     assert sf.symmetric_sts(0.0).is_separable()
+    assert sf.symmetric_sts(9.3).b > sf.symmetric_sts(9.3).c  # b - c keeps a digit
     with pytest.raises(DomainError):
         sf.symmetric_sts(-0.1)
+
+
+@pytest.mark.parametrize("r, nbar", [(9.5, 0.0), (20.0, 0.0), (400.0, 0.0), (1.0, 1e308)])
+def test_symmetric_sts_beyond_float_range_is_ill_conditioned(r, nbar):
+    # b - c = nu e^{-2r} rounds to 0 (r = 9.5, 20), cosh 2r overflows (r = 400),
+    # or nu cosh 2r does (nbar = 1e308): the physical state is refused, not misread
+    with pytest.raises(NumericalDegeneracy, match="ill-conditioned"):
+        sf.symmetric_sts(r, nbar)
+
+
+def test_scaled_state_and_form_II_refusals():
+    base = sf.StandardFormI(1.0, 1.0, 0.5, -0.3)
+    for u1, u2 in [(0.0, 1.0), (1.0, -1.0), (-2.0, -2.0)]:
+        with pytest.raises(DomainError):
+            sf.ScaledState(base, u1, u2)
+    with pytest.raises(UnphysicalState):
+        sf.form_II_symmetric(sf.SymmetricState(0.5, 0.4, 0.4))  # kappa_- = 0.3
 
 
 def test_symmetric_state_validation():
