@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 separable/success, 1 parse failure or a covariance matrix
-too ill-conditioned to decide kappa >= 1/2, 2 unphysical state (also a
+Exit codes: 0 separable/success, 1 parse failure or a state too
+ill-conditioned to decide kappa >= 1/2, 2 unphysical state (also a
 matrix that is not positive definite),
 3 entangled, 4 input with no symmetric standard form (b1 != b2, or
 det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
@@ -449,8 +449,8 @@ def main(argv=None) -> int:
     except (UnphysicalState, NonPositiveDefinite) as exc:
         print(f"error: unphysical state: {exc}", file=sys.stderr)
         code = EXIT_UNPHYSICAL
-    except NumericalDegeneracy as exc:
-        _fail(EXIT_PARSE, f"covariance matrix: {exc}")
+    except NumericalDegeneracy as exc:  # the message names the state's parameters or entries
+        _fail(EXIT_PARSE, str(exc))
     except DecompositionFailure as exc:
         _fail(EXIT_PARSE, f"decomposition failure: {exc}")
     raise SystemExit(code)

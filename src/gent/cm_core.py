@@ -71,7 +71,7 @@ def partial_transpose(v: np.ndarray) -> np.ndarray:
 
 def entry_scale(v: np.ndarray) -> float:
     """Largest entry of a CM: the ``scale`` of ``rounding_tol``."""
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def sqrt_cm(v: np.ndarray) -> np.ndarray:
@@ -82,6 +82,10 @@ def sqrt_cm(v: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(lam)) @ q.T
 
 
+# (key, spectrum) of the last matrix solved, keyed by its shape and bytes
+_last_spectrum: tuple = (None, None)
+
+
 def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     """Symplectic eigenvalues of V and of its partial transpose.
 
@@ -90,10 +94,24 @@ def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     by construction.  The partial transpose needs no second root, since
     (Lambda V Lambda)^{1/2} = Lambda R Lambda: its kappas are those of
     i R (Lambda Omega Lambda) R.  Both come from one stacked eigvalsh.
+
+    The spectrum of the last matrix is kept, keyed by its content, so that
+    ``is_physical``, ``is_separable`` and a caller asking about the same V
+    share one solve; a matrix changed in place is solved again.
     """
+    global _last_spectrum
+    v = np.asarray(v, dtype=float)
+    key = (v.shape, v.tobytes())
+    last_key, last_spec = _last_spectrum  # one read: another thread may replace it
+    if last_key == key:
+        return last_spec
+    if not np.isfinite(v).all():
+        raise ValueError("covariance matrix has a non-finite entry")
     root = sqrt_cm(v)
     ev = np.linalg.eigvalsh(1j * (root @ _FORMS @ root))  # ascending: -k+, -k-, k-, k+
-    return SymplecticSpectrum(float(ev[0, 3]), float(ev[0, 2]), float(ev[1, 3]), float(ev[1, 2]))
+    spec = SymplecticSpectrum(float(ev[0, 3]), float(ev[0, 2]), float(ev[1, 3]), float(ev[1, 2]))
+    _last_spectrum = (key, spec)
+    return spec
 
 
 def is_physical(v: np.ndarray) -> Verdict:

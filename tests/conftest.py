@@ -52,11 +52,12 @@ def random_entangled_symmetric(rng, n, b_lo=0.5, b_hi=3.0, kt_sq_cap=0.2499):
     return out
 
 
-def random_local_symplectic(rng):
-    """Random block-diagonal S1 (+) S2 with each 2x2 block of determinant 1."""
+def random_local_symplectic(rng, r_max=0.8):
+    """Random block-diagonal S1 (+) S2 with each 2x2 block of determinant 1,
+    a rotation, a squeeze by up to e^r_max and a rotation."""
     out = np.zeros((4, 4))
     for k in (0, 2):
-        phi, r, psi = rng.uniform(-np.pi, np.pi), rng.uniform(-0.8, 0.8), rng.uniform(-np.pi, np.pi)
+        phi, r, psi = rng.uniform(-np.pi, np.pi), rng.uniform(-r_max, r_max), rng.uniform(-np.pi, np.pi)
         rot = lambda a: np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
         out[k : k + 2, k : k + 2] = rot(phi) @ np.diag([np.exp(r), np.exp(-r)]) @ rot(psi)
     return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gent import cm_core
+from gent import cm_core, standard_forms
 from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 from gent.standard_forms import symmetric_sts
 
@@ -156,3 +156,58 @@ def test_json_rejects_non_finite_entries(tmp_path, entry):
     path.write_text('{"v": [[%s,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}' % entry)
     with pytest.raises(ValueError, match="NaN or infinite"):
         cm_core.load_cm_json(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (2, 3), (0, 2), (1, 3)])
+def test_non_finite_entries_refused(value, entry):
+    # a diagonal block ((0, 0), (2, 3)) and C ((0, 2), (1, 3)); the parent
+    # route let numpy's LinAlgError through, and scalar form I would return NaN
+    v = symmetric_sts(0.4).to_cm()
+    v[entry] = v[entry[::-1]] = value
+    with pytest.raises(ValueError, match="non-finite entry"):
+        cm_core.symplectic_spectrum(v)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        standard_forms.to_standard_form_I(v)
+
+
+def test_one_cm_costs_one_eigensolve(monkeypatch, rng):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(cm_core, "_last_spectrum", (None, None))
+
+    v = random_physical_cm(rng)
+    phys, sep, spec = cm_core.is_physical(v), cm_core.is_separable(v), cm_core.symplectic_spectrum(v)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+    standard_forms.to_standard_form_I(v)
+    assert calls == {"eigh": 1, "eigvalsh": 1}  # form I solves no eigenproblem
+
+    # equal content in another array is the same matrix
+    twin = v.copy()
+    assert (cm_core.is_physical(twin), cm_core.is_separable(twin)) == (phys, sep)
+    assert cm_core.symplectic_spectrum(twin) == spec
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+    # a matrix changed in place is solved again, and its spectrum is its own
+    v[0, 0] += 0.25
+    changed = cm_core.symplectic_spectrum(v)
+    assert calls == {"eigh": 2, "eigvalsh": 2}
+    assert changed != spec
+    assert cm_core.symplectic_spectrum(v.copy()) == changed
+
+    # one entry: a third matrix evicts the second, and a failed solve is not kept
+    cm_core.symplectic_spectrum(twin)
+    cm_core.symplectic_spectrum(v)
+    assert calls == {"eigh": 4, "eigvalsh": 4}
+    bad = -np.eye(4)
+    for _ in range(2):
+        with pytest.raises(NonPositiveDefinite):
+            cm_core.symplectic_spectrum(bad)
+    assert calls == {"eigh": 6, "eigvalsh": 4}
