@@ -2,10 +2,9 @@
 
 The closed form depends only on the smallest symplectic eigenvalue of the
 partially transposed covariance matrix; ``numeric_max_fidelity`` verifies it
-by direct fidelity maximization over separable candidates, as nested
-one-dimensional searches over the variances of the beam-splitter modes.  Each
-search is Brent's method (``scalar_min.golden_section``) and places its
-maximum to Brent's resolution, sqrt(eps)*|x| + tol/3.
+by direct fidelity maximization over separable candidates, with each
+beam-splitter mode's maximum in closed form inside one Brent line search
+(``scalar_min.golden_section``) over ln X2.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from .errors import DomainError, OptimizerNoConverge, UnphysicalState
 from .scalar import OneModeCM, SymmetricState
 from .scalar_min import golden_section, resolution
 
-# numeric_max_fidelity: absolute part of the search resolution; e-folds by which each
-# search range reaches past the variances of the given state
+# numeric_max_fidelity: absolute part of the search resolution; e-folds by which the
+# ln X2 range reaches past the beam-splitter variances of the given state
 _TOL = 1e-11
 _MARGIN = 3.0
 
@@ -86,13 +85,20 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     (X2, Y2) = ((b'-c')u', (b'+|d'|)/u').  The separability threshold
     kt' = 1/2 is X2 Y1 = 1/4; the one-mode uncertainty relations are
     a1 = ln(X1/X2) >= 0 and a2 = ln(Y2/Y1) >= 0; and c' >= |d'| is a2 <= a1.
-    So for fixed X2 the first mode depends on a1 alone and the second on a2
-    alone: a line search over ln X2 runs one line search per mode, and a
-    second one along the edge a1 = a2 when the two one-mode maxima violate
-    a2 <= a1.  Every line search is Brent's method to the resolution
-    ``scalar_min.resolution(x, _TOL)``, so the argmax is placed to about
-    sqrt(eps) relative and F* to rounding.  A maximum within 4 resolutions of
-    a search-range end that is not a physical edge raises OptimizerNoConverge.
+    So for fixed X2 = x2 each mode depends on its own a alone, with a maximum
+    in closed form.  For a mode (A, B), k = AB - 1/4 >= 0, and a candidate
+    (X, Y) at fixed Y, 1/F = sqrt(AY + 1/4 + B(1 + 4AY) X) - 2 sqrt(k (XY - 1/4))
+    tends to +inf as X -> inf and, for k > 0, has slope -inf at XY = 1/4.
+    Squared, d(1/F)/dX = 0 is linear in X: the one stationary point is
+    X* = A + 1/(4Y) - 1/(4B) (the pure edge 1/(4Y) for k = 0).  Here that is
+    a1* = log1p((kappa_+^2 - 1/4)/(kt x2)) and a2* = log1p(4 x2 (kappa_-^2 - 1/4)/kt),
+    both >= 0; at x2 = 1/2 they give the variances of sigma*_B.  When
+    a2* > a1*, f1 falls past a1* and f2 rises up to a2*: the constrained
+    maximum lies on the edge a1 = a2 between them.  The line searches over
+    ln x2 (x2 = 1/2 and F_max are found, not assumed) and on that edge are
+    Brent's method to ``scalar_min.resolution(x, _TOL)``: the argmax to about
+    sqrt(eps) relative, F* to rounding.  A maximum over ln x2 within 4
+    resolutions of a range end raises OptimizerNoConverge.
 
     Returns (f_star, argmax state, argmax scale).
     """
@@ -102,44 +108,38 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     # beam-splitter image of the given form-II state, per mode
     g1q, g1p = s.kappa_plus**2 / kt, kt
     g2q, g2p = kt, s.kappa_minus**2 / kt
+    # (kappa^2 - 1/4)/kt, without cancellation and never below 0
+    e1, e2 = (max(0.0, (k - 0.5) * (k + 0.5)) / kt for k in (s.kappa_plus, s.kappa_minus))
 
     def best_at(w):  # best (f, a1, a2) on the slice ln X2 = w
         x2 = math.exp(w)
         y1 = 0.25 / x2
         f1 = lambda a: _fid1(g1q, g1p, x2 * math.exp(a), y1)
         f2 = lambda a: _fid1(g2q, g2p, x2, y1 * math.exp(a))
-        # a1 and a2 reach X1 = max(x2, 4 g1q) e^_MARGIN and Y2 = max(y1, 4 g2p) e^_MARGIN
-        a1, v1 = _argmax(f1, 0.0, max(0.0, math.log(4 * g1q / x2)) + _MARGIN, physical_lo=True)
-        a2, v2 = _argmax(f2, 0.0, max(0.0, math.log(16 * g2p * x2)) + _MARGIN, physical_lo=True)
+        a1, a2 = math.log1p(e1 / x2), math.log1p(4 * x2 * e2)
         if a2 <= a1:
-            return v1 * v2, a1, a2
-        # f1 falls past a1 and f2 rises up to a2: the constrained maximum is on [a1, a2]
+            return f1(a1) * f2(a2), a1, a2
         a, neg = golden_section(lambda z: -(f1(z) * f2(z)), a1, a2, tol=_TOL)
         return -neg, a, a
 
     g = (g1q, g1p, g2q, g2p)
-    w_lo, w_hi = math.log(min(g)) - _MARGIN, math.log(max(g)) + _MARGIN
-    w, _ = _argmax(lambda z: best_at(z)[0], w_lo, w_hi)
+    w, _ = _argmax(lambda z: best_at(z)[0], math.log(min(g)) - _MARGIN, math.log(max(g)) + _MARGIN)
     f_star, a1, a2 = best_at(w)
-    x2 = math.exp(w)
-    y1 = 0.25 / x2
-    x_sum, y_sum = x2 * (1 + math.exp(a1)), y1 * (1 + math.exp(a2))
-    u = math.sqrt(x_sum / y_sum)
-    bp = math.sqrt(x_sum * y_sum) / 2
-    cp = bp - x2 / u
-    tp = cp if a1 == a2 else bp - y1 * u
-    return f_star, SymmetricState(b=bp, c=cp, d_abs=tp), u
+    # X1 + X2 = t1 X2 and Y1 + Y2 = t2 Y1 with t >= 2, so b' >= 1/2 after rounding too;
+    # c' = (X1 - X2)/(2u') and |d'| = (Y2 - Y1)u'/2 without cancellation
+    t1, t2 = 1 + math.exp(a1), 1 + math.exp(a2)
+    r = math.sqrt(t1 / t2)
+    argmax = SymmetricState(b=math.sqrt(t1 * t2) / 4, c=math.expm1(a1) / (4 * r), d_abs=r * math.expm1(a2) / 4)
+    return f_star, argmax, 2 * math.exp(w) * r
 
 
-def _argmax(f, lo: float, hi: float, physical_lo: bool = False) -> tuple[float, float]:
+def _argmax(f, lo: float, hi: float) -> tuple[float, float]:
     """(x, f(x)) at the maximum of a unimodal f on [lo, hi], by Brent's method.
 
-    Raises OptimizerNoConverge if x lands within 4 resolutions of an end that
-    is only a search bound (hi always, lo unless it is a physical edge); the
-    search returns a maximum at an end within 2 resolutions of it.
+    Raises OptimizerNoConverge if x lands within 4 resolutions of either end;
+    the search returns a maximum at an end within 2 resolutions of it.
     """
     x, neg = golden_section(lambda z: -f(z), lo, hi, tol=_TOL)
-    end_tol = 4 * resolution(x, _TOL)
-    if hi - x < end_tol or (not physical_lo and x - lo < end_tol):
+    if min(x - lo, hi - x) < 4 * resolution(x, _TOL):
         raise OptimizerNoConverge(f"maximum at x = {x!r} on a search bound of [{lo!r}, {hi!r}]")
     return x, -neg

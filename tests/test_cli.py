@@ -734,6 +734,19 @@ def test_relent_verify_at_strong_squeezing(capsys):
     assert payload["verify"]["discrepancy"] < 1e-9
 
 
+@pytest.mark.parametrize("r", ["0.05", "0.5", "2", "5"])
+def test_bures_verify_on_pure_states(capsys, r):
+    # the one-mode maxima of a pure state lie on the edges a = 0 (near them once
+    # rounding leaves kappa_+- a little above 1/2), where b' = 1/2 must not round below 1/2
+    code, out, err = run_cli(capsys, "bures", "--r", r, "--nbar", "0", "--verify")
+    assert code == 0, err
+    payload = json.loads(out)
+    arg = payload["verify"]["argmax"]
+    assert abs(payload["verify"]["f_star"] - payload["f_max"]) <= 1e-9
+    assert abs(math.sqrt((arg["b"] + arg["d"]) * (arg["b"] - arg["c"])) - 0.5) <= 1e-12
+    assert arg["b"] >= 0.5
+
+
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     path = tmp_path / "npd.json"
