@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, OptimizerNoConverge, UnphysicalState
-from .scalar import OneModeCM, SymmetricState
+from .scalar import OneModeCM, SymmetricState, physical_kappa
 from .scalar_min import golden_section, resolution
 
 # numeric_max_fidelity: absolute part of the search resolution; e-folds by which the
@@ -105,11 +105,12 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     if s.is_separable():
         raise DomainError("numeric_max_fidelity requires an entangled input")
     kt = s.kappa_tilde_minus
+    kp, km = physical_kappa(s.kappa_plus, s.b), physical_kappa(s.kappa_minus, s.b)
     # beam-splitter image of the given form-II state, per mode
-    g1q, g1p = s.kappa_plus**2 / kt, kt
-    g2q, g2p = kt, s.kappa_minus**2 / kt
-    # (kappa^2 - 1/4)/kt, without cancellation and never below 0
-    e1, e2 = (max(0.0, (k - 0.5) * (k + 0.5)) / kt for k in (s.kappa_plus, s.kappa_minus))
+    g1q, g1p = kp**2 / kt, kt
+    g2q, g2p = kt, km**2 / kt
+    # (kappa^2 - 1/4)/kt without cancellation: exactly 0 for a kappa the rule reads as 1/2
+    e1, e2 = ((k - 0.5) * (k + 0.5) / kt for k in (kp, km))
 
     def best_at(w):  # best (f, a1, a2) on the slice ln X2 = w
         x2 = math.exp(w)

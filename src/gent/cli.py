@@ -24,7 +24,7 @@ import sys
 from . import __version__, bures, relent
 from .errors import DecompositionFailure, DomainError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
-from .scalar import OneModeCM, StandardFormI, SymmetricState, rounding_tol, symmetric_sts
+from .scalar import OneModeCM, StandardFormI, SymmetricState, physical_kappa, rounding_tol, symmetric_sts
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -137,11 +137,10 @@ def _state_from_cm(v) -> SymmetricState:
     """The symmetric state of a CM array, from its standard form I."""
     from . import cm_core, standard_forms
 
-    form = standard_forms.to_standard_form_I(v)
-    tol = cm_core.rounding_tol(cm_core.entry_scale(v))
-    if abs(form.b1 - form.b2) > tol:
+    form, scale = standard_forms.to_standard_form_I(v), cm_core.entry_scale(v)
+    if abs(form.b1 - form.b2) > rounding_tol(scale):
         _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
-    return _symmetric_state(form.b1, form.c, form.d, tol)
+    return _symmetric_state(form.b1, form.c, form.d, scale)
 
 
 def _state_from_parameters(b: float, c: float, d: float) -> SymmetricState:
@@ -150,24 +149,24 @@ def _state_from_parameters(b: float, c: float, d: float) -> SymmetricState:
 
     Local rotations and mirrors bring C = diag(c, d) to diag(c', d') with
     c' = max(|c|, |d|), |d'| = min(|c|, |d|) and sign(d') = sign(det C) =
-    sign(c d); ``rounding_tol`` takes the largest entry of the CM.
+    sign(c d); the scale of ``rounding_tol`` is the largest entry of the CM.
     """
     if b <= 0:  # as the matrix path refuses a diagonal block that is not positive definite
         raise NonPositiveDefinite("a diagonal block of V is not positive definite")
     c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
-    return _symmetric_state(b, c_abs, math.copysign(d_abs, c * d), rounding_tol(max(b, c_abs)))
+    return _symmetric_state(b, c_abs, math.copysign(d_abs, c * d), max(b, c_abs))
 
 
-def _symmetric_state(b: float, c: float, d: float, tol: float) -> SymmetricState:
-    """SymmetricState(b, c, |d|) of standard form I (b, b, c, d); exits 4 if d > 0 beyond ``tol``."""
-    if d > tol:
+def _symmetric_state(b: float, c: float, d: float, scale: float) -> SymmetricState:
+    """SymmetricState(b, c, |d|) of standard form I (b, b, c, d) with entries up to ``scale``, its b
+    read by ``physical_kappa``; exits 4 if d > 0 beyond ``rounding_tol(scale)``."""
+    if d > rounding_tol(scale):
         _fail(
             EXIT_NOT_SYMMETRIC,
             f"det C > 0 (d = {d:.9g}): separable by PPT, but symmetric states "
             "are held in the form d = -|d|",
         )
-    # a vacuum-local block comes back up to a rounding below b = 1/2
-    return SymmetricState(0.5 if 0.5 - tol <= b < 0.5 else b, c, abs(d))
+    return SymmetricState(physical_kappa(b, scale), c, abs(d))
 
 
 def _fail(code: int, message: str):
@@ -188,7 +187,7 @@ def cmd_check(args) -> int:
     physical = cm_core.above_vacuum(spec.kappa_minus, scale)
     separable = physical and cm_core.above_vacuum(spec.kappa_tilde_minus, scale)
     # det(V + i Omega / 2) = (k+^2 - 1/4)(k-^2 - 1/4); a physical kappa the rule reads as 1/2 is 1/2
-    kp, km = (max(k, cm_core.VACUUM) if physical else k for k in (spec.kappa_plus, spec.kappa_minus))
+    kp, km = (physical_kappa(k, scale) if physical else k for k in (spec.kappa_plus, spec.kappa_minus))
     print(f"physical:           {physical}  (kappa_minus = {spec.kappa_minus:.9g})")
     print(f"uncertainty det:    {(kp - 0.5) * (kp + 0.5) * (km - 0.5) * (km + 0.5):.9g}")
     if not physical:
@@ -258,19 +257,8 @@ def cmd_relent(args) -> int:
     return EXIT_SEPARABLE
 
 
-SWEEP_COLUMNS = [
-    "param",
-    "b",
-    "c",
-    "d",
-    "kappa_plus",
-    "kappa_minus",
-    "kappa_tilde_minus",
-    "e_b",
-    "e_s",
-    "x1_star",
-    "x2_star",
-]
+SWEEP_COLUMNS = ["param", "b", "c", "d", "kappa_plus", "kappa_minus", "kappa_tilde_minus",
+                 "e_b", "e_s", "x1_star", "x2_star"]
 
 
 def cmd_sweep(args) -> int:
@@ -288,25 +276,15 @@ def cmd_sweep(args) -> int:
             state = symmetric_sts(float(val), args.nbar)
         else:  # pure two-mode squeezed vacuum with kappa_tilde_minus = val
             state = symmetric_sts(-0.5 * math.log(2 * float(val)), 0.0)
-        row = {
-            "param": float(val),
-            "b": state.b,
-            "c": state.c,
-            "d": -state.d_abs,
-            "kappa_plus": state.kappa_plus,
-            "kappa_minus": state.kappa_minus,
-            "kappa_tilde_minus": state.kappa_tilde_minus,
-            "e_b": None,
-            "e_s": None,
-            "x1_star": None,
-            "x2_star": None,
-        }
+        e_b = e_s = x1 = x2 = None
         if args.measure in ("bures", "both"):
-            row["e_b"] = bures.bures_entanglement(state).e_b
+            e_b = bures.bures_entanglement(state).e_b
         if args.measure in ("relent", "both"):
             res = relent.rel_ent_entanglement(state)
-            row["e_s"], row["x1_star"], row["x2_star"] = res.e_s, res.x1_star, res.x2_star
-        rows.append(row)
+            e_s, x1, x2 = res.e_s, res.x1_star, res.x2_star
+        values = (float(val), state.b, state.c, -state.d_abs, state.kappa_plus, state.kappa_minus,
+                  state.kappa_tilde_minus, e_b, e_s, x1, x2)
+        rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
     try:
         _write_sweep(rows, args.output, args.format)
     except OSError as exc:
@@ -379,11 +357,10 @@ def cmd_oracle(args) -> int:
             payload["value"] = fock.entropy_fock(rho)
             if isinstance(cm_a, OneModeCM):
                 payload["closed_form"] = relent.von_neumann_entropy(cm_a)
-            else:
-                spec = cm_core.symplectic_spectrum(cm_a)
-                payload["closed_form"] = relent._entropy_nu(spec.kappa_plus) + relent._entropy_nu(
-                    spec.kappa_minus
-                )
+            else:  # the entropy sum over the spectrum, each kappa read as the Fock build reads it
+                spec, scale = cm_core.symplectic_spectrum(cm_a), cm_core.entry_scale(cm_a)
+                kappas = (spec.kappa_plus, spec.kappa_minus)
+                payload["closed_form"] = sum(relent._entropy_nu(physical_kappa(k, scale)) for k in kappas)
     except SupportViolation as exc:
         print(f"error: support violation: {exc}", file=sys.stderr)
         return EXIT_SUPPORT

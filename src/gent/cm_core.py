@@ -24,6 +24,7 @@ from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar 
     VACUUM,
     OneModeCM,
     above_vacuum,
+    physical_kappa,
     rounding_tol,
 )
 

@@ -46,14 +46,13 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .cm_core import VACUUM, OneModeCM, above_vacuum, entry_scale, omega, sqrt_cm
+from .cm_core import VACUUM, OneModeCM, entry_scale, omega, physical_kappa, sqrt_cm
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
     NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
-    UnphysicalState,
 )
 from .optics import BeamSplitterParams as BeamSplitter
 from .optics import bs_symplectic
@@ -174,13 +173,11 @@ def _parity_classes(n: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def thermal_state(nu: float, n: int) -> FockOperator:
-    """Thermal state of symplectic eigenvalue nu (mean photons nu - 1/2)."""
-    if nu < VACUUM and not above_vacuum(nu, VACUUM):
-        raise UnphysicalState(f"nu = {nu} < 1/2")
+    """Thermal state of symplectic eigenvalue nu, read by ``physical_kappa`` at the one-mode scale 1/2."""
+    nbar = physical_kappa(nu, VACUUM) - VACUUM
     if n < 2:
         raise ValueError("need at least two Fock levels")
-    nbar = max(nu - 0.5, 0.0)  # absorb roundoff from upstream decompositions
-    if nbar < 1e-12:
+    if nbar == 0:
         w = np.zeros(n)
         w[0] = 1.0
         log_w = None  # rank deficient
@@ -595,9 +592,9 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     is exactly the identity is skipped: until one acts, the cores' identity
     blocks stand.  A V with no q-p correlation (V = T V T,
     T = diag(1, -1, ...)) takes ``_qp_free_factors``, any other V
-    ``williamson`` and ``euler_decompose``.  A kappa below 1/2 is decided by
-    ``cm_core.above_vacuum`` at the entry scale of V: within its allowance it
-    is read as 1/2, below it the state is refused as unphysical.
+    ``williamson`` and ``euler_decompose``.  Each kappa is read by ``cm_core.physical_kappa``
+    at the scale of the physicality test (1/2 for one mode, the entry scale of V for two):
+    within its band of 1/2 the core is pure; below it, or undecidable, the state is refused.
     """
     import logging  # here, not at module level: importing gent.fock stays as light as it was
 
@@ -615,9 +612,8 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         "Fock state at N = %d: %s factors, kappas %s",
         n, "complex" if np.iscomplexobj(first) else "real", kappas,
     )
-    if kappas.min() < VACUUM and not above_vacuum(kappas.min(), entry_scale(v)):
-        raise UnphysicalState(f"kappa = {kappas.min():.10g} < 1/2 at entry size {entry_scale(v):.3g}")
-    cores = [thermal_state(max(float(kappa), VACUUM), n) for kappa in kappas]
+    scale = VACUUM if v.shape == (2, 2) else entry_scale(v)  # as OneModeCM and cm_core.is_physical
+    cores = [thermal_state(physical_kappa(float(kappa), scale), n) for kappa in kappas]
     alpha, theta, _ = _mode_angles(first)
     blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity
     if any(squeezes):

@@ -12,10 +12,9 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OptimizerNoConverge, SupportViolation, UnphysicalState
-from .scalar import OneModeCM, SymmetricState
+from .scalar import VACUUM, OneModeCM, SymmetricState, physical_kappa
 from .scalar_min import grid_minimize
 
-_PURE_TOL = 1e-12
 # minimize_mode: rounding unit, step cap, longest step in t (keeps exp finite),
 # and the Newton step in t below which the next one would be of order eps
 _EPS = sys.float_info.epsilon
@@ -54,7 +53,7 @@ def von_neumann_entropy(v: OneModeCM) -> float:
     """Entropy of a one-mode Gaussian state, in nats."""
     if not v.is_physical():
         raise UnphysicalState(f"nu = {v.nu:.6g} < 1/2")
-    return _entropy_nu(v.nu)
+    return _entropy_nu(physical_kappa(v.nu, VACUUM))
 
 
 def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
@@ -65,17 +64,17 @@ def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
     """
     if not v.is_physical() or not vp.is_physical():
         raise UnphysicalState("both one-mode CMs must satisfy sqrt(det) >= 1/2")
-    nup = vp.nu
+    nup = physical_kappa(vp.nu, VACUUM)
     same = (
         abs(v.sigma_qq - vp.sigma_qq) <= 1e-14 * max(1.0, v.sigma_qq)
         and abs(v.sigma_pp - vp.sigma_pp) <= 1e-14 * max(1.0, v.sigma_pp)
     )
     if same:
         return 0.0
-    if nup - 0.5 <= _PURE_TOL:
+    if nup == VACUUM:
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
     cross = (v.sigma_qq * vp.sigma_pp + v.sigma_pp * vp.sigma_qq) / nup
-    return _brace(nup - 0.5, cross - 1) - _entropy_nu(v.nu)
+    return _brace(nup - 0.5, cross - 1) - _entropy_nu(physical_kappa(v.nu, VACUUM))
 
 
 def mode_objective(x: float, kappa_sq: float, kt: float) -> float:
@@ -181,7 +180,9 @@ def _vacuum_floor(kappa: float) -> float:
     """A kappa below 1/2 only by rounding (the state passed is_physical) is 1/2.
 
     Left below, it can leave a pure mode near kt = 1/2 with g < 1 at x = 1/2,
-    where its objective has no minimum.
+    where its objective has no minimum.  Unlike ``physical_kappa``, it keeps a kappa
+    1/2 + delta in the band above 1/2: E_S is that of the state as given, whose mode
+    entropies hold about delta ln(1/delta), far above the rounding of E_S's terms.
     """
     return max(kappa, 0.5)
 

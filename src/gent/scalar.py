@@ -28,8 +28,8 @@ def rounding_tol(scale: float) -> float:
     """Allowance for rounding in a symplectic eigenvalue from entries of size ``scale``.
 
     Entries rounded to eps*scale move kappa by a few eps*scale^2: under local
-    symplectics, ``symplectic_spectrum`` puts a pure state's kappa = 1/2 up to
-    ~23 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
+    symplectics, ``symplectic_spectrum`` leaves a pure state's kappa = 1/2 on
+    either side, up to ~23 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
     ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 5.
     The floor KAPPA_TOL covers entries of order 1.
     """
@@ -48,6 +48,21 @@ def above_vacuum(kappa: float, scale: float) -> bool:
             f"ill-conditioned: kappa = {kappa:.6g} is within {tol:.3g} of 1/2 at entry size {scale:.3g}"
         )
     return kappa >= VACUUM - tol
+
+
+def physical_kappa(kappa: float, scale: float) -> float:
+    """kappa as the threshold rule reads it: exactly VACUUM within ``rounding_tol(scale)`` of 1/2.
+
+    Rounding leaves a pure state's kappa on either side of 1/2, and the side must not
+    decide whether a Fock core, an entropy or an argmax is pure.  Above the band kappa is
+    returned as it is; below it UnphysicalState, and NumericalDegeneracy wherever
+    ``above_vacuum`` raises it.
+    """
+    if kappa > VACUUM + rounding_tol(scale):
+        return kappa
+    if not above_vacuum(kappa, scale):
+        raise UnphysicalState(f"kappa = {kappa:.10g} < 1/2 at scale {scale:.3g}")
+    return VACUUM
 
 
 @dataclass(frozen=True)

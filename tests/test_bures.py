@@ -258,6 +258,11 @@ def test_numeric_maximizer_argmax_on_threshold_for_squeezed_thermal():
         assert isinstance(argmax, SymmetricState) and u > 0, s
         assert abs(argmax.kappa_tilde_minus - 0.5) <= 1e-12, s
         assert abs(f_star - max_fidelity_closed(s.kappa_tilde_minus)) <= 1e-9, s
+    # a pure state's kappas, on either side of 1/2 by rounding, are read as exactly 1/2:
+    # both one-mode maxima sit on their edges a = 0, so b' = 1/2 and c' = |d'| = 0 exactly
+    for r in np.linspace(0.05, 3.0, 60).tolist():
+        _, argmax, _ = numeric_max_fidelity(symmetric_sts(r))
+        assert (argmax.b, argmax.c, argmax.d_abs) == (0.5, 0.0, 0.0), r
 
 
 def test_numeric_maximizer_refuses_a_maximum_on_a_search_bound(monkeypatch):

@@ -244,6 +244,17 @@ def test_large_unphysical_cm_rejected(capsys, tmp_path):
     assert "physical:           False" in out
 
 
+@pytest.mark.parametrize("command", ["check", "bures", "relent"])
+def test_vacuum_local_cm_at_large_entries_is_ill_conditioned(capsys, tmp_path, command):
+    # b = 1/2 read at entries of 5e5, where the band passes MAX_ROUNDING_TOL: bures and
+    # relent refuse the state as check does, on either side of rounding
+    path = tmp_path / "big.json"
+    for f in (1.0, 1 + 3e-16, 1 - 3e-16):
+        dump_cm_json(np.diag([5e5 * f, 5e-7, 5e5, 5e-7]), path)
+        code, _, err = run_cli(capsys, command, "--cm", str(path))
+        assert code == cli.EXIT_PARSE and err.startswith("error: ill-conditioned"), (f, err)
+
+
 def test_strongly_squeezed_cm_checked_as_bures_reads_it(capsys, tmp_path):
     # draw 10 of test_strongly_squeezed_pure_states_decided: r = 4.297, entries ~2.6e3;
     # check once refused it as "not purely imaginary" while bures accepted it
@@ -579,6 +590,17 @@ def test_oracle_entropy_of_two_mode_cm(capsys, tmp_path):
     assert payload["closed_form"] == pytest.approx(expected, rel=1e-12)
     assert payload["value"] == pytest.approx(payload["closed_form"], abs=1e-8)
     assert payload["discrepancy"] < 1e-8
+    # pure states under local squeezes: the Fock build and the closed form read each
+    # kappa alike, within its band of 1/2 as exactly 1/2, so both print 0
+    rng = np.random.default_rng(1)
+    for r in (3.0, 4.0, 3.0, 4.0):
+        u, w = np.exp(rng.uniform(-1.0, 1.0, 2))
+        t = np.diag([u, 1 / u, w, 1 / w])
+        dump_cm_json(t @ symmetric_sts(r).to_cm() @ t, path)
+        code, out, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["value"] == payload["closed_form"] == 0, (r, u, w)
 
 
 def _python(*argv):
@@ -736,8 +758,8 @@ def test_relent_verify_at_strong_squeezing(capsys):
 
 @pytest.mark.parametrize("r", ["0.05", "0.5", "2", "5"])
 def test_bures_verify_on_pure_states(capsys, r):
-    # the one-mode maxima of a pure state lie on the edges a = 0 (near them once
-    # rounding leaves kappa_+- a little above 1/2), where b' = 1/2 must not round below 1/2
+    # the one-mode maxima of a pure state lie on the edges a = 0 (its kappa_+- are read
+    # as exactly 1/2 on either side of rounding), where b' = 1/2 must not round below 1/2
     code, out, err = run_cli(capsys, "bures", "--r", r, "--nbar", "0", "--verify")
     assert code == 0, err
     payload = json.loads(out)

@@ -13,6 +13,7 @@ from gent.errors import (
     DimensionMismatch,
     DomainError,
     NonPositiveDefinite,
+    NumericalDegeneracy,
     SupportViolation,
     TruncationWarning,
     UnphysicalState,
@@ -184,6 +185,19 @@ def test_tmsv_purity():
     rho = fock.gaussian_state_from_cm(symmetric_sts(0.4).to_cm(), 30)
     purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
     assert purity == pytest.approx(1.0, abs=1e-6)
+    # under local squeezes rounding leaves the kappas on either side of 1/2; read as
+    # exactly 1/2, every core is pure, and the vacuum lies outside its support
+    rng = np.random.default_rng(2121)
+    vac = fock.tensor(fock.thermal_state(0.5, 12), fock.thermal_state(0.5, 12))
+    for r in (3.0, 4.0):
+        v = symmetric_sts(r).to_cm()
+        for _ in range(200):
+            u, w = np.exp(rng.uniform(-1.0, 1.0, 2))
+            t = np.diag([u, 1 / u, w, 1 / w])
+            rho = fock.gaussian_state_from_cm(t @ v @ t, 12)
+            assert rho.log_weights is None and fock.entropy_fock(rho) == 0, (r, u, w)
+            with pytest.raises(SupportViolation):
+                fock.rel_entropy_fock(rho, vac)
 
 
 def test_pure_pure_fidelity_is_squared_overlap():
@@ -755,6 +769,39 @@ def test_physical_states_are_built():
     fock.thermal_state(0.5 - 1e-13, 6)  # within the rule at scale 1/2
     with pytest.raises(UnphysicalState):
         fock.thermal_state(0.5 - 1e-11, 6)
+
+
+@pytest.mark.parametrize("f", [1.0, 1 + 3e-16, 1 - 3e-16])
+def test_one_mode_kappa_is_read_at_the_one_mode_scale(f):
+    # nu = sqrt(v_qq v_pp) does not cancel, so a one-mode CM is read at the scale 1/2 of
+    # OneModeCM.is_physical, whatever its variances; read at its entry scale 5e5, the
+    # band would pass MAX_ROUNDING_TOL and refuse this pure state as ill-conditioned
+    v = OneModeCM(5e5 * f, 5e-7)
+    assert v.is_physical()
+    assert fock.gaussian_state_from_cm(v, 30).log_weights is None
+    assert fock.gaussian_state_from_cm(v.matrix(), 30).log_weights is None
+
+
+@pytest.mark.parametrize(
+    "v, refused",
+    [
+        (np.diag([5e5, 5e-7, 0.5, 0.5]), True),
+        (np.diag([5e5 * (1 + 3e-16), 5e-7, 0.5, 0.5]), True),
+        (np.diag([5e5 * (1 - 3e-16), 5e-7, 0.5, 0.5]), True),
+        (np.diag([5e5, 5e-6, 0.6, 0.6]), False),
+    ],
+)
+def test_two_mode_build_refuses_where_is_physical_does(v, refused):
+    # a two-mode CM is read at its entry scale, as cm_core.is_physical reads it: a kappa
+    # at 1/2 is ill-conditioned at entries of 5e5, on either side of 1/2
+    outcomes = []
+    for call in (lambda: cm_core.is_physical(v), lambda: fock.gaussian_state_from_cm(v, 6)):
+        try:
+            call()
+            outcomes.append(False)
+        except NumericalDegeneracy:
+            outcomes.append(True)
+    assert outcomes == [refused, refused]
 
 
 def test_one_mode_overflow_is_a_decomposition_failure():

@@ -1,7 +1,8 @@
 """Pure two-mode squeezed vacua symmetric_sts(r) against mpmath, r in [0, 5].
 
 A pure state sits on the vacuum floor kappa_- = 1/2, so rounding in its
-entries decides whether it is reported physical.
+entries decides whether it is reported physical, and on which side of 1/2
+its kappas fall.
 """
 
 import sys
@@ -16,6 +17,9 @@ from gent.standard_forms import symmetric_sts
 
 R_GRID = np.linspace(0.0, 5.0, 20001)
 CHECKED_EVERY = 40  # mpmath reference on 501 of the grid points
+# E_S of the state as given against 50 digits, from r = 1/2 on, where its O(1) terms
+# cancel to no less than E_S ~ 0.7: measured at most 32 eps relative (at r = 0.54)
+E_S_REL_TOL = 128 * sys.float_info.epsilon
 
 
 def _e_b_mp(r):
@@ -33,12 +37,30 @@ def _entanglement_entropy_mp(r):
         return float((nu + 0.5) * mpmath.log(nu + 0.5) - (nu - 0.5) * mpmath.log(nu - 0.5))
 
 
+def _e_s_mp(b, c, x0):
+    """E_S of the symmetric state (b, c, -c) as given, kt = b - c and kappa_+-^2 = (b - c)(b + c)
+    (read as 1/4 below it): twice the minimum over x of (1+g) ln(x+1/2)/2 + (1-g) ln(x-1/2)/2,
+    g = kappa^2/(2 x kt) + 2 x kt, at the root of its derivative near x0, less twice the entropy."""
+    with mpmath.workdps(50):
+        kt = mpmath.mpf(b - c)
+        k2 = max(kt * (mpmath.mpf(b) + c), mpmath.mpf(0.25))
+        g = lambda x: k2 / (2 * x * kt) + 2 * x * kt  # noqa: E731
+        def slope(x):
+            dg = 2 * kt - k2 / (2 * x * x * kt)
+            return dg * mpmath.log((x + 0.5) / (x - 0.5)) / 2 + (1 + g(x)) / (2 * x + 1) + (1 - g(x)) / (2 * x - 1)
+        x = mpmath.findroot(slope, mpmath.mpf(x0))
+        nu = mpmath.sqrt(k2)
+        entropy = (nu + 0.5) * mpmath.log(nu + 0.5) - (nu - 0.5) * mpmath.log(nu - 0.5) if nu > 0.5 else 0
+        return float((1 + g(x)) * mpmath.log(x + 0.5) + (1 - g(x)) * mpmath.log(x - 0.5) - 2 * entropy)
+
+
 def test_pure_grid_against_mpmath():
     for i, r in enumerate(R_GRID.tolist()):
         s = symmetric_sts(r)
         assert s.is_physical(), f"pure state at r = {r} reported unphysical"
         e_b = bures_entanglement(s).e_b
-        e_s = rel_ent_entanglement(s).e_s
+        res = rel_ent_entanglement(s)
+        e_s = res.e_s
         if i % CHECKED_EVERY:
             continue
         ref = _e_b_mp(r)
@@ -46,6 +68,9 @@ def test_pure_grid_against_mpmath():
         # E_S minimizes over Gaussian separable states only, so it bounds the
         # relative entropy of entanglement, the entanglement entropy of a pure state
         assert e_s >= _entanglement_entropy_mp(r), r
+        if r >= 0.5:
+            ref = _e_s_mp(s.b, s.c, res.x1_star)
+            assert abs(e_s - ref) <= E_S_REL_TOL * ref, (r, e_s, ref)
 
 
 def test_e_f_is_entanglement_entropy_on_pure_grid():

@@ -5,6 +5,7 @@ def test_matrix_layers_reexport_the_scalar_core():
     # one definition per name: the matrix modules hand out the scalar core's own objects
     assert cm_core.above_vacuum is scalar.above_vacuum
     assert cm_core.rounding_tol is scalar.rounding_tol
+    assert cm_core.physical_kappa is scalar.physical_kappa
     assert cm_core.OneModeCM is scalar.OneModeCM
     assert standard_forms.SymmetricState is scalar.SymmetricState
     assert standard_forms.StandardFormI is scalar.StandardFormI
