@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -24,7 +25,8 @@ import sys
 from . import __version__, bures, relent
 from .errors import DecompositionFailure, DomainError, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
-from .scalar import OneModeCM, StandardFormI, SymmetricState, physical_kappa, rounding_tol, symmetric_sts
+from .scalar import OneModeCM, StandardFormI, SymmetricState, above_vacuum, physical_kappa, rounding_tol
+from .scalar import symmetric_spectrum, symmetric_sts
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -95,22 +97,6 @@ def _load_cm(path: str, flag: str):
         _fail(EXIT_PARSE, f"{flag}: {exc}")
 
 
-def _resolve_cm(args):
-    """Build the 4x4 CM array from whichever input form was given."""
-    _check_companions(args)
-    if args.cm is not None:
-        return _load_cm(args.cm, "--cm")
-    if args.b is not None:
-        return StandardFormI(args.b, args.b, *_c_and_d(args)).to_cm()
-    return _resolve_sts(args).to_cm()
-
-
-def _c_and_d(args) -> tuple[float, float]:
-    if args.c is None or args.d is None:
-        _fail(EXIT_PARSE, "--b requires --c and --d")
-    return args.c, args.d
-
-
 def _resolve_sts(args) -> SymmetricState:
     nbar = 0.0 if args.nbar is None else args.nbar
     if args.r < 0:
@@ -120,53 +106,59 @@ def _resolve_sts(args) -> SymmetricState:
     return symmetric_sts(args.r, nbar)
 
 
-def _resolve_state(args) -> SymmetricState:
-    """The symmetric state the input flags name; exits 4 if it has none, 2 if unphysical."""
+def _read_form(args, spectrum: bool = False):
+    """(form, scale, spec): standard form I of the input flags, the scale of its ``rounding_tol``
+    (the largest entry of the CM), and, if asked for, the symplectic spectrum (else None).
+
+    A --cm file goes through the matrix layer: one eigensolve, and the form only where it
+    finds the state physical, since below the vacuum a diagonal block's determinant can
+    round to 0.  Parameters go through the scalar core, b read as ``_symmetric_state``
+    reads it wherever it is physical, so that check decides on the measures' floats.
+    """
     _check_companions(args)
+    if args.cm is not None:
+        from . import cm_core, standard_forms
+
+        v = _load_cm(args.cm, "--cm")
+        scale = cm_core.entry_scale(v)
+        spec = cm_core.symplectic_spectrum(v) if spectrum else None
+        physical = spec is None or above_vacuum(spec.kappa_minus, scale)
+        return standard_forms.to_standard_form_I(v) if physical else None, scale, spec
     if args.r is not None:
+        state = _resolve_sts(args)
+        form, scale = state.to_form_I(), state.b
+    else:
+        b, c, d = args.b, args.c, args.d
+        if c is None or d is None:
+            _fail(EXIT_PARSE, "--b requires --c and --d")
+        if b <= 0:  # as the matrix path refuses a diagonal block that is not positive definite
+            raise NonPositiveDefinite("a diagonal block of V is not positive definite")
+        # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
+        c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
+        b = physical_kappa(b, b) if above_vacuum(b, b) else b
+        form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
+    return form, scale, symmetric_spectrum(form.b1, form.c, form.d) if spectrum else None
+
+
+def _symmetric_state(args) -> SymmetricState:
+    """The symmetric state the input flags name: symmetric_sts(r, nbar) itself for --r;
+    else SymmetricState(b, c, |d|) of standard form I (b1, b2, c, d), its b read by
+    ``physical_kappa``.  Exits 4 unless b1 = b2 and d <= 0 up to ``rounding_tol``, and 2
+    if the state is unphysical."""
+    if args.r is not None:
+        _check_companions(args)
         return _resolve_sts(args)
+    form, scale, _ = _read_form(args)
+    tol = rounding_tol(scale)
+    if abs(form.b1 - form.b2) > tol:
+        _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
+    if form.d > tol:
+        _fail(EXIT_NOT_SYMMETRIC, f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
+                                  "are held in the form d = -|d|")
     try:
-        if args.cm is not None:
-            return _state_from_cm(_load_cm(args.cm, "--cm"))
-        return _state_from_parameters(args.b, *_c_and_d(args))
+        return SymmetricState(physical_kappa(form.b1, scale, "b"), form.c, abs(form.d))
     except DomainError as exc:
         _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
-
-
-def _state_from_cm(v) -> SymmetricState:
-    """The symmetric state of a CM array, from its standard form I."""
-    from . import cm_core, standard_forms
-
-    form, scale = standard_forms.to_standard_form_I(v), cm_core.entry_scale(v)
-    if abs(form.b1 - form.b2) > rounding_tol(scale):
-        _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
-    return _symmetric_state(form.b1, form.c, form.d, scale)
-
-
-def _state_from_parameters(b: float, c: float, d: float) -> SymmetricState:
-    """The symmetric state of standard form I (b, b, c, d), read as ``_state_from_cm``
-    reads its CM but without building it, so that b, c and |d| keep their digits.
-
-    Local rotations and mirrors bring C = diag(c, d) to diag(c', d') with
-    c' = max(|c|, |d|), |d'| = min(|c|, |d|) and sign(d') = sign(det C) =
-    sign(c d); the scale of ``rounding_tol`` is the largest entry of the CM.
-    """
-    if b <= 0:  # as the matrix path refuses a diagonal block that is not positive definite
-        raise NonPositiveDefinite("a diagonal block of V is not positive definite")
-    c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
-    return _symmetric_state(b, c_abs, math.copysign(d_abs, c * d), max(b, c_abs))
-
-
-def _symmetric_state(b: float, c: float, d: float, scale: float) -> SymmetricState:
-    """SymmetricState(b, c, |d|) of standard form I (b, b, c, d) with entries up to ``scale``, its b
-    read by ``physical_kappa``; exits 4 if d > 0 beyond ``rounding_tol(scale)``."""
-    if d > rounding_tol(scale):
-        _fail(
-            EXIT_NOT_SYMMETRIC,
-            f"det C > 0 (d = {d:.9g}): separable by PPT, but symmetric states "
-            "are held in the form d = -|d|",
-        )
-    return SymmetricState(physical_kappa(b, scale), c, abs(d))
 
 
 def _fail(code: int, message: str):
@@ -178,14 +170,11 @@ def _fail(code: int, message: str):
 
 
 def cmd_check(args) -> int:
-    from . import cm_core, standard_forms
-
-    v = _resolve_cm(args)
+    form, scale, spec = _read_form(args, spectrum=True)
     # one spectrum and one threshold rule decide both tests before anything
     # prints; every number below comes from it and from standard form I
-    spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
-    physical = cm_core.above_vacuum(spec.kappa_minus, scale)
-    separable = physical and cm_core.above_vacuum(spec.kappa_tilde_minus, scale)
+    physical = above_vacuum(spec.kappa_minus, scale)
+    separable = physical and above_vacuum(spec.kappa_tilde_minus, scale)
     # det(V + i Omega / 2) = (k+^2 - 1/4)(k-^2 - 1/4); a physical kappa the rule reads as 1/2 is 1/2
     kp, km = (physical_kappa(k, scale) if physical else k for k in (spec.kappa_plus, spec.kappa_minus))
     print(f"physical:           {physical}  (kappa_minus = {spec.kappa_minus:.9g})")
@@ -199,7 +188,6 @@ def cmd_check(args) -> int:
         f"kt+ = {spec.kappa_tilde_plus:.9g}  kt- = {spec.kappa_tilde_minus:.9g}"
     )
     # local symplectics keep det V1 = b1^2, det V2 = b2^2 and det C = c d
-    form = standard_forms.to_standard_form_I(v)
     print(
         f"invariants:         det V1 = {form.b1**2:.9g}  det V2 = {form.b2**2:.9g}  "
         f"det C = {form.c * form.d:.9g}  det V = {(kp * km) ** 2:.9g}"
@@ -211,50 +199,34 @@ def cmd_check(args) -> int:
     return EXIT_SEPARABLE if separable else EXIT_ENTANGLED
 
 
-def cmd_bures(args) -> int:
-    state = _resolve_state(args)
-    result = bures.bures_entanglement(state)
-    payload = {
-        "version": __version__,
-        "command": "bures",
-        "input": {"b": state.b, "c": state.c, "d": -state.d_abs},
-        "e_b": result.e_b,
-        "f_max": result.f_max,
-        "d_bures": result.d_bures,
-        "kappa_tilde_minus": result.kappa_tilde_minus,
-    }
-    if args.verify and not state.is_separable():
-        f_star, argmax, u_star = bures.numeric_max_fidelity(state)
-        payload["verify"] = {
-            "f_star": f_star,
-            "discrepancy": abs(f_star - result.f_max),
-            "argmax": {"b": argmax.b, "c": argmax.c, "d": -argmax.d_abs, "u": u_star},
-        }
+def _print_measure(command: str, state: SymmetricState, fields: dict) -> int:
+    """Print the JSON of gent bures or gent relent: the input state, then the measure's ``fields``."""
+    payload = {"version": __version__, "command": command,
+               "input": {"b": state.b, "c": state.c, "d": -state.d_abs}, **fields}
     print(json.dumps(payload, indent=1))
     return EXIT_SEPARABLE
+
+
+def cmd_bures(args) -> int:
+    state = _symmetric_state(args)
+    result = bures.bures_entanglement(state)
+    fields = {"e_b": result.e_b, "f_max": result.f_max, "d_bures": result.d_bures,
+              "kappa_tilde_minus": result.kappa_tilde_minus}
+    if args.verify and not state.is_separable():
+        f_star, argmax, u_star = bures.numeric_max_fidelity(state)
+        fields["verify"] = {"f_star": f_star, "discrepancy": abs(f_star - result.f_max),
+                            "argmax": {"b": argmax.b, "c": argmax.c, "d": -argmax.d_abs, "u": u_star}}
+    return _print_measure("bures", state, fields)
 
 
 def cmd_relent(args) -> int:
-    state = _resolve_state(args)
+    state = _symmetric_state(args)
     result = relent.rel_ent_entanglement(state)
-    payload = {
-        "version": __version__,
-        "command": "relent",
-        "input": {"b": state.b, "c": state.c, "d": -state.d_abs},
-        "e_s": result.e_s,
-        "x1_star": result.x1_star,
-        "x2_star": result.x2_star,
-        "q_s1": result.q_s1,
-        "q_s2": result.q_s2,
-        "s_n1": result.s_n1,
-        "s_n2": result.s_n2,
-        "kappa_tilde_minus": state.kappa_tilde_minus,
-    }
+    fields = {**dataclasses.asdict(result), "kappa_tilde_minus": state.kappa_tilde_minus}
     if args.verify and not state.is_separable():
         e_s_grid = relent.grid_rel_ent(state)
-        payload["verify"] = {"e_s_grid": e_s_grid, "discrepancy": abs(e_s_grid - result.e_s)}
-    print(json.dumps(payload, indent=1))
-    return EXIT_SEPARABLE
+        fields["verify"] = {"e_s_grid": e_s_grid, "discrepancy": abs(e_s_grid - result.e_s)}
+    return _print_measure("relent", state, fields)
 
 
 SWEEP_COLUMNS = ["param", "b", "c", "d", "kappa_plus", "kappa_minus", "kappa_tilde_minus",
@@ -268,12 +240,18 @@ def cmd_sweep(args) -> int:
         _fail(EXIT_PARSE, "--steps must be at least 2")
     if args.parameter == "kappa_tilde" and (args.start <= 0 or args.stop > 0.5):
         _fail(EXIT_PARSE, "--parameter kappa_tilde needs a range within (0, 1/2]")
+    if args.parameter == "kappa_tilde" and args.nbar is not None:
+        _fail(EXIT_PARSE, "--nbar goes with --parameter r")
+    if args.parameter == "r" and args.start < 0:
+        _fail(EXIT_PARSE, "--parameter r needs a nonnegative range")
+    if args.nbar is not None and args.nbar < 0:
+        _fail(EXIT_PARSE, "--nbar: must be nonnegative")
     import numpy as np  # np.linspace fixes the sweep's parameter values to the last bit
 
     rows = []
     for val in np.linspace(args.start, args.stop, args.steps):
         if args.parameter == "r":
-            state = symmetric_sts(float(val), args.nbar)
+            state = symmetric_sts(float(val), args.nbar or 0.0)
         else:  # pure two-mode squeezed vacuum with kappa_tilde_minus = val
             state = symmetric_sts(-0.5 * math.log(2 * float(val)), 0.0)
         e_b = e_s = x1 = x2 = None
@@ -402,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=_finite_float, required=True)
     p_sweep.add_argument("--stop", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--nbar", type=_finite_float, default=0.0)
+    p_sweep.add_argument("--nbar", type=_finite_float, help="thermal photon number, with --parameter r")
     p_sweep.add_argument("--output", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,9 +1,10 @@
 """Covariance-matrix core: symplectic spectra, physicality and separability.
 
 The matrix layer.  The threshold rule it decides with (``above_vacuum``,
-``rounding_tol`` and their constants) and ``OneModeCM`` are defined in the
-numpy-free ``gent.scalar`` and re-exported here, so both layers share one
-definition of each.  Importing this module loads numpy.
+``rounding_tol`` and their constants), ``OneModeCM`` and the
+``SymplecticSpectrum`` record are defined in the numpy-free ``gent.scalar``
+and re-exported here, so both layers share one definition of each.
+Importing this module loads numpy.
 
 Conventions used throughout the package: hbar = 1, vacuum covariance matrix
 (1/2)*identity, quadrature ordering (q1, p1, q2, p2).
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, UnphysicalState
+from .errors import NonPositiveDefinite
 from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar core
     KAPPA_TOL,
     MAX_ROUNDING_TOL,
     ROUNDING_PER_SCALE_SQ,
     VACUUM,
     OneModeCM,
+    SymplecticSpectrum,
     above_vacuum,
     physical_kappa,
     rounding_tol,
@@ -44,14 +46,6 @@ def omega(n_modes: int = 2) -> np.ndarray:
 
 # Omega and its partial transpose Lambda Omega Lambda, stacked for one eigvalsh
 _FORMS = np.stack([omega(2), LAMBDA_PT @ omega(2) @ LAMBDA_PT])
-
-
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    kappa_plus: float
-    kappa_minus: float
-    kappa_tilde_plus: float
-    kappa_tilde_minus: float
 
 
 @dataclass(frozen=True)
@@ -124,8 +118,7 @@ def is_physical(v: np.ndarray) -> Verdict:
 def is_separable(v: np.ndarray) -> Verdict:
     """True iff the partially transposed CM is physical (PPT criterion)."""
     spec, scale = symplectic_spectrum(v), entry_scale(v)
-    if not above_vacuum(spec.kappa_minus, scale):
-        raise UnphysicalState(f"kappa_- = {spec.kappa_minus:.6g} < 1/2")
+    physical_kappa(spec.kappa_minus, scale, "kappa_-")  # raises UnphysicalState
     return Verdict(ok=above_vacuum(spec.kappa_tilde_minus, scale), kappa=spec.kappa_tilde_minus)
 
 

@@ -51,9 +51,9 @@ def _entropy_excess(x: float) -> float:
 
 def von_neumann_entropy(v: OneModeCM) -> float:
     """Entropy of a one-mode Gaussian state, in nats."""
-    if not v.is_physical():
-        raise UnphysicalState(f"nu = {v.nu:.6g} < 1/2")
-    return _entropy_nu(physical_kappa(v.nu, VACUUM))
+    if not (v.sigma_qq > 0 and v.sigma_pp > 0):
+        raise UnphysicalState(f"variances {v.sigma_qq:.6g}, {v.sigma_pp:.6g} must be positive")
+    return _entropy_nu(physical_kappa(v.nu, VACUUM, "nu"))  # raises UnphysicalState below 1/2
 
 
 def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalDegeneracy, UnphysicalState
+from .errors import DomainError, NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
 
 VACUUM = 0.5
 KAPPA_TOL = 1e-12
@@ -50,19 +50,48 @@ def above_vacuum(kappa: float, scale: float) -> bool:
     return kappa >= VACUUM - tol
 
 
-def physical_kappa(kappa: float, scale: float) -> float:
+def physical_kappa(kappa: float, scale: float, name: str = "kappa") -> float:
     """kappa as the threshold rule reads it: exactly VACUUM within ``rounding_tol(scale)`` of 1/2.
 
     Rounding leaves a pure state's kappa on either side of 1/2, and the side must not
     decide whether a Fock core, an entropy or an argmax is pure.  Above the band kappa is
-    returned as it is; below it UnphysicalState, and NumericalDegeneracy wherever
-    ``above_vacuum`` raises it.
+    returned as it is; below it UnphysicalState, whose message gives the gap below 1/2
+    and the allowance under ``name``, and NumericalDegeneracy wherever ``above_vacuum``
+    raises it.
     """
-    if kappa > VACUUM + rounding_tol(scale):
+    tol = rounding_tol(scale)
+    if kappa > VACUUM + tol:
         return kappa
     if not above_vacuum(kappa, scale):
-        raise UnphysicalState(f"kappa = {kappa:.10g} < 1/2 at scale {scale:.3g}")
+        gap = f"1/2 - {VACUUM - kappa:.3g}"
+        raise UnphysicalState(f"{name} = {gap}, beyond the rounding allowance {tol:.3g} at scale {scale:.3g}")
     return VACUUM
+
+
+@dataclass(frozen=True)
+class SymplecticSpectrum:
+    kappa_plus: float
+    kappa_minus: float
+    kappa_tilde_plus: float
+    kappa_tilde_minus: float
+
+
+def symmetric_spectrum(b: float, c: float, d: float) -> SymplecticSpectrum:
+    """Symplectic spectrum of standard form I (b, b, c, d) with c >= |d|, without an eigensolve.
+
+    The beam-splitter modes have variances (b + c, b + d) and (b - c, b - d), so the
+    kappas are sqrt((b + c)(b + d)) and sqrt((b - c)(b - d)), and the partial transpose
+    flips the sign of d.  For d = -|d| these are ``SymmetricState``'s own products.
+    Raises NonPositiveDefinite unless b > c, as the eigensolver refuses such a matrix.
+    """
+    if not b > c:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    return SymplecticSpectrum(
+        math.sqrt((b + d) * (b + c)),
+        math.sqrt((b - d) * (b - c)),
+        math.sqrt((b - d) * (b + c)),
+        math.sqrt((b + d) * (b - c)),
+    )
 
 
 @dataclass(frozen=True)
@@ -139,8 +168,7 @@ class SymmetricState:
         return above_vacuum(self.kappa_minus, self.b)
 
     def is_separable(self) -> bool:
-        if not self.is_physical():
-            raise UnphysicalState(f"kappa_- = {self.kappa_minus:.6g} < 1/2")
+        physical_kappa(self.kappa_minus, self.b, "kappa_-")  # raises UnphysicalState
         return above_vacuum(self.kappa_tilde_minus, self.b)
 
     def to_form_I(self) -> StandardFormI:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveDefinite, UnphysicalState
+from .errors import DomainError, NonPositiveDefinite
 from .scalar import StandardFormI, SymmetricState, symmetric_sts  # noqa: F401  re-exported
+from .scalar import physical_kappa
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ def to_standard_form_I(v: np.ndarray) -> StandardFormI:
 
 def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:
     """Squeeze factor v and CM of the standard form II of a symmetric state."""
-    if not s.is_physical():
-        raise UnphysicalState(f"kappa_- = {s.kappa_minus:.6g} < 1/2")
+    physical_kappa(s.kappa_minus, s.b, "kappa_-")  # raises UnphysicalState
     v = math.sqrt((s.b - s.d_abs) / (s.b - s.c))
     return v, s.to_cm(u=v)

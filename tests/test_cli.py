@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gent
 from gent import cli, cm_core
 from gent.bures import bures_entanglement
-from gent.errors import UnphysicalState
+from gent.errors import NonPositiveDefinite, UnphysicalState
 from gent.relent import rel_ent_entanglement
 from gent.standard_forms import StandardFormI, SymmetricState, make_scaled_cm, ScaledState, symmetric_sts
 
@@ -78,16 +79,66 @@ standard form I:    b1 = 1  b2 = 1  c = 0.8  d = -0.6
 }
 
 
+@pytest.mark.parametrize("form", ["--b", "--cm"])
 @pytest.mark.parametrize("bcd", list(CHECK_REPORTS))
-def test_check_report_byte_for_byte(capsys, monkeypatch, bcd):
+def test_check_report_byte_for_byte(capsys, monkeypatch, tmp_path, bcd, form):
     calls = []
     spectrum = cm_core.symplectic_spectrum
     monkeypatch.setattr(cm_core, "symplectic_spectrum", lambda v: calls.append(1) or spectrum(v))
     b, c, d = bcd
-    code, out, err = run_cli(capsys, "check", "--b", b, "--c", c, "--d", d)
+    argv = ["--b", b, "--c", c, "--d", d]
+    if form == "--cm":
+        argv = ["--cm", str(tmp_path / "cm.json")]
+        dump_cm_json(StandardFormI(float(b), float(b), float(c), float(d)).to_cm(), argv[1])
+    code, out, err = run_cli(capsys, "check", *argv)
     assert (code, out) == CHECK_REPORTS[bcd]
     assert err == ""
-    assert len(calls) == 1  # one spectrum decides physicality and separability
+    # one spectrum decides physicality and separability of a matrix; parameters need no solve
+    assert len(calls) == (form == "--cm")
+
+
+# parameter inputs at the edge of the rounding band: an eigensolve of the first one's CM
+# reads kt- within the band, where SymmetricState reads it beyond (e_b = 8.0e-25); the
+# second's b lies within the band below 1/2, where the measures read it as 1/2
+BAND_EDGE_FLAGS = [
+    ("--b", "6.6576943615417035", "--c", "6.604681177328374", "--d", "-1.941886327964387"),
+    ("--b", repr(0.5 - 9e-13), "--c", "2e-13", "--d", "-2e-13"),
+    ("--r", "6.5"),
+    ("--r", "2", "--nbar", "0.3"),
+]
+
+
+def _band_edge_flags():
+    """BAND_EDGE_FLAGS, then seeded (b, c, d) with kt within four rounding bands of 1/2."""
+    rng = np.random.default_rng(2222)
+    cases = list(BAND_EDGE_FLAGS)
+    for _ in range(200):
+        b = rng.uniform(0.6, 8.0)
+        kt = 0.5 + cm_core.rounding_tol(b) * rng.uniform(-4.0, 4.0)
+        e = rng.uniform(kt * kt / b, kt)  # b - c, so that 0 <= |d| <= c
+        cases.append(("--b", repr(b), "--c", repr(b - e), "--d", repr(kt * kt / e - b)))
+    return cases
+
+
+def test_check_decides_parameters_as_the_measures_do(capsys):
+    # check reads --b and --r on the floats of bures' and relent's SymmetricState, so it
+    # exits 0 exactly when both measures are 0 and prints the state's own kappas
+    for flags in _band_edge_flags():
+        code, out, err = run_cli(capsys, "check", *flags)
+        assert code in (cli.EXIT_SEPARABLE, cli.EXIT_ENTANGLED), (flags, err)
+        measures = {}
+        for command, key in (("bures", "e_b"), ("relent", "e_s")):
+            code_m, out_m, err_m = run_cli(capsys, command, *flags)
+            assert code_m == 0, (flags, err_m)
+            payload = json.loads(out_m)
+            measures[key], inp = payload[key], payload["input"]
+        assert (code == cli.EXIT_SEPARABLE) == (measures["e_b"] == measures["e_s"] == 0), (flags, measures)
+        state = SymmetricState(inp["b"], inp["c"], -inp["d"])
+        kt_plus = math.sqrt((state.b + state.d_abs) * (state.b + state.c))
+        want = [state.kappa_minus, state.kappa_tilde_minus, state.kappa_plus, state.kappa_minus, kt_plus,
+                state.kappa_tilde_minus]
+        printed = re.findall(r"= ([^\s)]+)", "\n".join(out.splitlines()[:4]))
+        assert printed == [f"{k:.9g}" for k in want], flags
 
 
 def _check_numbers(out):
@@ -407,20 +458,27 @@ def test_sweep_thermal_threshold(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "parameter, start, stop, steps, message",
+    "parameter, start, stop, steps, nbar, message",
     [
-        ("kappa_tilde", "0.2", "0.9", "5", "--parameter kappa_tilde needs a range within (0, 1/2]"),
-        ("r", "0.5", "0.5", "3", "--start must be below --stop"),
-        ("r", "0.6", "0.5", "3", "--start must be below --stop"),
-        ("r", "0.1", "0.5", "1", "--steps must be at least 2"),
+        ("kappa_tilde", "0.2", "0.9", "5", None, "--parameter kappa_tilde needs a range within (0, 1/2]"),
+        ("r", "0.5", "0.5", "3", None, "--start must be below --stop"),
+        ("r", "0.6", "0.5", "3", None, "--start must be below --stop"),
+        ("r", "0.1", "0.5", "1", None, "--steps must be at least 2"),
+        ("r", "-1", "1", "3", None, "--parameter r needs a nonnegative range"),
+        ("r", "-1e-300", "1", "3", "0.5", "--parameter r needs a nonnegative range"),
+        ("r", "0", "1", "3", "-0.5", "--nbar: must be nonnegative"),
+        ("kappa_tilde", "0.1", "0.5", "3", "0.5", "--nbar goes with --parameter r"),
+        ("kappa_tilde", "0.1", "0.5", "3", "0", "--nbar goes with --parameter r"),
     ],
 )
-def test_sweep_validation(capsys, tmp_path, parameter, start, stop, steps, message):
+def test_sweep_validation(capsys, tmp_path, parameter, start, stop, steps, nbar, message):
+    # every refusal comes before any state is built: one error line, exit 1, no output file
     path = tmp_path / "x.csv"
     code, _, err = run_cli(
         capsys,
         "sweep", "--measure", "bures", "--parameter", parameter,
         "--start", start, "--stop", stop, "--steps", steps,
+        *(() if nbar is None else ("--nbar", nbar)),
         "--output", str(path),
     )
     assert code == 1
@@ -624,7 +682,7 @@ ENTRY_POINTS = [
     ("bures --b --verify", ["bures", "--b", "1", "--c", "0.8", "--d", "-0.6", "--verify"], 0, False),
     ("relent --r", ["relent", "--r", "0.5", "--nbar", "0.1"], 0, False),
     ("--help", ["--help"], 0, False),
-    ("check --b", ["check", "--b", "1", "--c", "0.8", "--d", "-0.6"], 3, True),
+    ("check --b", ["check", "--b", "1", "--c", "0.8", "--d", "-0.6"], 3, False),
     ("bures --cm", ["bures", "--cm", "{cm}"], 0, True),
     ("check --cm", ["check", "--cm", "{cm}"], 3, True),
     ("relent --verify", ["relent", "--r", "0.5", "--verify"], 0, True),
@@ -776,6 +834,23 @@ def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     code, _, err = run_cli(capsys, command, "--cm", str(path))
     assert code == cli.EXIT_UNPHYSICAL, err
     assert "unphysical" in err
+
+
+def test_check_reads_no_form_of_an_unphysical_cm(capsys, tmp_path):
+    # the block [[1, 2], [2, 4]] is singular, so the CM has no standard form I, yet the
+    # eigensolver can find the CM positive definite by a rounding: check then reports it
+    # unphysical from the spectrum, as it reports every CM below the vacuum
+    v = np.array([[1.0, 2.0, 1e-9, 0.0], [2.0, 4.0, 0.0, 1e-9], [1e-9, 0.0, 1.0, 0.0], [0.0, 1e-9, 0.0, 1.0]])
+    path = tmp_path / "cm.json"
+    dump_cm_json(v, path)
+    code, out, err = run_cli(capsys, "check", "--cm", str(path))
+    assert code == cli.EXIT_UNPHYSICAL
+    try:
+        cm_core.symplectic_spectrum(v)
+    except NonPositiveDefinite:
+        assert err == "error: unphysical state: covariance matrix is not positive definite\n"
+    else:
+        assert err == "" and out.startswith("physical:           False")
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
