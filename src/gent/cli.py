@@ -14,9 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
 import math
-import os
 import re
 import sys
 
@@ -34,13 +32,6 @@ EXIT_UNPHYSICAL = 2
 EXIT_ENTANGLED = 3
 EXIT_NOT_SYMMETRIC = 4
 EXIT_SUPPORT = 5
-
-def _configure_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("GENT_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
 
 # argparse's own pattern misses the exponent form, and "--d -1e-5" would read as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -136,6 +127,8 @@ def _read_form(args, spectrum: bool = False):
         # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
         c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
         b = physical_kappa(b, b) if above_vacuum(b, b) else b
+        if b <= c_abs:  # as the eigensolver refuses V, and for every command alike
+            raise NonPositiveDefinite("covariance matrix is not positive definite")
         form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
     return form, scale, symmetric_spectrum(form.b1, form.c, form.d) if spectrum else None
 
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -593,26 +593,20 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     blocks stand.  A V with no q-p correlation (V = T V T,
     T = diag(1, -1, ...)) takes ``_qp_free_factors``, any other V
     ``williamson`` and ``euler_decompose``.  Each kappa is read by ``cm_core.physical_kappa``
-    at the scale of the physicality test (1/2 for one mode, the entry scale of V for two):
+    at the scale of the physicality test (1/2 for a diagonal 2x2, else the entry scale of V):
     within its band of 1/2 the core is pure; below it, or undecidable, the state is refused.
     """
-    import logging  # here, not at module level: importing gent.fock stays as light as it was
-
-    if isinstance(v, OneModeCM):
-        v = v.matrix()
-    v = np.asarray(v, dtype=float)
-    if v[::2, 1::2].any():
+    v = np.asarray(v.matrix() if isinstance(v, OneModeCM) else v, dtype=float)
+    qp_correlated = v[::2, 1::2].any()
+    if qp_correlated:
         s, kappas = williamson(v)
         k1, z, k2 = euler_decompose(s)
         first, last = _passive_mode_unitary(k2), _passive_mode_unitary(k1)
         squeezes = np.log(np.diag(z)[::2])
     else:
         kappas, first, squeezes, last = _qp_free_factors(v)
-    logging.getLogger("gent").debug(
-        "Fock state at N = %d: %s factors, kappas %s",
-        n, "complex" if np.iscomplexobj(first) else "real", kappas,
-    )
-    scale = VACUUM if v.shape == (2, 2) else entry_scale(v)  # as OneModeCM and cm_core.is_physical
+    # as OneModeCM and cm_core.is_physical: a diagonal 2x2's kappa, sqrt(v_qq v_pp), does not cancel
+    scale = VACUUM if v.shape == (2, 2) and not qp_correlated else entry_scale(v)
     cores = [thermal_state(physical_kappa(float(kappa), scale), n) for kappa in kappas]
     alpha, theta, _ = _mode_angles(first)
     blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity

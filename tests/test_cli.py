@@ -595,12 +595,21 @@ def test_negative_squeezing_parameters_exit_parse(capsys, argv, message):
 
 
 def test_parameters_outside_symmetric_form_are_unphysical(capsys):
-    # b = c is no SymmetricState: the DomainError exits 2 with one line
+    # b = c is no SymmetricState: the reader's refusal exits 2 with one line
     code, out, err = run_cli(capsys, "bures", "--b", "1", "--c", "1", "--d", "-0.5")
     assert code == cli.EXIT_UNPHYSICAL
     assert out == ""
-    assert err.startswith("error: unphysical state: requires b > c")
+    assert err.startswith("error: unphysical state: covariance matrix is not positive definite")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "bures", "relent"])
+@pytest.mark.parametrize("c, d", [("2", "0"), ("1", "-1"), ("0", "-3"), ("1", "1.0000000000000002")])
+def test_parameters_without_a_positive_definite_cm_are_refused_alike(capsys, command, c, d):
+    # b <= max(|c|, |d|): one refusal for every command, the one the eigensolver gives --cm
+    code, out, err = run_cli(capsys, command, "--b", "1", "--c", c, "--d", d)
+    assert (code, out) == (cli.EXIT_UNPHYSICAL, "")
+    assert err == "error: unphysical state: covariance matrix is not positive definite\n"
 
 
 def test_sweep_json_output(capsys, tmp_path):
@@ -705,7 +714,7 @@ for label, argv, _, _ in json.loads(sys.argv[1]):
                 cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-    report.append([label, code, "numpy" in sys.modules])
+    report.append([label, code, "numpy" in sys.modules, "logging" in sys.modules])
 print(json.dumps(report))
 """
 
@@ -718,7 +727,14 @@ def test_parameter_path_loads_no_numpy(tmp_path):
                for label, argv, code, numpy in ENTRY_POINTS]
     proc = _python("-c", _ENTRY_POINT_SCRIPT, json.dumps(entries))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[label, code, numpy] for label, _, code, numpy in entries]
+    # no entry point loads logging
+    assert json.loads(proc.stdout) == [[label, code, numpy, False] for label, _, code, numpy in entries]
+    # `import gent` loads its own modules, and of the rest only what dataclasses and math load
+    script = ("import sys, dataclasses, math; known = set(sys.modules); import gent; "
+              "print(sorted(m for m in set(sys.modules) - known if m.split('.')[0] not in ('gent', '__future__')))")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _library_payloads(state):

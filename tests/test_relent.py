@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from gent import fock
+from gent import fock, relent
 from gent.cm_core import OneModeCM
-from gent.errors import DomainError, SupportViolation, UnphysicalState
+from gent.errors import DomainError, OptimizerNoConverge, SupportViolation, UnphysicalState
 from gent.relent import (
     grid_rel_ent,
     minimize_mode,
@@ -152,6 +152,33 @@ def test_mode_minima_match_golden_section(rng):
             _, m = minimize_mode(kappa * kappa, kt)
             _, m_ref = _golden_mode_minimum(kappa * kappa, kt)
             assert abs(m - m_ref) <= 1e-13 * (abs(m_ref) + 1), s
+
+
+@pytest.mark.parametrize("curvature", [0.1, 0.01])
+def test_minimize_mode_safeguards_hold_an_understated_curvature(monkeypatch, rng, curvature):
+    # f'' understated makes every Newton step too long: the sign bracket's bisection
+    # takes over (about 40 slope evaluations per solve, against 4), and with the
+    # rounding stop switched off (size 0) the tiny-move stop ends the solve.  Measured
+    # gaps to the unperturbed solve: f 2 eps relative, x 0.48 sqrt(eps) (x - 1/2)
+    cases = [(k * k, s.kappa_tilde_minus) for s in random_entangled_symmetric(rng, 50)
+             for k in (s.kappa_plus, s.kappa_minus)]
+    want = [minimize_mode(*case) for case in cases]
+    slope, calls = relent._mode_slope, []
+    for size_factor in (1.0, 0.0):
+        def understated(e, kappa_sq, kt):
+            calls.append(kappa_sq)
+            f1, f2, size = slope(e, kappa_sq, kt)
+            return f1, curvature * f2, size_factor * size
+
+        monkeypatch.setattr(relent, "_mode_slope", understated)
+        for case, (x, f) in zip(cases, want):
+            x_p, f_p = minimize_mode(*case)
+            assert abs(f_p - f) <= 8 * sys.float_info.epsilon * abs(f), case
+            assert abs(x_p - x) <= math.sqrt(sys.float_info.epsilon) * (x - 0.5), case
+    assert len(calls) > 2 * len(cases) * 20
+    monkeypatch.setattr(relent, "_NEWTON_MAX_STEPS", 5)
+    with pytest.raises(OptimizerNoConverge, match="no stationary point in 5 steps"):
+        minimize_mode(*cases[0])
 
 
 @pytest.mark.parametrize("r, nbar", [(3, 0), (5, 0.5), (6, 0.5), (6.5, 0)])
