@@ -92,13 +92,21 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     Squared, d(1/F)/dX = 0 is linear in X: the one stationary point is
     X* = A + 1/(4Y) - 1/(4B) (the pure edge 1/(4Y) for k = 0).  Here that is
     a1* = log1p((kappa_+^2 - 1/4)/(kt x2)) and a2* = log1p(4 x2 (kappa_-^2 - 1/4)/kt),
-    both >= 0; at x2 = 1/2 they give the variances of sigma*_B.  When
-    a2* > a1*, f1 falls past a1* and f2 rises up to a2*: the constrained
-    maximum lies on the edge a1 = a2 between them.  The line searches over
-    ln x2 (x2 = 1/2 and F_max are found, not assumed) and on that edge are
-    Brent's method to ``scalar_min.resolution(x, _TOL)``: the argmax to about
-    sqrt(eps) relative, F* to rounding.  A maximum over ln x2 within 4
-    resolutions of a range end raises OptimizerNoConverge.
+    both >= 0; at x2 = 1/2 they give the variances of sigma*_B.
+
+    The product U(x2) of the two modes' maxima bounds the family's fidelity
+    on the slice from above, whether or not a2* <= a1*.  One line search over
+    ln x2 maximizes U, at x2*; the candidate there with a2 = min(a2*, a1*) is
+    in the family, and its fidelity F* is returned.  So F* is attained and the
+    family maximum is at most max U, which the search reaches as U(x2*) to
+    rounding.  Why the gap closes (the code finds x2 = 1/2 and F_max, and
+    assumes neither): a mode's maximum is 1/F = (B + Y)/(2 sqrt(BY)), free of
+    A (sympy, with AB >= 1/4), so U(x2) = 2 kt / ((kt + 1/(4 x2)) (kt + x2)),
+    which is at most 2 kt / (kt + 1/2)^2 = F_max by AM-GM, with equality only
+    at x2 = 1/2, where kappa_+ >= kappa_- gives a2* <= a1*.  The line search
+    is Brent's method to ``scalar_min.resolution(x, _TOL)``: x2* to about
+    sqrt(eps) relative, F* to rounding.  A maximum within 4 resolutions of a
+    range end raises OptimizerNoConverge.
 
     Returns (f_star, argmax state, argmax scale).
     """
@@ -112,26 +120,25 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     # (kappa^2 - 1/4)/kt without cancellation: exactly 0 for a kappa the rule reads as 1/2
     e1, e2 = ((k - 0.5) * (k + 0.5) / kt for k in (kp, km))
 
-    def best_at(w):  # best (f, a1, a2) on the slice ln X2 = w
+    def maxima_at(w):  # x2 and each mode's own maximum (a1*, a2*) on the slice ln X2 = w
         x2 = math.exp(w)
+        return x2, math.log1p(e1 / x2), math.log1p(4 * x2 * e2)
+
+    def fid(x2, a1, a2):
         y1 = 0.25 / x2
-        f1 = lambda a: _fid1(g1q, g1p, x2 * math.exp(a), y1)
-        f2 = lambda a: _fid1(g2q, g2p, x2, y1 * math.exp(a))
-        a1, a2 = math.log1p(e1 / x2), math.log1p(4 * x2 * e2)
-        if a2 <= a1:
-            return f1(a1) * f2(a2), a1, a2
-        a, neg = golden_section(lambda z: -(f1(z) * f2(z)), a1, a2, tol=_TOL)
-        return -neg, a, a
+        return _fid1(g1q, g1p, x2 * math.exp(a1), y1) * _fid1(g2q, g2p, x2, y1 * math.exp(a2))
 
     g = (g1q, g1p, g2q, g2p)
-    w, _ = _argmax(lambda z: best_at(z)[0], math.log(min(g)) - _MARGIN, math.log(max(g)) + _MARGIN)
-    f_star, a1, a2 = best_at(w)
+    w, _ = _argmax(lambda z: fid(*maxima_at(z)), math.log(min(g)) - _MARGIN, math.log(max(g)) + _MARGIN)
+    x2, a1, a2 = maxima_at(w)
+    a2 = min(a2, a1)  # c' >= |d'|: the candidate is in the family
+    f_star = fid(x2, a1, a2)
     # X1 + X2 = t1 X2 and Y1 + Y2 = t2 Y1 with t >= 2, so b' >= 1/2 after rounding too;
     # c' = (X1 - X2)/(2u') and |d'| = (Y2 - Y1)u'/2 without cancellation
     t1, t2 = 1 + math.exp(a1), 1 + math.exp(a2)
     r = math.sqrt(t1 / t2)
     argmax = SymmetricState(b=math.sqrt(t1 * t2) / 4, c=math.expm1(a1) / (4 * r), d_abs=r * math.expm1(a2) / 4)
-    return f_star, argmax, 2 * math.exp(w) * r
+    return f_star, argmax, 2 * x2 * r
 
 
 def _argmax(f, lo: float, hi: float) -> tuple[float, float]:

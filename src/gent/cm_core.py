@@ -126,7 +126,12 @@ def load_cm_json(path) -> np.ndarray:
     """Read a 4x4 CM from a JSON file {"v": [[...], ...]} and symmetrize it."""
     with open(path) as fh:
         payload = json.load(fh)
-    v = np.asarray(payload["v"], dtype=float)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object with field 'v', got {type(payload).__name__}")
+    try:
+        v = np.asarray(payload["v"], dtype=float)
+    except TypeError as exc:  # an object as 'v' or among its entries
+        raise ValueError(f"field 'v' must be a 4x4 matrix of numbers ({exc})") from None
     if v.shape != (4, 4):
         raise ValueError(f"field 'v' must be a 4x4 matrix, got shape {v.shape}")
     if not np.all(np.isfinite(v)):  # json reads NaN and Infinity

@@ -597,6 +597,8 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     within its band of 1/2 the core is pure; below it, or undecidable, the state is refused.
     """
     v = np.asarray(v.matrix() if isinstance(v, OneModeCM) else v, dtype=float)
+    if v.shape not in ((2, 2), (4, 4)):
+        raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
     qp_correlated = v[::2, 1::2].any()
     if qp_correlated:
         s, kappas = williamson(v)

@@ -232,26 +232,72 @@ def test_numeric_maximizer_argmax_is_sigma_star_b():
 
 
 def test_numeric_maximizer_objective_calls(monkeypatch):
-    # a speed guard that reads no clock: on the criterion-1 draws of the test above
-    # the closed-form one-mode maxima leave 22-96 _fid1 calls per state (Brent's
-    # inner line searches took 313-642, golden section alone 7021-7636); the bound
-    # leaves a margin of 1.5 over 96
-    calls, fid1 = [], bures._fid1
+    # a speed guard that reads no clock: on the criterion-1 draws of the test above,
+    # one line search over ln X2 with each mode's maximum in closed form takes 22-44
+    # _fid1 calls per state; the bound leaves a margin of 1.5 over 44
+    calls, fid1, searches, search = [], bures._fid1, [], bures.golden_section
 
     def counted(*args):
         calls.append(1)
         return fid1(*args)
 
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
     monkeypatch.setattr(bures, "_fid1", counted)
+    monkeypatch.setattr(bures, "golden_section", counted_search)
     for s in random_entangled_symmetric(np.random.default_rng(101), 8):
         calls.clear()
+        searches.clear()
         numeric_max_fidelity(s)
-        assert len(calls) <= 144, s
+        assert len(calls) <= 66, s
+        assert len(searches) == 1, s
+
+
+def _thermal_grid():
+    grid = [symmetric_sts(r, nbar) for r in (0.05, 0.5, 1.0, 2.0, 3.0) for nbar in (0.0, 0.3, 2.0)]
+    return [s for s in grid if not s.is_separable()]
+
+
+def test_numeric_maximizer_bound_certifies_f_star(monkeypatch):
+    # U(w*), the product of the two one-mode maxima at the best slice, bounds the family
+    # on that slice; F* is attained in the family, at the candidate with a2 clipped to
+    # min(a2*, a1*).  Where a2* > a1*, the clip puts the argmax on the edge c' = |d'|;
+    # elsewhere F* is U(w*) bit for bit.  For kappa_+ = kappa_- the two maxima meet at
+    # x2 = 1/2, so a search that stops on one side of it clips: measured on 4 of the 7
+    # mixed thermal states.  U(w*) - F* measured 0 on all but two states, 2.75 eps
+    # relative at symmetric_sts(2, 0.5) and 50.6 eps (1.8e-16 absolute) at
+    # symmetric_sts(3, 0.3), whose w* is 1.9e-7 from ln 1/2, where U is flat within
+    # _fid1's rounding; the bound 128 eps leaves a margin of 2.5
+    eps = sys.float_info.epsilon
+    found, search = [], bures._argmax
+
+    def recorded(*args):  # the (ln X2, U) at which the line search stops
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(bures, "_argmax", recorded)
+    states = random_entangled_symmetric(np.random.default_rng(101), 8)
+    states += [symmetric_sts(1, 0.5), SymmetricState(15, 14.983, 0.5)] + _thermal_grid()
+    clipped = 0
+    for s in states:
+        f_star, argmax, _ = numeric_max_fidelity(s)
+        w, u = found[-1]
+        assert 0.0 <= u - f_star <= 128 * eps * f_star and argmax.c >= argmax.d_abs, s
+        kt, x2 = s.kappa_tilde_minus, math.exp(w)
+        a1 = math.log1p((s.kappa_plus**2 - 0.25) / (kt * x2))
+        a2 = math.log1p(4 * x2 * (s.kappa_minus**2 - 0.25) / kt)
+        if a2 > a1 and s.kappa_plus > 0.6:  # mixed: a pure state has a1* = a2* = 0
+            clipped += 1
+            assert argmax.c == argmax.d_abs, s
+        elif a2 < a1:
+            assert f_star == u, s
+    assert clipped >= 1
 
 
 def test_numeric_maximizer_argmax_on_threshold_for_squeezed_thermal():
-    grid = [symmetric_sts(r, nbar) for r in (0.05, 0.5, 1.0, 2.0, 3.0) for nbar in (0.0, 0.3, 2.0)]
-    states = [s for s in grid if not s.is_separable()]
+    states = _thermal_grid()
     assert len(states) == 12
     for s in states:
         f_star, argmax, u = numeric_max_fidelity(s)

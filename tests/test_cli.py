@@ -881,6 +881,20 @@ def test_non_finite_cm_entry_exits_parse(capsys, tmp_path, argv, entry):
     assert "NaN or infinite" in err
 
 
+@pytest.mark.parametrize("payload", ["[1, 2]", "5", '"v"', '{"v": {"a": 1}}', '{"v": [[{"a": 1}]]}'])
+@pytest.mark.parametrize(
+    "argv", [("check", "--cm"), ("bures", "--cm"), ("relent", "--cm"), ("oracle", "entropy", "--cm1")]
+)
+def test_cm_file_not_an_object_of_numbers_exits_parse(capsys, tmp_path, argv, payload):
+    # a top level other than an object, or an object where a number belongs, is a
+    # parse error like a ragged matrix, not a TypeError
+    path = tmp_path / "v.json"
+    path.write_text(payload)
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == cli.EXIT_PARSE, err
+    assert err.startswith(f"error: {argv[-1]}: "), err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "1e999"])
 @pytest.mark.parametrize(
     "argv",

@@ -737,6 +737,13 @@ def test_one_mode_refusals(v, error):
         fock.gaussian_state_from_cm(v, 10)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_cm_of_neither_one_nor_two_modes_is_refused_at_entry(n):
+    # a vacuum CM of the wrong size is refused before the factorization, by its shape
+    with pytest.raises(DimensionMismatch, match=rf"got shape \({n}, {n}\)"):
+        fock.gaussian_state_from_cm(np.eye(n) / 2, 6)
+
+
 def test_physical_states_are_built():
     # pure states under local symplectics, entries up to a few thousand: every
     # one is physical by cm_core's threshold rule, which the build shares, and
