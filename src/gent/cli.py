@@ -3,8 +3,8 @@
 Exit codes: 0 separable/success, 1 parse failure or a state too
 ill-conditioned to decide kappa >= 1/2, 2 unphysical state (also a
 matrix that is not positive definite),
-3 entangled, 4 input with no symmetric standard form (b1 != b2, or
-det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
+3 entangled, 4 physical input with no symmetric standard form (b1 != b2,
+or det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
 where one is required, 5 support violation in the oracle.
 """
 
@@ -21,7 +21,7 @@ import sys
 # the matrix layers (cm_core, standard_forms, fock) load numpy: the commands
 # that need them import them where they run, so the others start without it
 from . import __version__, bures, relent
-from .errors import DecompositionFailure, DomainError, NonPositiveDefinite, NumericalDegeneracy
+from .errors import DecompositionFailure, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 from .scalar import OneModeCM, StandardFormI, SymmetricState, above_vacuum, physical_kappa, rounding_tol
 from .scalar import symmetric_spectrum, symmetric_sts
@@ -84,7 +84,7 @@ def _load_cm(path: str, flag: str):
 
     try:
         return cm_core.load_cm_json(path)
-    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _fail(EXIT_PARSE, f"{flag}: {exc}")
 
 
@@ -97,9 +97,9 @@ def _resolve_sts(args) -> SymmetricState:
     return symmetric_sts(args.r, nbar)
 
 
-def _read_form(args, spectrum: bool = False):
+def _read_form(args):
     """(form, scale, spec): standard form I of the input flags, the scale of its ``rounding_tol``
-    (the largest entry of the CM), and, if asked for, the symplectic spectrum (else None).
+    (the largest entry of the CM) and its symplectic spectrum.
 
     A --cm file goes through the matrix layer: one eigensolve, and the form only where it
     finds the state physical, since below the vacuum a diagonal block's determinant can
@@ -111,9 +111,8 @@ def _read_form(args, spectrum: bool = False):
         from . import cm_core, standard_forms
 
         v = _load_cm(args.cm, "--cm")
-        scale = cm_core.entry_scale(v)
-        spec = cm_core.symplectic_spectrum(v) if spectrum else None
-        physical = spec is None or above_vacuum(spec.kappa_minus, scale)
+        scale, spec = cm_core.entry_scale(v), cm_core.symplectic_spectrum(v)
+        physical = above_vacuum(spec.kappa_minus, scale)
         return standard_forms.to_standard_form_I(v) if physical else None, scale, spec
     if args.r is not None:
         state = _resolve_sts(args)
@@ -122,36 +121,33 @@ def _read_form(args, spectrum: bool = False):
         b, c, d = args.b, args.c, args.d
         if c is None or d is None:
             _fail(EXIT_PARSE, "--b requires --c and --d")
-        if b <= 0:  # as the matrix path refuses a diagonal block that is not positive definite
+        if b <= 0:  # as standard form I refuses a diagonal block that is not positive definite
             raise NonPositiveDefinite("a diagonal block of V is not positive definite")
         # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
         c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
         b = physical_kappa(b, b) if above_vacuum(b, b) else b
-        if b <= c_abs:  # as the eigensolver refuses V, and for every command alike
-            raise NonPositiveDefinite("covariance matrix is not positive definite")
         form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
-    return form, scale, symmetric_spectrum(form.b1, form.c, form.d) if spectrum else None
+    # raises NonPositiveDefinite unless b > c, as the eigensolver refuses V
+    return form, scale, symmetric_spectrum(form.b1, form.c, form.d)
 
 
 def _symmetric_state(args) -> SymmetricState:
     """The symmetric state the input flags name: symmetric_sts(r, nbar) itself for --r;
     else SymmetricState(b, c, |d|) of standard form I (b1, b2, c, d), its b read by
-    ``physical_kappa``.  Exits 4 unless b1 = b2 and d <= 0 up to ``rounding_tol``, and 2
-    if the state is unphysical."""
+    ``physical_kappa``.  Exits 2 if the state is unphysical, as check does, and only then
+    4 unless b1 = b2 and d <= 0 up to ``rounding_tol``."""
     if args.r is not None:
         _check_companions(args)
         return _resolve_sts(args)
-    form, scale, _ = _read_form(args)
+    form, scale, spec = _read_form(args)
+    physical_kappa(spec.kappa_minus, scale, "kappa_-")  # raises UnphysicalState
     tol = rounding_tol(scale)
     if abs(form.b1 - form.b2) > tol:
         _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
     if form.d > tol:
         _fail(EXIT_NOT_SYMMETRIC, f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
                                   "are held in the form d = -|d|")
-    try:
-        return SymmetricState(physical_kappa(form.b1, scale, "b"), form.c, abs(form.d))
-    except DomainError as exc:
-        _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
+    return SymmetricState(physical_kappa(form.b1, scale, "b"), form.c, abs(form.d))
 
 
 def _fail(code: int, message: str):
@@ -163,7 +159,7 @@ def _fail(code: int, message: str):
 
 
 def cmd_check(args) -> int:
-    form, scale, spec = _read_form(args, spectrum=True)
+    form, scale, spec = _read_form(args)
     # one spectrum and one threshold rule decide both tests before anything
     # prints; every number below comes from it and from standard form I
     physical = above_vacuum(spec.kappa_minus, scale)
@@ -312,29 +308,25 @@ def cmd_oracle(args) -> int:
                           "give --state1/--state2 or --cm1/--cm2")
     states = [(fock.gaussian_state_from_cm(cm, n), cm) for cm, n in inputs]
     payload = {"version": __version__, "command": f"oracle {args.functional}"}
-    try:
-        if args.functional == "fidelity":
-            (rho, cm_a), (rho_p, cm_b) = states
-            payload["value"] = fock.fidelity_fock(rho, rho_p)
-            if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
-                payload["closed_form"] = bures.one_mode_fidelity(cm_a, cm_b)
-        elif args.functional == "relent":
-            (rho, cm_a), (rho_p, cm_b) = states
-            payload["value"] = fock.rel_entropy_fock(rho_p, rho)
-            if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
-                payload["closed_form"] = relent.rel_entropy_one_mode(cm_b, cm_a)
-        else:
-            rho, cm_a = states[0]
-            payload["value"] = fock.entropy_fock(rho)
-            if isinstance(cm_a, OneModeCM):
-                payload["closed_form"] = relent.von_neumann_entropy(cm_a)
-            else:  # the entropy sum over the spectrum, each kappa read as the Fock build reads it
-                spec, scale = cm_core.symplectic_spectrum(cm_a), cm_core.entry_scale(cm_a)
-                kappas = (spec.kappa_plus, spec.kappa_minus)
-                payload["closed_form"] = sum(relent._entropy_nu(physical_kappa(k, scale)) for k in kappas)
-    except SupportViolation as exc:
-        print(f"error: support violation: {exc}", file=sys.stderr)
-        return EXIT_SUPPORT
+    if args.functional == "fidelity":
+        (rho, cm_a), (rho_p, cm_b) = states
+        payload["value"] = fock.fidelity_fock(rho, rho_p)
+        if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
+            payload["closed_form"] = bures.one_mode_fidelity(cm_a, cm_b)
+    elif args.functional == "relent":
+        (rho, cm_a), (rho_p, cm_b) = states
+        payload["value"] = fock.rel_entropy_fock(rho_p, rho)
+        if isinstance(cm_a, OneModeCM) and isinstance(cm_b, OneModeCM):
+            payload["closed_form"] = relent.rel_entropy_one_mode(cm_b, cm_a)
+    else:
+        rho, cm_a = states[0]
+        payload["value"] = fock.entropy_fock(rho)
+        if isinstance(cm_a, OneModeCM):
+            payload["closed_form"] = relent.von_neumann_entropy(cm_a)
+        else:  # the entropy sum over the spectrum, each kappa read as the Fock build reads it
+            spec, scale = cm_core.symplectic_spectrum(cm_a), cm_core.entry_scale(cm_a)
+            kappas = (spec.kappa_plus, spec.kappa_minus)
+            payload["closed_form"] = sum(relent._entropy_nu(physical_kappa(k, scale)) for k in kappas)
     if "closed_form" in payload:
         payload["discrepancy"] = abs(payload["value"] - payload["closed_form"])
     payload["dim_per_mode"] = states[0][0].dim_per_mode
@@ -394,12 +386,13 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
     except (UnphysicalState, NonPositiveDefinite) as exc:
-        print(f"error: unphysical state: {exc}", file=sys.stderr)
-        code = EXIT_UNPHYSICAL
+        _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
     except NumericalDegeneracy as exc:  # the message names the state's parameters or entries
         _fail(EXIT_PARSE, str(exc))
     except DecompositionFailure as exc:
         _fail(EXIT_PARSE, f"decomposition failure: {exc}")
+    except SupportViolation as exc:
+        _fail(EXIT_SUPPORT, f"support violation: {exc}")
     raise SystemExit(code)
 
 

@@ -128,6 +128,8 @@ def load_cm_json(path) -> np.ndarray:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object with field 'v', got {type(payload).__name__}")
+    if "v" not in payload:
+        raise ValueError("the JSON object has no field 'v'")
     try:
         v = np.asarray(payload["v"], dtype=float)
     except TypeError as exc:  # an object as 'v' or among its entries

@@ -89,6 +89,23 @@ def test_e_b_and_distance_near_the_threshold_against_mpmath(gap):
         assert abs(res.d_bures - d_bures) <= 4 * eps * d_bures
 
 
+def test_f_max_of_a_pure_state_is_its_largest_schmidt_coefficient():
+    # over all separable states, Gaussian or not, a pure state's maximal fidelity is its
+    # largest Schmidt coefficient lambda_0 (Wei and Goldbart, PRA 68, 042307 (2003)); the
+    # oracle's pure state is U|00>, so its amplitude matrix is the even class block's vacuum
+    # column, and lambda_0 the square of that matrix's largest singular value.  Worst gap
+    # 3.2e-15 measured at N = 30, so 1e-14 leaves a margin of 3.
+    n = 30
+    for r in np.linspace(0.05, 0.6, 12):
+        s = symmetric_sts(float(r))
+        rho = fock.gaussian_state_from_cm(s.to_cm(), n)
+        assert rho.log_weights is None and rho.weights[0] == 1.0  # a pure core
+        amp = np.zeros(n * n, dtype=rho.blocks[0].dtype)
+        amp[rho._classes[0]] = rho.blocks[0][:, 0]
+        lambda_0 = np.linalg.svd(amp.reshape(n, n), compute_uv=False)[0] ** 2
+        assert abs(lambda_0 - bures_entanglement(s).f_max) <= 1e-14, r
+
+
 def test_bures_separable_is_zero():
     res = bures_entanglement(SymmetricState(1.0, 0.5, 0.25))
     assert res.e_b == 0.0

@@ -779,18 +779,78 @@ def test_parameter_json_is_the_library_bit_for_bit(capsys):
 
 
 def test_parameter_path_refuses_as_the_matrix_path(capsys, tmp_path):
-    # det C > 0 beyond rounding exits 4 with the message of --cm; b <= 0 is not positive definite
-    for b, c, d in (("1", "0.3", "0.2"), ("1", "-0.2", "-0.3"), ("0.4", "0.1", "0.1")):
+    # det C > 0 beyond rounding exits 4 with the message of --cm, below the vacuum (kappa_- = 0.3)
+    # 2 first; b <= 0 is not positive definite
+    cases = (("1", "0.3", "0.2", cli.EXIT_NOT_SYMMETRIC), ("1", "-0.2", "-0.3", cli.EXIT_NOT_SYMMETRIC),
+             ("0.4", "0.1", "0.1", cli.EXIT_UNPHYSICAL))
+    for b, c, d, want in cases:
         _, _, err_b = run_cli(capsys, "bures", "--b", b, "--c", c, "--d", d)
         path = tmp_path / "cm.json"
         dump_cm_json(StandardFormI(float(b), float(b), float(c), float(d)).to_cm(), path)
         code, _, err_cm = run_cli(capsys, "bures", "--cm", str(path))
-        assert code == cli.EXIT_NOT_SYMMETRIC
+        assert code == want
         assert err_b == err_cm
     for b in ("0", "-1"):
         code, _, err = run_cli(capsys, "relent", "--b", b, "--c", "0.3", "--d", "0.2")
         assert code == cli.EXIT_UNPHYSICAL
         assert err == "error: unphysical state: a diagonal block of V is not positive definite\n"
+
+
+# inputs below the vacuum, as parameters (where they have them) and as CM files: a state
+# whose det C > 0 (kappa_- = 0.1 and 0.3), one whose b1 != b2 (kappa_- = 0.3), 0.45 I
+UNPHYSICAL_INPUTS = [
+    (("1", "0.9", "0.9"), StandardFormI(1.0, 1.0, 0.9, 0.9).to_cm()),
+    (("0.4", "0.1", "0.1"), StandardFormI(0.4, 0.4, 0.1, 0.1).to_cm()),
+    (None, np.diag([1.0, 1.0, 0.3, 0.3])),
+    (("0.45", "0", "0"), 0.45 * np.eye(4)),
+]
+
+
+@pytest.mark.parametrize("bcd, v", UNPHYSICAL_INPUTS)
+def test_unphysical_input_is_refused_before_any_symmetric_form_check(capsys, tmp_path, bcd, v):
+    # bures and relent decide physicality first, on the spectrum and rule check reads: one
+    # refusal for both commands and both forms of a state, never exit 4
+    path = tmp_path / "cm.json"
+    dump_cm_json(v, path)
+    forms = [("--cm", str(path))] + ([] if bcd is None else [("--b", bcd[0], "--c", bcd[1], "--d", bcd[2])])
+    errs = set()
+    for flags in forms:
+        code, out, _ = run_cli(capsys, "check", *flags)
+        assert code == cli.EXIT_UNPHYSICAL and "physical:           False" in out, flags
+        for command in ("bures", "relent"):
+            code, out, err = run_cli(capsys, command, *flags)
+            assert (code, out) == (cli.EXIT_UNPHYSICAL, ""), (command, flags, err)
+            errs.add(err)
+    (err,) = errs
+    assert re.fullmatch(r"error: unphysical state: kappa_- = 1/2 - \S+, beyond the rounding allowance "
+                        r"1e-12 at scale \S+\n", err), err
+
+
+def _seeded_parameters():
+    """200 seeded (b, c, d) with |d| <= c < b and d of either sign: kappa_- = sqrt((b - d)(b - c))
+    drawn in (0.1, 0.9) for half of them, within four rounding bands of 1/2 for the rest."""
+    rng = np.random.default_rng(2626)
+    cases = []
+    for i in range(200):
+        km = rng.uniform(0.1, 0.9) if i % 2 else 0.5
+        b = km * rng.uniform(1.01, 4.0)
+        km += 0.0 if i % 2 else cm_core.rounding_tol(b) * rng.uniform(-4.0, 4.0)
+        e = rng.uniform(b - math.sqrt(b * b - km * km), km)  # b - c, so that |d| <= c
+        cases.append((b, b - e, b - km * km / e))
+    return cases
+
+
+def test_check_refuses_exactly_where_the_measures_refuse(capsys):
+    # the measures read the spectrum and rule of check: unphysical for one, unphysical for all
+    refused = signs = 0
+    for b, c, d in _seeded_parameters():
+        flags = ("--b", repr(b), "--c", repr(c), "--d", repr(d))
+        codes = [run_cli(capsys, command, *flags)[0] for command in ("check", "bures", "relent")]
+        refusals = {code == cli.EXIT_UNPHYSICAL for code in codes}
+        assert len(refusals) == 1, (flags, codes)
+        refused += refusals.pop()
+        signs |= 1 << (d > 0)
+    assert 60 <= refused <= 140 and signs == 3, (refused, signs)
 
 
 def test_threshold_within_rounding_is_separable(capsys):
@@ -845,11 +905,14 @@ def test_bures_verify_on_pure_states(capsys, r):
 
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
+    # a block that is not positive definite, then V1 = V2 = I with a V that is not: every
+    # command gives the eigensolver's refusal
     path = tmp_path / "npd.json"
-    dump_cm_json(np.diag([1.0, 1.0, 1.0, -0.1]), path)
-    code, _, err = run_cli(capsys, command, "--cm", str(path))
-    assert code == cli.EXIT_UNPHYSICAL, err
-    assert "unphysical" in err
+    for v in (np.diag([1.0, 1.0, 1.0, -0.1]), StandardFormI(1.0, 1.0, 2.0, -2.0).to_cm()):
+        dump_cm_json(v, path)
+        code, out, err = run_cli(capsys, command, "--cm", str(path))
+        assert (code, out) == (cli.EXIT_UNPHYSICAL, ""), err
+        assert err == "error: unphysical state: covariance matrix is not positive definite\n"
 
 
 def test_check_reads_no_form_of_an_unphysical_cm(capsys, tmp_path):
@@ -881,18 +944,20 @@ def test_non_finite_cm_entry_exits_parse(capsys, tmp_path, argv, entry):
     assert "NaN or infinite" in err
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", "5", '"v"', '{"v": {"a": 1}}', '{"v": [[{"a": 1}]]}'])
+@pytest.mark.parametrize(
+    "payload", ["[1, 2]", "5", '"v"', '{"v": {"a": 1}}', '{"v": [[{"a": 1}]]}', '{"w": 1}', "{}"]
+)
 @pytest.mark.parametrize(
     "argv", [("check", "--cm"), ("bures", "--cm"), ("relent", "--cm"), ("oracle", "entropy", "--cm1")]
 )
 def test_cm_file_not_an_object_of_numbers_exits_parse(capsys, tmp_path, argv, payload):
-    # a top level other than an object, or an object where a number belongs, is a
-    # parse error like a ragged matrix, not a TypeError
+    # a top level other than an object, an object where a number belongs, or no field v is
+    # a parse error like a ragged matrix, not a TypeError or a KeyError, and names the field
     path = tmp_path / "v.json"
     path.write_text(payload)
     code, _, err = run_cli(capsys, *argv, str(path))
     assert code == cli.EXIT_PARSE, err
-    assert err.startswith(f"error: {argv[-1]}: "), err
+    assert err.startswith(f"error: {argv[-1]}: ") and "field 'v'" in err, err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "1e999"])
