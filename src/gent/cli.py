@@ -24,7 +24,7 @@ from . import __version__, bures, relent
 from .errors import DecompositionFailure, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 from .scalar import OneModeCM, StandardFormI, SymmetricState, above_vacuum, physical_kappa, rounding_tol
-from .scalar import symmetric_spectrum, symmetric_sts
+from .scalar import form_I_spectrum, symmetric_sts
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -99,21 +99,21 @@ def _resolve_sts(args) -> SymmetricState:
 
 def _read_form(args):
     """(form, scale, spec): standard form I of the input flags, the scale of its ``rounding_tol``
-    (the largest entry of the CM) and its symplectic spectrum.
+    (the largest entry of the CM) and its symplectic spectrum, in closed form from standard
+    form I (``form_I_spectrum``) for every input form.
 
-    A --cm file goes through the matrix layer: one eigensolve, and the form only where it
-    finds the state physical, since below the vacuum a diagonal block's determinant can
-    round to 0.  Parameters go through the scalar core, b read as ``_symmetric_state``
-    reads it wherever it is physical, so that check decides on the measures' floats.
+    A --cm file goes through the matrix layer: ``symplectic_spectrum``, which refuses a V that
+    is not positive definite with its message, then ``to_standard_form_I``.  Parameters go
+    through the scalar core, b read as ``_symmetric_state`` reads it wherever it is physical,
+    so that check decides on the measures' floats.
     """
     _check_companions(args)
     if args.cm is not None:
         from . import cm_core, standard_forms
 
         v = _load_cm(args.cm, "--cm")
-        scale, spec = cm_core.entry_scale(v), cm_core.symplectic_spectrum(v)
-        physical = above_vacuum(spec.kappa_minus, scale)
-        return standard_forms.to_standard_form_I(v) if physical else None, scale, spec
+        spec = cm_core.symplectic_spectrum(v)
+        return standard_forms.to_standard_form_I(v), cm_core.entry_scale(v), spec
     if args.r is not None:
         state = _resolve_sts(args)
         form, scale = state.to_form_I(), state.b
@@ -121,14 +121,12 @@ def _read_form(args):
         b, c, d = args.b, args.c, args.d
         if c is None or d is None:
             _fail(EXIT_PARSE, "--b requires --c and --d")
-        if b <= 0:  # as standard form I refuses a diagonal block that is not positive definite
-            raise NonPositiveDefinite("a diagonal block of V is not positive definite")
         # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
         c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
         b = physical_kappa(b, b) if above_vacuum(b, b) else b
         form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
-    # raises NonPositiveDefinite unless b > c, as the eigensolver refuses V
-    return form, scale, symmetric_spectrum(form.b1, form.c, form.d)
+    # raises NonPositiveDefinite unless b > c, as symplectic_spectrum refuses V
+    return form, scale, form_I_spectrum(form)
 
 
 def _symmetric_state(args) -> SymmetricState:

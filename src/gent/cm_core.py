@@ -1,10 +1,13 @@
 """Covariance-matrix core: symplectic spectra, physicality and separability.
 
-The matrix layer.  The threshold rule it decides with (``above_vacuum``,
-``rounding_tol`` and their constants), ``OneModeCM`` and the
-``SymplecticSpectrum`` record are defined in the numpy-free ``gent.scalar``
-and re-exported here, so both layers share one definition of each.
-Importing this module loads numpy.
+The matrix layer.  A CM's spectrum is that of its standard form I, in
+closed form: no eigensolve decides physicality or PPT.  ``sqrt_cm`` (one
+``eigh``) serves the Fock oracle's Williamson factors.  The threshold rule it
+decides with (``above_vacuum``, ``rounding_tol`` and their constants),
+``OneModeCM``, the ``SymplecticSpectrum`` record and its closed form
+``form_I_spectrum`` are defined in the numpy-free ``gent.scalar`` and
+re-exported here, so both layers share one definition of each.  Importing
+this module loads numpy.
 
 Conventions used throughout the package: hbar = 1, vacuum covariance matrix
 (1/2)*identity, quadrature ordering (q1, p1, q2, p2).
@@ -26,9 +29,11 @@ from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar 
     OneModeCM,
     SymplecticSpectrum,
     above_vacuum,
+    form_I_spectrum,
     physical_kappa,
     rounding_tol,
 )
+from .standard_forms import to_standard_form_I
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -42,10 +47,6 @@ def omega(n_modes: int = 2) -> np.ndarray:
     for k in range(n_modes):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = J2
     return out
-
-
-# Omega and its partial transpose Lambda Omega Lambda, stacked for one eigvalsh
-_FORMS = np.stack([omega(2), LAMBDA_PT @ omega(2) @ LAMBDA_PT])
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,22 @@ def sqrt_cm(v: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(lam)) @ q.T
 
 
-# (key, spectrum) of the last matrix solved, keyed by its shape and bytes
+# (key, spectrum) of the last matrix read, keyed by its shape and bytes
 _last_spectrum: tuple = (None, None)
 
 
 def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of V and of its partial transpose.
+    """Symplectic eigenvalues of V and of its partial transpose, with no eigensolve.
 
-    With R = V^{1/2}, i R Omega R is Hermitian with eigenvalues -+kappa: i times
-    a real antisymmetric matrix, so its spectrum is real and symmetric about 0
-    by construction.  The partial transpose needs no second root, since
-    (Lambda V Lambda)^{1/2} = Lambda R Lambda: its kappas are those of
-    i R (Lambda Omega Lambda) R.  Both come from one stacked eigvalsh.
+    Local symplectics keep the spectrum, so it is that of standard form I
+    (``standard_forms.to_standard_form_I``, scalar 2x2 algebra on the entries) in
+    closed form (``scalar.form_I_spectrum``).  Raises NonPositiveDefinite
+    ("covariance matrix is not positive definite") where a diagonal block is not
+    positive definite or b1 b2 <= c^2, and ValueError on a non-finite entry.
 
     The spectrum of the last matrix is kept, keyed by its content, so that
     ``is_physical``, ``is_separable`` and a caller asking about the same V
-    share one solve; a matrix changed in place is solved again.
+    share one reduction; a matrix changed in place is read again.
     """
     global _last_spectrum
     v = np.asarray(v, dtype=float)
@@ -100,11 +101,10 @@ def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     last_key, last_spec = _last_spectrum  # one read: another thread may replace it
     if last_key == key:
         return last_spec
-    if not np.isfinite(v).all():
-        raise ValueError("covariance matrix has a non-finite entry")
-    root = sqrt_cm(v)
-    ev = np.linalg.eigvalsh(1j * (root @ _FORMS @ root))  # ascending: -k+, -k-, k-, k+
-    spec = SymplecticSpectrum(float(ev[0, 3]), float(ev[0, 2]), float(ev[1, 3]), float(ev[1, 2]))
+    try:
+        spec = form_I_spectrum(to_standard_form_I(v))
+    except NonPositiveDefinite:  # the block's own message names less than V
+        raise NonPositiveDefinite("covariance matrix is not positive definite") from None
     _last_spectrum = (key, spec)
     return spec
 

@@ -429,8 +429,8 @@ def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic S and spectrum kappa_1 >= ... >= kappa_n with V = S D S^T.
 
     D = diag(kappa_1, kappa_1, ..., kappa_n, kappa_n).  R = V^{1/2} comes from
-    ``cm_core.sqrt_cm``, and the Hermitian i R Omega R has eigenvalues -+kappa,
-    as in ``cm_core.symplectic_spectrum``.  The eigenvectors x + iy of the
+    ``cm_core.sqrt_cm``, and the Hermitian i R Omega R, i times a real antisymmetric
+    matrix, has eigenvalues -+kappa.  The eigenvectors x + iy of the
     -kappa give orthonormal column pairs sqrt(2) (x, y) of an orthogonal O
     with O^T R Omega R O = kappa J on each pair (also where kappas repeat:
     eigh returns an orthonormal basis of each eigenspace), and

@@ -29,8 +29,8 @@ def rounding_tol(scale: float) -> float:
 
     Entries rounded to eps*scale move kappa by a few eps*scale^2: under local
     symplectics, ``symplectic_spectrum`` leaves a pure state's kappa = 1/2 on
-    either side, up to ~23 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
-    ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 5.
+    either side, up to ~9.4 eps*scale^2 low (10^5 seeded draws, r in [0, 5]), and
+    ROUNDING_PER_SCALE_SQ = 128 eps leaves a margin of 13.
     The floor KAPPA_TOL covers entries of order 1.
     """
     return max(KAPPA_TOL, ROUNDING_PER_SCALE_SQ * scale * scale)
@@ -76,22 +76,47 @@ class SymplecticSpectrum:
     kappa_tilde_minus: float
 
 
-def symmetric_spectrum(b: float, c: float, d: float) -> SymplecticSpectrum:
-    """Symplectic spectrum of standard form I (b, b, c, d) with c >= |d|, without an eigensolve.
+def _large_root(delta: float, disc: float) -> float:
+    """sqrt of the large root of y^2 - delta y + det, given disc = delta^2 - 4 det >= 0 up to rounding."""
+    return math.sqrt((delta + math.sqrt(max(disc, 0.0))) / 2)
 
-    The beam-splitter modes have variances (b + c, b + d) and (b - c, b - d), so the
-    kappas are sqrt((b + c)(b + d)) and sqrt((b - c)(b - d)), and the partial transpose
-    flips the sign of d.  For d = -|d| these are ``SymmetricState``'s own products.
-    Raises NonPositiveDefinite unless b > c, as the eigensolver refuses such a matrix.
+
+def form_I_spectrum(form: StandardFormI) -> SymplecticSpectrum:
+    """Symplectic spectrum of standard form I (b1, b2, c, d) with c >= |d|, without an eigensolve.
+
+    The partial transpose flips the sign of d.  For b1 = b2 = b the beam-splitter modes
+    have variances (b + c, b + d) and (b - c, b - d), so the kappas are
+    sqrt((b + c)(b + d)) and sqrt((b - c)(b - d)); for d = -|d| these are
+    ``SymmetricState``'s own products.  Otherwise kappa_+^2 is the large root of
+    y^2 - Delta y + det V (Simon's invariants), Delta = b1^2 + b2^2 + 2cd and
+    det V = (b1 b2 - c^2)(b1 b2 - d^2), with the discriminant written as
+    ((b1 - b2)(b1 + b2))^2 + 4(b1 c + b2 d)(b1 d + b2 c): for kappa_+ = kappa_- (b1 = b2,
+    c = -d) both terms are products of small factors, where Delta^2 - 4 det V would lose
+    half the digits.  kappa_- = sqrt(det V) / kappa_+, never the small root.  The
+    entries are first scaled by a power of two, exactly, so no square overflows.
+    Raises NonPositiveDefinite unless V > 0: b > c, or b1 > 0 and b1 b2 > c^2.
     """
-    if not b > c:
+    b1, b2, c, d = form.b1, form.b2, form.c, form.d
+    if b1 == b2:
+        b = b1
+        if not b > c:
+            raise NonPositiveDefinite("covariance matrix is not positive definite")
+        return SymplecticSpectrum(
+            math.sqrt((b + d) * (b + c)),
+            math.sqrt((b - d) * (b - c)),
+            math.sqrt((b - d) * (b + c)),
+            math.sqrt((b + d) * (b - c)),
+        )
+    e = math.frexp(max(b1, b2))[1]
+    b1, b2, c, d = math.ldexp(b1, -e), math.ldexp(b2, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+    if not (b1 > 0 and b1 * b2 > c * c):
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    return SymplecticSpectrum(
-        math.sqrt((b + d) * (b + c)),
-        math.sqrt((b - d) * (b - c)),
-        math.sqrt((b - d) * (b + c)),
-        math.sqrt((b + d) * (b - c)),
-    )
+    root_det = math.sqrt((b1 * b2 - c * c) * (b1 * b2 - d * d))
+    local, split = b1 * b1 + b2 * b2, ((b1 - b2) * (b1 + b2)) ** 2
+    kp = _large_root(local + 2 * c * d, split + 4 * (b1 * c + b2 * d) * (b1 * d + b2 * c))
+    ktp = _large_root(local - 2 * c * d, split - 4 * (b1 * c - b2 * d) * (b1 * d - b2 * c))
+    return SymplecticSpectrum(math.ldexp(kp, e), math.ldexp(root_det / kp, e),
+                              math.ldexp(ktp, e), math.ldexp(root_det / ktp, e))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,13 @@ def _random_bs(rng):
     )
 
 
+class NoLinalg:
+    """Stand-in for np.linalg that fails on any routine asked of it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
 def dump_cm_json(v, path) -> None:
     """Write a CM as the JSON file {"v": [[...], ...]} that ``cm_core.load_cm_json`` reads."""
     with open(path, "w") as fh:

@@ -606,7 +606,7 @@ def test_parameters_outside_symmetric_form_are_unphysical(capsys):
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 @pytest.mark.parametrize("c, d", [("2", "0"), ("1", "-1"), ("0", "-3"), ("1", "1.0000000000000002")])
 def test_parameters_without_a_positive_definite_cm_are_refused_alike(capsys, command, c, d):
-    # b <= max(|c|, |d|): one refusal for every command, the one the eigensolver gives --cm
+    # b <= max(|c|, |d|): one refusal for every command, the one symplectic_spectrum gives --cm
     code, out, err = run_cli(capsys, command, "--b", "1", "--c", c, "--d", d)
     assert (code, out) == (cli.EXIT_UNPHYSICAL, "")
     assert err == "error: unphysical state: covariance matrix is not positive definite\n"
@@ -780,20 +780,20 @@ def test_parameter_json_is_the_library_bit_for_bit(capsys):
 
 def test_parameter_path_refuses_as_the_matrix_path(capsys, tmp_path):
     # det C > 0 beyond rounding exits 4 with the message of --cm, below the vacuum (kappa_- = 0.3)
-    # 2 first; b <= 0 is not positive definite
+    # 2 first; b <= 0 is a V that is not positive definite, with the line of its --cm file
     cases = (("1", "0.3", "0.2", cli.EXIT_NOT_SYMMETRIC), ("1", "-0.2", "-0.3", cli.EXIT_NOT_SYMMETRIC),
-             ("0.4", "0.1", "0.1", cli.EXIT_UNPHYSICAL))
+             ("0.4", "0.1", "0.1", cli.EXIT_UNPHYSICAL), ("0", "0.3", "0.2", cli.EXIT_UNPHYSICAL),
+             ("-1", "0.3", "0.2", cli.EXIT_UNPHYSICAL))
     for b, c, d, want in cases:
-        _, _, err_b = run_cli(capsys, "bures", "--b", b, "--c", c, "--d", d)
-        path = tmp_path / "cm.json"
-        dump_cm_json(StandardFormI(float(b), float(b), float(c), float(d)).to_cm(), path)
-        code, _, err_cm = run_cli(capsys, "bures", "--cm", str(path))
-        assert code == want
-        assert err_b == err_cm
-    for b in ("0", "-1"):
-        code, _, err = run_cli(capsys, "relent", "--b", b, "--c", "0.3", "--d", "0.2")
-        assert code == cli.EXIT_UNPHYSICAL
-        assert err == "error: unphysical state: a diagonal block of V is not positive definite\n"
+        for command in ("bures", "relent"):
+            code_b, _, err_b = run_cli(capsys, command, "--b", b, "--c", c, "--d", d)
+            path = tmp_path / "cm.json"
+            dump_cm_json(StandardFormI(float(b), float(b), float(c), float(d)).to_cm(), path)
+            code, _, err_cm = run_cli(capsys, command, "--cm", str(path))
+            assert code == code_b == want
+            assert err_b == err_cm
+            if float(b) <= 0:
+                assert err_b == "error: unphysical state: covariance matrix is not positive definite\n"
 
 
 # inputs below the vacuum, as parameters (where they have them) and as CM files: a state
@@ -906,7 +906,7 @@ def test_bures_verify_on_pure_states(capsys, r):
 @pytest.mark.parametrize("command", ["check", "bures", "relent"])
 def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
     # a block that is not positive definite, then V1 = V2 = I with a V that is not: every
-    # command gives the eigensolver's refusal
+    # command gives symplectic_spectrum's refusal
     path = tmp_path / "npd.json"
     for v in (np.diag([1.0, 1.0, 1.0, -0.1]), StandardFormI(1.0, 1.0, 2.0, -2.0).to_cm()):
         dump_cm_json(v, path)
@@ -916,9 +916,9 @@ def test_non_positive_definite_cm_is_unphysical(capsys, tmp_path, command):
 
 
 def test_check_reads_no_form_of_an_unphysical_cm(capsys, tmp_path):
-    # the block [[1, 2], [2, 4]] is singular, so the CM has no standard form I, yet the
-    # eigensolver can find the CM positive definite by a rounding: check then reports it
-    # unphysical from the spectrum, as it reports every CM below the vacuum
+    # the block [[1, 2], [2, 4]] is singular, so the CM has no standard form I: the spectrum,
+    # read from that form, refuses it; a spectrum that found the CM positive definite by a
+    # rounding would make check report it unphysical, as it reports every CM below the vacuum
     v = np.array([[1.0, 2.0, 1e-9, 0.0], [2.0, 4.0, 0.0, 1e-9], [1e-9, 0.0, 1.0, 0.0], [0.0, 1e-9, 0.0, 1.0]])
     path = tmp_path / "cm.json"
     dump_cm_json(v, path)

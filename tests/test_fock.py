@@ -20,7 +20,7 @@ from gent.errors import (
 from gent.optics import BeamSplitterParams
 from gent.standard_forms import ScaledState, StandardFormI, make_scaled_cm, symmetric_sts
 
-from conftest import random_entangled_symmetric, random_local_symplectic, random_physical_cm
+from conftest import NoLinalg, random_entangled_symmetric, random_local_symplectic, random_physical_cm
 
 
 def test_thermal_state_basics():
@@ -542,7 +542,7 @@ def test_passive_gates_call_no_linalg(monkeypatch):
     gate = fock.BeamSplitter(1.0, 0.3)
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]]) * np.exp(0.2j)
     expected = fock.apply_gate(state, gate), fock._passive_action(u, n, state.blocks)
-    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    monkeypatch.setattr(np, "linalg", NoLinalg())
     for out, ref in zip((fock.apply_gate(state, gate).blocks, fock._passive_action(u, n, state.blocks)),
                         (expected[0].blocks, expected[1])):
         for block, block_ref in zip(out, ref):
@@ -699,16 +699,11 @@ def test_one_mode_blocks_match_gate_chain(n):
     assert fock.gaussian_state_from_cm(OneModeCM(0.5, 0.5), n).log_weights is None
 
 
-class _NoLinalg:
-    def __getattr__(self, name):
-        raise AssertionError(f"np.linalg.{name} called")
-
-
 def test_one_mode_build_calls_no_linalg(monkeypatch):
     n = 24
     cms = [OneModeCM(0.9, 0.7), OneModeCM(0.5, 0.5), OneModeCM(1.1, 1.1), np.diag([2.0, 0.3])]
     expected = [fock.gaussian_state_from_cm(v, n) for v in cms]  # also fills the per-N caches
-    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    monkeypatch.setattr(np, "linalg", NoLinalg())
     for v, ref in zip(cms, expected):
         state = fock.gaussian_state_from_cm(v, n)
         for b, b_ref in zip(state.blocks, ref.blocks):

@@ -1,3 +1,5 @@
+import math
+import random
 import re
 
 import pytest
@@ -13,6 +15,7 @@ def test_matrix_layers_reexport_the_scalar_core():
     assert cm_core.physical_kappa is scalar.physical_kappa
     assert cm_core.OneModeCM is scalar.OneModeCM
     assert cm_core.SymplecticSpectrum is scalar.SymplecticSpectrum
+    assert cm_core.form_I_spectrum is scalar.form_I_spectrum
     assert standard_forms.SymmetricState is scalar.SymmetricState
     assert standard_forms.StandardFormI is scalar.StandardFormI
     assert standard_forms.symmetric_sts is scalar.symmetric_sts
@@ -50,3 +53,33 @@ def test_refusal_gap_exceeds_its_allowance(scale):
             refuse()
         gap, allowance = _gap_and_allowance(exc)
         assert gap > allowance == float(f"{tol:.3g}"), str(exc.value)
+
+
+def test_form_I_spectrum_at_b1_eq_b2_is_the_symmetric_products():
+    # b1 = b2: SymmetricState's own kappas, bit for bit; b2 one ulp above b1 takes the roots of
+    # Simon's quadratic, whose squares agree with theirs to worst 9.4 eps b^2 here (the bump
+    # itself moves a square by up to about 4 eps b^2)
+    rng, eps, worst = random.Random(2727), 2.0**-52, 0.0
+    for _ in range(2000):
+        b = rng.uniform(0.5, 50.0)
+        c = rng.uniform(0.0, b)
+        d_abs = rng.uniform(0.0, c) if rng.random() < 0.8 else c
+        state = scalar.SymmetricState(b, c, d_abs)
+        spec = scalar.form_I_spectrum(state.to_form_I())
+        want = (state.kappa_plus, state.kappa_minus, math.sqrt((b + d_abs) * (b + c)), state.kappa_tilde_minus)
+        assert (spec.kappa_plus, spec.kappa_minus, spec.kappa_tilde_plus, spec.kappa_tilde_minus) == want
+        seam = scalar.form_I_spectrum(scalar.StandardFormI(b, math.nextafter(b, math.inf), c, -d_abs))
+        got = (seam.kappa_plus, seam.kappa_minus, seam.kappa_tilde_plus, seam.kappa_tilde_minus)
+        worst = max(worst, *(abs(g * g - w * w) / (eps * b * b) for g, w in zip(got, want)))
+    assert worst <= 16.0, worst
+
+
+@pytest.mark.parametrize("k", [-600, -1, 1, 600])
+def test_form_I_spectrum_scales_with_the_form(k):
+    # kappa is homogeneous of degree 1: a power of two scales it exactly, also where b^2
+    # or b^4 would overflow or underflow
+    form = scalar.StandardFormI(1.25, 2.5, 1.5, -0.75)
+    spec = scalar.form_I_spectrum(form)
+    scaled = scalar.form_I_spectrum(scalar.StandardFormI(*(math.ldexp(x, k) for x in (1.25, 2.5, 1.5, -0.75))))
+    for name in ("kappa_plus", "kappa_minus", "kappa_tilde_plus", "kappa_tilde_minus"):
+        assert getattr(scaled, name) == math.ldexp(getattr(spec, name), k)
