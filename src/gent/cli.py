@@ -3,9 +3,9 @@
 Exit codes: 0 separable/success, 1 parse failure or a state too
 ill-conditioned to decide kappa >= 1/2, 2 unphysical state (also a
 matrix that is not positive definite),
-3 entangled, 4 physical input with no symmetric standard form (b1 != b2,
-or det C > 0, which is separable by PPT but not d = -|d|, beyond rounding)
-where one is required, 5 support violation in the oracle.
+3 entangled, 4 physical input with no symmetric standard form (b1 != b2 or
+b1 <= c, or det C > 0, which is separable by PPT but not d = -|d|, beyond
+rounding) where one is required, 5 support violation in the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import __version__, bures, relent
 from .errors import DecompositionFailure, NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 from .scalar import OneModeCM, StandardFormI, SymmetricState, above_vacuum, physical_kappa, rounding_tol
-from .scalar import form_I_spectrum, symmetric_sts
+from .scalar import VACUUM, form_I_spectrum, symmetric_sts
 
 EXIT_SEPARABLE = 0
 EXIT_PARSE = 1
@@ -88,15 +88,6 @@ def _load_cm(path: str, flag: str):
         _fail(EXIT_PARSE, f"{flag}: {exc}")
 
 
-def _resolve_sts(args) -> SymmetricState:
-    nbar = 0.0 if args.nbar is None else args.nbar
-    if args.r < 0:
-        _fail(EXIT_PARSE, "--r: must be nonnegative")
-    if nbar < 0:
-        _fail(EXIT_PARSE, "--nbar: must be nonnegative")
-    return symmetric_sts(args.r, nbar)
-
-
 def _read_form(args):
     """(form, scale, spec): standard form I of the input flags, the scale of its ``rounding_tol``
     (the largest entry of the CM) and its symplectic spectrum, in closed form from standard
@@ -104,8 +95,8 @@ def _read_form(args):
 
     A --cm file goes through the matrix layer: ``symplectic_spectrum``, which refuses a V that
     is not positive definite with its message, then ``to_standard_form_I``.  Parameters go
-    through the scalar core, b read as ``_symmetric_state`` reads it wherever it is physical,
-    so that check decides on the measures' floats.
+    through the scalar core, b as given but raised to exactly 1/2 from below within the rule,
+    so that check decides on the floats of the measures (``_symmetric_state``).
     """
     _check_companions(args)
     if args.cm is not None:
@@ -115,7 +106,12 @@ def _read_form(args):
         spec = cm_core.symplectic_spectrum(v)
         return standard_forms.to_standard_form_I(v), cm_core.entry_scale(v), spec
     if args.r is not None:
-        state = _resolve_sts(args)
+        nbar = 0.0 if args.nbar is None else args.nbar
+        if args.r < 0:
+            _fail(EXIT_PARSE, "--r: must be nonnegative")
+        if nbar < 0:
+            _fail(EXIT_PARSE, "--nbar: must be nonnegative")
+        state = symmetric_sts(args.r, nbar)
         form, scale = state.to_form_I(), state.b
     else:
         b, c, d = args.b, args.c, args.d
@@ -123,29 +119,26 @@ def _read_form(args):
             _fail(EXIT_PARSE, "--b requires --c and --d")
         # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
         c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
-        b = physical_kappa(b, b) if above_vacuum(b, b) else b
+        b = max(b, VACUUM) if above_vacuum(b, b) else b
         form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
     # raises NonPositiveDefinite unless b > c, as symplectic_spectrum refuses V
     return form, scale, form_I_spectrum(form)
 
 
 def _symmetric_state(args) -> SymmetricState:
-    """The symmetric state the input flags name: symmetric_sts(r, nbar) itself for --r;
-    else SymmetricState(b, c, |d|) of standard form I (b1, b2, c, d), its b read by
-    ``physical_kappa``.  Exits 2 if the state is unphysical, as check does, and only then
-    4 unless b1 = b2 and d <= 0 up to ``rounding_tol``."""
-    if args.r is not None:
-        _check_companions(args)
-        return _resolve_sts(args)
+    """SymmetricState(b1, c, |d|) of the form ``_read_form`` reads, so symmetric_sts(r, nbar)
+    itself for --r, b1 raised to exactly 1/2 only from below.  Exits 2 if the state is
+    unphysical, as check does, and only then 4 unless b1 = b2 and d <= 0 up to
+    ``rounding_tol``, and b1 > c."""
     form, scale, spec = _read_form(args)
     physical_kappa(spec.kappa_minus, scale, "kappa_-")  # raises UnphysicalState
     tol = rounding_tol(scale)
-    if abs(form.b1 - form.b2) > tol:
+    if abs(form.b1 - form.b2) > tol or not form.b1 > form.c:
         _fail(EXIT_NOT_SYMMETRIC, f"state is not symmetric (b1 = {form.b1:.9g}, b2 = {form.b2:.9g})")
     if form.d > tol:
         _fail(EXIT_NOT_SYMMETRIC, f"det C > 0 (d = {form.d:.9g}): separable by PPT, but symmetric states "
                                   "are held in the form d = -|d|")
-    return SymmetricState(physical_kappa(form.b1, scale, "b"), form.c, abs(form.d))
+    return SymmetricState(max(form.b1, VACUUM), form.c, abs(form.d))
 
 
 def _fail(code: int, message: str):

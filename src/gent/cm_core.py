@@ -78,8 +78,25 @@ def sqrt_cm(v: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(lam)) @ q.T
 
 
-# (key, spectrum) of the last matrix read, keyed by its shape and bytes
+# (key, (spectrum, entry scale)) of the last matrix read, keyed by its shape and bytes
 _last_spectrum: tuple = (None, None)
+
+
+def _spectrum_and_scale(v: np.ndarray) -> tuple[SymplecticSpectrum, float]:
+    """``symplectic_spectrum(v)`` and ``entry_scale(v)``, kept for the last matrix."""
+    global _last_spectrum
+    v = np.asarray(v, dtype=float)
+    key = (v.shape, v.tobytes())
+    last_key, last = _last_spectrum  # one read: another thread may replace it
+    if last_key == key:
+        return last
+    try:
+        spec = form_I_spectrum(to_standard_form_I(v))
+    except NonPositiveDefinite:  # the block's own message names less than V
+        raise NonPositiveDefinite("covariance matrix is not positive definite") from None
+    last = spec, entry_scale(v)
+    _last_spectrum = (key, last)
+    return last
 
 
 def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
@@ -91,33 +108,22 @@ def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     ("covariance matrix is not positive definite") where a diagonal block is not
     positive definite or b1 b2 <= c^2, and ValueError on a non-finite entry.
 
-    The spectrum of the last matrix is kept, keyed by its content, so that
-    ``is_physical``, ``is_separable`` and a caller asking about the same V
-    share one reduction; a matrix changed in place is read again.
+    The spectrum of the last matrix is kept with its entry scale, keyed by its
+    content, so that ``is_physical``, ``is_separable`` and a caller asking about
+    the same V share one reduction; a matrix changed in place is read again.
     """
-    global _last_spectrum
-    v = np.asarray(v, dtype=float)
-    key = (v.shape, v.tobytes())
-    last_key, last_spec = _last_spectrum  # one read: another thread may replace it
-    if last_key == key:
-        return last_spec
-    try:
-        spec = form_I_spectrum(to_standard_form_I(v))
-    except NonPositiveDefinite:  # the block's own message names less than V
-        raise NonPositiveDefinite("covariance matrix is not positive definite") from None
-    _last_spectrum = (key, spec)
-    return spec
+    return _spectrum_and_scale(v)[0]
 
 
 def is_physical(v: np.ndarray) -> Verdict:
     """True iff kappa_- >= 1/2 (Robertson-Schroedinger condition)."""
-    km = symplectic_spectrum(v).kappa_minus
-    return Verdict(ok=above_vacuum(km, entry_scale(v)), kappa=km)
+    spec, scale = _spectrum_and_scale(v)
+    return Verdict(ok=above_vacuum(spec.kappa_minus, scale), kappa=spec.kappa_minus)
 
 
 def is_separable(v: np.ndarray) -> Verdict:
     """True iff the partially transposed CM is physical (PPT criterion)."""
-    spec, scale = symplectic_spectrum(v), entry_scale(v)
+    spec, scale = _spectrum_and_scale(v)
     physical_kappa(spec.kappa_minus, scale, "kappa_-")  # raises UnphysicalState
     return Verdict(ok=above_vacuum(spec.kappa_tilde_minus, scale), kappa=spec.kappa_tilde_minus)
 

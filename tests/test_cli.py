@@ -363,12 +363,16 @@ def test_zero_det_c_after_local_symplectic(capsys, tmp_path, rng):
 
 
 def test_asymmetric_cm_rejected(capsys, tmp_path):
-    v = make_scaled_cm(ScaledState(StandardFormI(1.0, 1.3, 0.5, -0.3), 1.0, 1.0))
+    # b1 != b2 beyond rounding; then b1 < c < b2, entangled (kt- = 0.005), with |b1 - b2| within
+    # the rounding at entries of 1e6: no SymmetricState holds b = b1 <= c
     path = tmp_path / "asym.json"
-    dump_cm_json(v, path)
-    code, _, err = run_cli(capsys, "bures", "--cm", str(path))
-    assert code == 4
-    assert "not symmetric" in err
+    for form in (StandardFormI(1.0, 1.3, 0.5, -0.3), StandardFormI(1e6, 1e6 + 0.02, 1e6 + 0.005, -(1e6 + 0.005))):
+        dump_cm_json(make_scaled_cm(ScaledState(form, 1.0, 1.0)), path)
+        assert run_cli(capsys, "check", "--cm", str(path))[0] in (cli.EXIT_SEPARABLE, cli.EXIT_ENTANGLED)
+        for command in ("bures", "relent"):
+            code, out, err = run_cli(capsys, command, "--cm", str(path))
+            assert (code, out) == (cli.EXIT_NOT_SYMMETRIC, ""), (form, command, err)
+            assert err.startswith("error: state is not symmetric (b1 = ") and err.count("\n") == 1, err
 
 
 def test_cm_file_roundtrip(capsys, tmp_path):
@@ -746,18 +750,22 @@ def _library_payloads(state):
 
 
 def _parameter_cases():
-    """(state, c and d flags) on seeded physical states: as given, with c and |d| swapped,
-    and with either sign of det C < 0; then vacuum-local b read as 1/2 and det C > 0
-    within rounding."""
+    """(state, c and d flags) on seeded physical states and on states with b above 1/2 within
+    rounding, which is read as given: as given, with c and |d| swapped, and with either sign
+    of det C < 0; then vacuum-local b below 1/2 read as 1/2 and det C > 0 within rounding."""
     rng = np.random.default_rng(1717)
-    cases = []
-    while len(cases) < 4 * 150:
+    states = []
+    while len(states) < 150:
         b = rng.uniform(0.5, 4.0)
         c = rng.uniform(0.0, b)
         d_abs = rng.uniform(0.0, c)
         state = SymmetricState(b, c, d_abs)
-        if not state.is_physical():
-            continue
+        if state.is_physical():
+            states.append(state)
+    states += [SymmetricState(0.5 + db, c, c * (1 - 1e-7)) for db in (5e-13, 1e-12) for c in (1e-7, 3e-7, 1e-6)]
+    cases = []
+    for state in states:
+        b, c, d_abs = state.b, state.c, state.d_abs
         for cd in ((c, -d_abs), (-c, d_abs), (d_abs, -c), (-d_abs, c)):
             cases.append((state, ("--b", repr(b), "--c", repr(cd[0]), "--d", repr(cd[1]))))
     for db in (0.0, 1e-16, 5e-13, 1e-12):
