@@ -5,7 +5,7 @@ modes; with thermal noise (nbar > 0) nothing happens until the squeezing
 crosses a threshold r_th = ln(2*nbar + 1) / 2.  Run it and watch the
 measures switch on together: the source paper's Bures measure e_b and
 relative-entropy measure e_s, next to the exact entanglement of formation
-e_f.
+e_f.  Last, on pure states, e_b and e_s next to the unrestricted values.
 """
 
 import math
@@ -58,3 +58,15 @@ i, j = np.triu_indices(len(states), 1)
 reversed_pairs = np.sign(e_f[i] - e_f[j]) != np.sign(e_s[i] - e_s[j])
 print(f"\ne_s reverses the e_f order on {reversed_pairs.sum()} of {len(i)} pairs "
       f"({100 * reversed_pairs.mean():.1f}%) of {len(states)} seeded entangled states")
+
+# On pure states the unrestricted measures are known: the Bures measure is
+# 1 - sqrt(lambda_0) with lambda_0 = sech^2 r the largest Schmidt coefficient,
+# and the relative entropy of entanglement is the entropy of one mode, S_E,
+# which is e_f.  The Gaussian restriction leaves e_b exact; e_s stays above S_E.
+print(f"\npure states\n{'r':>6} {'e_b':>10} {'1 - sech r':>10} {'e_s':>10} {'S_E':>10} {'e_s - S_E':>10}")
+for r in (0.1, 0.3, 0.6, 1.0, 1.5):
+    s = symmetric_sts(r)
+    eb = bures_entanglement(s).e_b
+    es = rel_ent_entanglement(s).e_s
+    s_e = entanglement_of_formation(s)
+    print(f"{r:6.3f} {eb:10.6f} {1 - 1 / math.cosh(r):10.6f} {es:10.6f} {s_e:10.6f} {es - s_e:10.4f}")

@@ -2,7 +2,9 @@
 
 The matrix layer.  A CM's spectrum is that of its standard form I, in
 closed form: no eigensolve decides physicality or PPT.  ``sqrt_cm`` (one
-``eigh``) serves the Fock oracle's Williamson factors.  The threshold rule it
+``eigh``) serves the Fock oracle's Williamson factors, which only build gates:
+the oracle refuses a two-mode CM, and fills its thermal cores, on the spectrum
+kept here for the last matrix (``_spectrum_and_scale``).  The threshold rule it
 decides with (``above_vacuum``, ``rounding_tol`` and their constants),
 ``OneModeCM``, the ``SymplecticSpectrum`` record and its closed form
 ``form_I_spectrum`` are defined in the numpy-free ``gent.scalar`` and
@@ -90,11 +92,7 @@ def _spectrum_and_scale(v: np.ndarray) -> tuple[SymplecticSpectrum, float]:
     last_key, last = _last_spectrum  # one read: another thread may replace it
     if last_key == key:
         return last
-    try:
-        spec = form_I_spectrum(to_standard_form_I(v))
-    except NonPositiveDefinite:  # the block's own message names less than V
-        raise NonPositiveDefinite("covariance matrix is not positive definite") from None
-    last = spec, entry_scale(v)
+    last = form_I_spectrum(to_standard_form_I(v)), entry_scale(v)
     _last_spectrum = (key, last)
     return last
 
@@ -109,8 +107,8 @@ def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     positive definite or b1 b2 <= c^2, and ValueError on a non-finite entry.
 
     The spectrum of the last matrix is kept with its entry scale, keyed by its
-    content, so that ``is_physical``, ``is_separable`` and a caller asking about
-    the same V share one reduction; a matrix changed in place is read again.
+    content, so that ``is_physical``, ``is_separable``, the Fock build and a caller
+    asking about the same V share one reduction; a matrix changed in place is read again.
     """
     return _spectrum_and_scale(v)[0]
 

@@ -3,6 +3,9 @@
 Gaussian states are realized by Williamson decomposition of the covariance
 matrix followed by an Euler (passive - squeeze - passive) factorization of
 the symplectic, applied as unitary gates to a product of thermal states.
+A two-mode CM is refused, and its thermal cores are filled, on the
+closed-form spectrum and the threshold rule of ``cm_core.is_physical``; the
+factorizations only build gates.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
 weights and their exact logarithm; every functional reads these factors,
 and dense matrices are derived only on demand.  Every gate commutes with the
@@ -46,7 +49,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .cm_core import VACUUM, OneModeCM, entry_scale, omega, physical_kappa, sqrt_cm
+from .cm_core import VACUUM, OneModeCM, _spectrum_and_scale, entry_scale, omega, physical_kappa, sqrt_cm
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
@@ -563,8 +566,6 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     vq, vp = v[::2, ::2], v[1::2, 1::2]
     root = sqrt_cm(vq)
     kappa_sq, o = np.linalg.eigh(root @ vp @ root)
-    if kappa_sq[0] <= 0:
-        raise NonPositiveDefinite("covariance matrix is not positive definite")
     kappas = np.sqrt(kappa_sq)
     r1, e, r2t = np.linalg.svd(root @ o / np.sqrt(kappas))
     order, signs = _nearest_rotation(r1)  # M = R1 e R2^T for any common order and signs
@@ -592,13 +593,23 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     is exactly the identity is skipped: until one acts, the cores' identity
     blocks stand.  A V with no q-p correlation (V = T V T,
     T = diag(1, -1, ...)) takes ``_qp_free_factors``, any other V
-    ``williamson`` and ``euler_decompose``.  Each kappa is read by ``cm_core.physical_kappa``
-    at the scale of the physicality test (1/2 for a diagonal 2x2, else the entry scale of V):
-    within its band of 1/2 the core is pure; below it, or undecidable, the state is refused.
+    ``williamson`` and ``euler_decompose``.
+
+    A 4x4 V is first decided on the spectrum and entry scale that ``cm_core`` keeps for
+    the last matrix, as ``cm_core.is_physical`` decides it and before any eigensolve:
+    NonPositiveDefinite, UnphysicalState below the vacuum (named ``kappa_-``) or
+    NumericalDegeneracy where the rule cannot decide.  Its cores take
+    ``physical_kappa(kappa_+-, scale)`` of that spectrum, matched to the factors' modes by
+    rank.  A 2x2 V's kappa comes from its factors and is read by ``physical_kappa`` at
+    1/2 when diagonal, as ``OneModeCM``, else at its entry scale.  Within its band of 1/2
+    a kappa is exactly 1/2 and its core pure.
     """
     v = np.asarray(v.matrix() if isinstance(v, OneModeCM) else v, dtype=float)
     if v.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
+    if v.shape == (4, 4):  # cm_core.is_physical's spectrum and rule, before any eigensolve
+        spec, scale = _spectrum_and_scale(v)
+        exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
     qp_correlated = v[::2, 1::2].any()
     if qp_correlated:
         s, kappas = williamson(v)
@@ -607,9 +618,11 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         squeezes = np.log(np.diag(z)[::2])
     else:
         kappas, first, squeezes, last = _qp_free_factors(v)
-    # as OneModeCM and cm_core.is_physical: a diagonal 2x2's kappa, sqrt(v_qq v_pp), does not cancel
-    scale = VACUUM if v.shape == (2, 2) and not qp_correlated else entry_scale(v)
-    cores = [thermal_state(physical_kappa(float(kappa), scale), n) for kappa in kappas]
+    if v.shape == (4, 4):  # the closed-form kappas, matched to the factors' modes by rank
+        kappas = exact if kappas[0] <= kappas[1] else exact[::-1]
+    else:  # one mode: a diagonal 2x2's kappa, sqrt(v_qq v_pp), cancels nothing (as OneModeCM)
+        kappas = [physical_kappa(float(kappas[0]), entry_scale(v) if qp_correlated else VACUUM)]
+    cores = [thermal_state(kappa, n) for kappa in kappas]
     alpha, theta, _ = _mode_angles(first)
     blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity
     if any(squeezes):

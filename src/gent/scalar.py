@@ -215,7 +215,7 @@ def symmetric_sts(r: float, nbar: float = 0.0) -> SymmetricState:
     """
     if r < 0 or nbar < 0:
         raise DomainError("r and nbar must be nonnegative")
-    nu = nbar + 0.5
+    r, nu = abs(r), nbar + 0.5  # abs: r = -0.0 passes the test above and would give c = -0.0
     try:
         b, c = nu * math.cosh(2 * r), nu * math.sinh(2 * r)
     except OverflowError:

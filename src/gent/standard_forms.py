@@ -49,10 +49,11 @@ def make_scaled_cm(sc: ScaledState) -> np.ndarray:
 
 def _local_normalizer(p: float, q: float, r: float, s: float) -> tuple[float, tuple[float, ...]]:
     """(b, N) for the block V_i = [[p, q], [r, s]]: N symplectic with N V_i N^T = b I,
-    b = sqrt(det V_i), and N = (n00, n01, n10, n11) read row by row."""
+    b = sqrt(det V_i), and N = (n00, n01, n10, n11) read row by row.  A block that is not
+    positive definite leaves V not positive definite, and is refused with V's message."""
     det = p * s - q * r
     if det <= 0 or p <= 0:
-        raise NonPositiveDefinite("a diagonal block of V is not positive definite")
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
     b = math.sqrt(det)
     p, q, r, s = p / b, q / b, r / b, s / b
     # for det A = 1, (A + I) / sqrt(tr A + 2) squares to A, and A^-1 = adj(A)

@@ -70,6 +70,24 @@ def squeezed_pure_cms(rng, n, r_lo, r_hi):
         yield state, t @ state.to_cm() @ t.T
 
 
+def band_edge_cms(n, seed=11):
+    """n CMs with kappa_- = 1/2 - k rounding_tol(scale), k ~ U(0.5, 1.5), on either side of the band's edge.
+
+    Each is pure symmetric_sts(r), r ~ U(0, 3.5), 70% of them under
+    random_local_symplectic(rng, U(0.5, 3)), scaled by 1 - k rounding_tol(scale)/(1/2)
+    at its entry scale.
+    """
+    from gent.cm_core import entry_scale, rounding_tol
+
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = symmetric_sts(rng.uniform(0.0, 3.5)).to_cm()
+        if rng.uniform() < 0.7:
+            t = random_local_symplectic(rng, rng.uniform(0.5, 3.0))
+            v = t @ v @ t.T
+        yield v * (1 - rng.uniform(0.5, 1.5) * rounding_tol(entry_scale(v)) / 0.5)
+
+
 def random_physical_cm(rng, nu_floor=0.55):
     """Random physical 4x4 CM, bounded away from the physicality boundary."""
     s = random_local_symplectic(rng) @ _random_bs(rng)

@@ -17,7 +17,7 @@ from gent.errors import NonPositiveDefinite, UnphysicalState
 from gent.relent import rel_ent_entanglement
 from gent.standard_forms import StandardFormI, SymmetricState, make_scaled_cm, ScaledState, symmetric_sts
 
-from conftest import dump_cm_json, random_local_symplectic, random_physical_cm
+from conftest import band_edge_cms, dump_cm_json, random_local_symplectic, random_physical_cm
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,9 @@ def test_check_decides_parameters_as_the_measures_do(capsys):
                 state.kappa_tilde_minus]
         printed = re.findall(r"= ([^\s)]+)", "\n".join(out.splitlines()[:4]))
         assert printed == [f"{k:.9g}" for k in want], flags
+    # r = -0.0 is read as 0: each command prints what it prints for --r 0
+    for command in ("check", "bures", "relent"):
+        assert run_cli(capsys, command, "--r", "-0.0") == run_cli(capsys, command, "--r", "0"), command
 
 
 def _check_numbers(out):
@@ -672,6 +675,23 @@ def test_oracle_entropy_of_two_mode_cm(capsys, tmp_path):
         assert code == 0, err
         payload = json.loads(out)
         assert payload["value"] == payload["closed_form"] == 0, (r, u, w)
+
+
+def test_oracle_refuses_a_band_edge_cm_where_check_does(capsys, tmp_path):
+    # files at the edge of the rounding band, draws 991-1000 and 1781-1790 of band_edge_cms,
+    # symmetrized as load_cm_json reads them: the Fock build reads check's spectrum and rule,
+    # where the kappas of an eigensolve of V put draw 997, which check accepts, below the
+    # vacuum and draw 1786, which check refuses, above it
+    path = tmp_path / "edge.json"
+    codes = []
+    for i, v in enumerate(band_edge_cms(1791)):
+        if 991 <= i <= 1000 or i >= 1781:
+            dump_cm_json(v, path)
+            code, _, _ = run_cli(capsys, "check", "--cm", str(path))
+            code_oracle, _, err = run_cli(capsys, "oracle", "entropy", "--cm1", str(path), "--dim", "4")
+            assert (code == cli.EXIT_UNPHYSICAL) == (code_oracle == cli.EXIT_UNPHYSICAL), (i, err)
+            codes.append(code_oracle)
+    assert 0 < codes.count(cli.EXIT_UNPHYSICAL) < len(codes)
 
 
 def _python(*argv):

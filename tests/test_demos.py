@@ -16,5 +16,8 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 def test_demo_runs(script):
     src = os.path.dirname(os.path.dirname(gent.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+    # pytest's filterwarnings does not reach a subprocess: the interpreter takes the same rule
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from gent.errors import (
     DecompositionFailure,
     DimensionMismatch,
     DomainError,
+    GentError,
     NonPositiveDefinite,
     NumericalDegeneracy,
     SupportViolation,
@@ -20,7 +21,13 @@ from gent.errors import (
 from gent.optics import BeamSplitterParams
 from gent.standard_forms import ScaledState, StandardFormI, make_scaled_cm, symmetric_sts
 
-from conftest import NoLinalg, random_entangled_symmetric, random_local_symplectic, random_physical_cm
+from conftest import (
+    NoLinalg,
+    band_edge_cms,
+    random_entangled_symmetric,
+    random_local_symplectic,
+    random_physical_cm,
+)
 
 
 def test_thermal_state_basics():
@@ -739,7 +746,7 @@ def test_cm_of_neither_one_nor_two_modes_is_refused_at_entry(n):
         fock.gaussian_state_from_cm(np.eye(n) / 2, 6)
 
 
-def test_physical_states_are_built():
+def test_physical_states_are_built(monkeypatch):
     # pure states under local symplectics, entries up to a few thousand: every
     # one is physical by cm_core's threshold rule, which the build shares, and
     # every one is built: euler_decompose's polar factor holds at cond(S) ~ 1e4
@@ -754,10 +761,13 @@ def test_physical_states_are_built():
         except UnphysicalState:
             refused.append(cm_core.symplectic_spectrum(v).kappa_minus)
     assert not refused
-    with pytest.raises(UnphysicalState):
-        fock.gaussian_state_from_cm(0.4 * np.eye(4), 6)
-    with pytest.raises(NonPositiveDefinite):
-        fock.gaussian_state_from_cm(np.diag([1.0, 1.0, 1.0, -1.0]), 6)
+    # a two-mode CM is refused on cm_core's closed-form spectrum, before any eigensolve
+    with monkeypatch.context() as m:
+        m.setattr(np, "linalg", NoLinalg())
+        with pytest.raises(UnphysicalState, match="^kappa_- = 1/2 - 0.1, "):
+            fock.gaussian_state_from_cm(0.4 * np.eye(4), 6)
+        with pytest.raises(NonPositiveDefinite, match="^covariance matrix is not positive definite$"):
+            fock.gaussian_state_from_cm(np.diag([1.0, 1.0, 1.0, -1.0]), 6)
     fock.thermal_state(0.5 - 1e-13, 6)  # within the rule at scale 1/2
     with pytest.raises(UnphysicalState):
         fock.thermal_state(0.5 - 1e-11, 6)
@@ -806,6 +816,34 @@ def test_two_mode_build_refuses_where_is_physical_does(v, refused):
         except NumericalDegeneracy:
             outcomes.append(True)
     assert outcomes == [refused, refused]
+
+
+def test_build_refuses_exactly_where_is_physical_does():
+    # the build decides a two-mode CM on cm_core's spectrum and rule, and its cores take
+    # that spectrum's kappas as physical_kappa reads them: at the edge of the rounding
+    # band, the kappas of an eigensolve of V fall on the other side of the rule on 11 of
+    # these 3000 CMs
+    n = 4
+    refused = 0
+    for v in band_edge_cms(3000):
+        try:
+            want = None if cm_core.is_physical(v) else UnphysicalState
+        except GentError as exc:
+            want = type(exc)
+        try:
+            state = fock.gaussian_state_from_cm(v, n)
+        except GentError as exc:
+            assert type(exc) is want, (v, exc)
+            refused += 1
+            continue
+        assert want is None, v
+        spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
+        kappas = (spec.kappa_minus, spec.kappa_plus)
+        cores = [fock.thermal_state(cm_core.physical_kappa(k, scale), n) for k in kappas]
+        assert any(
+            np.array_equal(state.weights, np.kron(a.weights, b.weights)) for a, b in (cores, cores[::-1])
+        ), v
+    assert 0 < refused < 3000
 
 
 def test_one_mode_overflow_is_a_decomposition_failure():
