@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, OptimizerNoConverge, UnphysicalState
+from .errors import DomainError, OptimizerNoConverge
 from .scalar import OneModeCM, SymmetricState, physical_kappa
 from .scalar_min import golden_section, resolution
 
@@ -60,9 +60,10 @@ def one_mode_fidelity(v: OneModeCM, vp: OneModeCM) -> float:
     F = 1 / (sqrt(Delta + 4*delta) - 2*sqrt(delta)) with
     Delta = det(V + V'), delta = (det V - 1/4)(det V' - 1/4);
     cross-validated against the truncated-Fock-basis fidelity.
+    ``OneModeCM.physical_nu`` reads and refuses each CM.
     """
-    if not v.is_physical() or not vp.is_physical():
-        raise UnphysicalState("both one-mode CMs must satisfy sqrt(det) >= 1/2")
+    v.physical_nu()
+    vp.physical_nu()
     return _fid1(v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp)
 
 

@@ -180,9 +180,12 @@ def cmd_check(args) -> int:
 
 
 def _print_measure(command: str, state: SymmetricState, fields: dict) -> int:
-    """Print the JSON of gent bures or gent relent: the input state, then the measure's ``fields``."""
+    """Print the JSON of gent bures or gent relent: the input state, then the measure's ``fields``.
+
+    d = -|d| is written 0.0 - |d|, here and in the sweep rows, so that d = 0 prints 0.0, not -0.0.
+    """
     payload = {"version": __version__, "command": command,
-               "input": {"b": state.b, "c": state.c, "d": -state.d_abs}, **fields}
+               "input": {"b": state.b, "c": state.c, "d": 0.0 - state.d_abs}, **fields}
     print(json.dumps(payload, indent=1))
     return EXIT_SEPARABLE
 
@@ -195,7 +198,7 @@ def cmd_bures(args) -> int:
     if args.verify and not state.is_separable():
         f_star, argmax, u_star = bures.numeric_max_fidelity(state)
         fields["verify"] = {"f_star": f_star, "discrepancy": abs(f_star - result.f_max),
-                            "argmax": {"b": argmax.b, "c": argmax.c, "d": -argmax.d_abs, "u": u_star}}
+                            "argmax": {"b": argmax.b, "c": argmax.c, "d": 0.0 - argmax.d_abs, "u": u_star}}
     return _print_measure("bures", state, fields)
 
 
@@ -240,7 +243,7 @@ def cmd_sweep(args) -> int:
         if args.measure in ("relent", "both"):
             res = relent.rel_ent_entanglement(state)
             e_s, x1, x2 = res.e_s, res.x1_star, res.x2_star
-        values = (float(val), state.b, state.c, -state.d_abs, state.kappa_plus, state.kappa_minus,
+        values = (float(val), state.b, state.c, 0.0 - state.d_abs, state.kappa_plus, state.kappa_minus,
                   state.kappa_tilde_minus, e_b, e_s, x1, x2)
         rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
     try:

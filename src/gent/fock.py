@@ -4,8 +4,9 @@ Gaussian states are realized by Williamson decomposition of the covariance
 matrix followed by an Euler (passive - squeeze - passive) factorization of
 the symplectic, applied as unitary gates to a product of thermal states.
 A two-mode CM is refused, and its thermal cores are filled, on the
-closed-form spectrum and the threshold rule of ``cm_core.is_physical``; the
-factorizations only build gates.
+closed-form spectrum and the threshold rule of ``cm_core.is_physical``, and a
+diagonal one-mode CM on ``OneModeCM.physical_nu``, as every one-mode function
+reads it; the factorizations only build gates.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
 weights and their exact logarithm; every functional reads these factors,
 and dense matrices are derived only on demand.  Every gate commutes with the
@@ -53,7 +54,6 @@ from .cm_core import VACUUM, OneModeCM, _spectrum_and_scale, entry_scale, omega,
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
-    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
 )
@@ -544,16 +544,12 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
     One mode, V = diag(v_qq, v_pp), is read from the scalars with no linear
     algebra: kappa = sqrt(v_qq v_pp), r = ln(v_qq / kappa)/2 and R1 = R2 = 1,
-    under the same checks.
+    under the same checks, for a V that ``OneModeCM.physical_nu`` has read:
+    positive variances and a det V that neither underflows nor overflows.
     """
     if v.shape == (2, 2):
         vqq, vpp = float(v[0, 0]), float(v[1, 1])
-        det = vqq * vpp
-        if not (vqq > 0 and det > 0):  # also a NaN, and a det that underflows, as kappa^2 <= 0 above
-            raise NonPositiveDefinite("covariance matrix is not positive definite")
-        if det == math.inf:
-            raise DecompositionFailure(f"det V = {vqq:.3g} * {vpp:.3g} overflows")
-        kappa = math.sqrt(det)
+        kappa = math.sqrt(vqq * vpp)
         r = 0.5 * math.log(vqq / kappa)
         mq, mp = math.exp(r), math.exp(-r)
         symplectic_err = abs(mq * mp - 1.0)
@@ -600,17 +596,21 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     NonPositiveDefinite, UnphysicalState below the vacuum (named ``kappa_-``) or
     NumericalDegeneracy where the rule cannot decide.  Its cores take
     ``physical_kappa(kappa_+-, scale)`` of that spectrum, matched to the factors' modes by
-    rank.  A 2x2 V's kappa comes from its factors and is read by ``physical_kappa`` at
-    1/2 when diagonal, as ``OneModeCM``, else at its entry scale.  Within its band of 1/2
-    a kappa is exactly 1/2 and its core pure.
+    rank.  A diagonal 2x2 V is first read, and refused, by ``OneModeCM.physical_nu``, as
+    every one-mode function reads it, and its core takes that nu; a rotated one takes
+    ``williamson``'s kappa, read by ``physical_kappa`` at its entry scale.  Within its
+    band of 1/2 a kappa is exactly 1/2 and its core pure.
     """
     v = np.asarray(v.matrix() if isinstance(v, OneModeCM) else v, dtype=float)
     if v.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
+    qp_correlated = v[::2, 1::2].any()
+    exact = None  # the kappas read before any factorization
     if v.shape == (4, 4):  # cm_core.is_physical's spectrum and rule, before any eigensolve
         spec, scale = _spectrum_and_scale(v)
         exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
-    qp_correlated = v[::2, 1::2].any()
+    elif not qp_correlated:  # a diagonal one mode: the reading of every one-mode function
+        exact = [OneModeCM(float(v[0, 0]), float(v[1, 1])).physical_nu()]
     if qp_correlated:
         s, kappas = williamson(v)
         k1, z, k2 = euler_decompose(s)
@@ -618,10 +618,10 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         squeezes = np.log(np.diag(z)[::2])
     else:
         kappas, first, squeezes, last = _qp_free_factors(v)
-    if v.shape == (4, 4):  # the closed-form kappas, matched to the factors' modes by rank
-        kappas = exact if kappas[0] <= kappas[1] else exact[::-1]
-    else:  # one mode: a diagonal 2x2's kappa, sqrt(v_qq v_pp), cancels nothing (as OneModeCM)
-        kappas = [physical_kappa(float(kappas[0]), entry_scale(v) if qp_correlated else VACUUM)]
+    if exact is None:  # a rotated one mode
+        kappas = [physical_kappa(float(kappas[0]), entry_scale(v))]
+    else:  # matched to the factors' modes by rank
+        kappas = exact if kappas[0] <= kappas[-1] else exact[::-1]
     cores = [thermal_state(kappa, n) for kappa in kappas]
     alpha, theta, _ = _mode_angles(first)
     blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity

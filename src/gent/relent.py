@@ -11,8 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, OptimizerNoConverge, SupportViolation, UnphysicalState
-from .scalar import VACUUM, OneModeCM, SymmetricState, physical_kappa
+from .errors import DomainError, OptimizerNoConverge, SupportViolation
+from .scalar import VACUUM, OneModeCM, SymmetricState
 from .scalar_min import grid_minimize
 
 # minimize_mode: rounding unit, step cap, longest step in t (keeps exp finite),
@@ -35,36 +35,34 @@ class RelEntResult:
 
 
 def _entropy_nu(nu: float) -> float:
-    """(nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), and 0 for nu <= 1/2 (pure)."""
+    """The entropy of a one-mode state of symplectic eigenvalue nu, and 0 for nu <= 1/2 (pure)."""
     return _entropy_excess(nu - 0.5)
 
 
 def _entropy_excess(x: float) -> float:
-    """(x+1)ln(x+1) - x ln x, the entropy at nu = 1/2 + x, and 0 for x <= 0.
+    """The entropy at nu = 1/2 + x, and 0 for x <= 0: the brace -Tr(rho ln rho') at rho' = rho.
 
-    Callers that can form x = nu - 1/2 without cancellation pass it here.
+    There sqrt(det V') = nu and g = 2 det V / nu = 2 nu, so g - 1 = 2x, and ``_brace``
+    gives ln(1+x) + x ln(1+1/x) = (x+1)ln(x+1) - x ln x, whose terms do not cancel at
+    large x.  Callers that can form x = nu - 1/2 without cancellation pass it here.
     """
     if x <= 0:
         return 0.0
-    return (x + 1) * math.log1p(x) - x * math.log(x)
+    return _brace(x, 2 * x)
 
 
 def von_neumann_entropy(v: OneModeCM) -> float:
-    """Entropy of a one-mode Gaussian state, in nats."""
-    if not (v.sigma_qq > 0 and v.sigma_pp > 0):
-        raise UnphysicalState(f"variances {v.sigma_qq:.6g}, {v.sigma_pp:.6g} must be positive")
-    return _entropy_nu(physical_kappa(v.nu, VACUUM, "nu"))  # raises UnphysicalState below 1/2
+    """Entropy of a one-mode Gaussian state, in nats; ``OneModeCM.physical_nu`` refuses v."""
+    return _entropy_nu(v.physical_nu())
 
 
 def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
     """S(rho'/rho) = Tr[rho (ln rho - ln rho')] for diagonal one-mode CMs.
 
-    ``vp`` describes rho', ``v`` describes rho.  Diverges when rho' is pure
-    and different from rho.
+    ``vp`` describes rho', ``v`` describes rho; ``OneModeCM.physical_nu`` reads
+    and refuses each.  Diverges when rho' is pure and different from rho.
     """
-    if not v.is_physical() or not vp.is_physical():
-        raise UnphysicalState("both one-mode CMs must satisfy sqrt(det) >= 1/2")
-    nup = physical_kappa(vp.nu, VACUUM)
+    nup, nu = vp.physical_nu(), v.physical_nu()
     same = (
         abs(v.sigma_qq - vp.sigma_qq) <= 1e-14 * max(1.0, v.sigma_qq)
         and abs(v.sigma_pp - vp.sigma_pp) <= 1e-14 * max(1.0, v.sigma_pp)
@@ -74,7 +72,7 @@ def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
     if nup == VACUUM:
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
     cross = (v.sigma_qq * vp.sigma_pp + v.sigma_pp * vp.sigma_qq) / nup
-    return _brace(nup - 0.5, cross - 1) - _entropy_nu(physical_kappa(v.nu, VACUUM))
+    return _brace(nup - 0.5, cross - 1) - _entropy_nu(nu)
 
 
 def mode_objective(x: float, kappa_sq: float, kt: float) -> float:

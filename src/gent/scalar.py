@@ -126,15 +126,22 @@ class OneModeCM:
     sigma_qq: float
     sigma_pp: float
 
-    @property
-    def nu(self) -> float:
-        """Symplectic eigenvalue sqrt(det V); physical states have nu >= 1/2, and det V < 0 gives NaN."""
-        det = self.sigma_qq * self.sigma_pp
-        return math.sqrt(det) if det >= 0 else math.nan
+    def physical_nu(self) -> float:
+        """The symplectic eigenvalue nu = sqrt(det V) as the threshold rule reads it: the one
+        reading of a one-mode CM, before any result.
 
-    def is_physical(self) -> bool:
-        # sqrt(sqq*spp) does not cancel: its rounding is relative to nu, 1/2 at the threshold
-        return self.sigma_qq > 0 and self.sigma_pp > 0 and above_vacuum(self.nu, VACUUM)
+        sqrt(v_qq v_pp) cancels nothing, so its rounding is relative to nu, 1/2 at the
+        threshold, and nu is read at the scale 1/2 whatever the variances.  Raises
+        NonPositiveDefinite for a variance that is not positive (or NaN) and for a det V
+        that underflows to 0, NumericalDegeneracy for a det V that overflows, and
+        UnphysicalState, named ``nu``, below the vacuum.
+        """
+        det = self.sigma_qq * self.sigma_pp
+        if not (self.sigma_qq > 0 and det > 0):  # also a NaN
+            raise NonPositiveDefinite("covariance matrix is not positive definite")
+        if det == math.inf:
+            raise NumericalDegeneracy(f"ill-conditioned: det V = {self.sigma_qq:.3g} * {self.sigma_pp:.3g} overflows")
+        return physical_kappa(math.sqrt(det), VACUUM, "nu")
 
     def matrix(self):
         """The 2x2 numpy array."""
@@ -197,7 +204,7 @@ class SymmetricState:
         return above_vacuum(self.kappa_tilde_minus, self.b)
 
     def to_form_I(self) -> StandardFormI:
-        return StandardFormI(self.b, self.b, self.c, -self.d_abs)
+        return StandardFormI(self.b, self.b, self.c, 0.0 - self.d_abs)  # d = 0, not -0
 
     def to_cm(self, u: float = 1.0):
         """The 4x4 numpy array of the state, locally squeezed by u on both modes."""

@@ -142,6 +142,12 @@ def test_check_decides_parameters_as_the_measures_do(capsys):
     # r = -0.0 is read as 0: each command prints what it prints for --r 0
     for command in ("check", "bures", "relent"):
         assert run_cli(capsys, command, "--r", "-0.0") == run_cli(capsys, command, "--r", "0"), command
+    # and d = 0 prints as 0, not as the -0 of d = -|d|
+    for command in ("check", "bures", "relent"):
+        for flags in (("--r", "0"), ("--b", "1", "--c", "0.5", "--d", "0")):
+            _, out, _ = run_cli(capsys, command, *flags)
+            numbers = re.findall(r"-?\d+\.?\d*(?:e[-+]?\d+)?", out)
+            assert not [t for t in numbers if t.startswith("-") and float(t) == 0], (command, flags, out)
 
 
 def _check_numbers(out):
@@ -404,6 +410,15 @@ def test_sweep_monotone_and_reproducible(capsys, tmp_path):
     assert all(x < y for x, y in zip(e_b, e_b[1:]))
     # relent columns are empty for a bures-only sweep
     assert lines[1].endswith(",,")
+
+
+def test_sweep_prints_d_zero_as_zero(capsys, tmp_path):
+    # r = 0 has d = -|d| = 0, written 0 as in gent bures, not -0
+    path = tmp_path / "r0.csv"
+    code, _, err = run_cli(capsys, "sweep", "--measure", "both", "--parameter", "r",
+                           "--start", "0", "--stop", "1", "--steps", "2", "--output", str(path))
+    assert code == 0, err
+    assert path.read_text().splitlines()[1].split(",")[:4] == ["0", "0.5", "0", "0"]
 
 
 def test_sweep_pure_states_to_strong_squeezing(capsys, tmp_path):

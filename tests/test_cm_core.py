@@ -64,24 +64,33 @@ def test_unphysical_verdict():
 
 
 def test_one_mode_nu_is_numpy_sqrt_bit_for_bit():
-    # math.sqrt and np.sqrt are both correctly rounded; a negative det gives NaN in both
+    # math.sqrt and np.sqrt are both correctly rounded; a negative det is refused, as NaN is
     rng = np.random.default_rng(4242)
     sigmas = np.exp(rng.uniform(-20.0, 20.0, (400, 2)))
     sigmas[::7, 0] *= -1.0
     for sqq, spp in sigmas.tolist():
-        nu = cm_core.OneModeCM(sqq, spp).nu
-        with np.errstate(invalid="ignore"):
-            ref = float(np.sqrt(sqq * spp))
-        assert nu == ref or (math.isnan(nu) and math.isnan(ref))
-    assert math.isnan(cm_core.OneModeCM(math.nan, 1.0).nu)
+        cm = cm_core.OneModeCM(sqq, spp)
+        if sqq < 0:
+            with pytest.raises(NonPositiveDefinite):
+                cm.physical_nu()
+            continue
+        ref = float(np.sqrt(sqq * spp))
+        if ref < 0.5:
+            with pytest.raises(UnphysicalState):
+                cm.physical_nu()
+        else:
+            assert cm.physical_nu() == ref
+    with pytest.raises(NonPositiveDefinite):
+        cm_core.OneModeCM(math.nan, 1.0).physical_nu()
 
 
 def test_large_entries_do_not_widen_the_threshold():
     # kappa_- = sqrt(1e6 * 1e-7) = 0.316, exact for a diagonal CM whatever its scale
     v = np.diag([1e6, 1e-7, 1e6, 1e-7])
     assert not cm_core.is_physical(v)
-    assert not cm_core.OneModeCM(1e6, 1e-7).is_physical()
-    assert cm_core.OneModeCM(1e6, 1e6).is_physical()
+    with pytest.raises(UnphysicalState, match=r"^nu = 1/2 - 0\.184, beyond the rounding allowance 1e-12 at scale 0\.5$"):
+        cm_core.OneModeCM(1e6, 1e-7).physical_nu()
+    assert cm_core.OneModeCM(1e6, 1e6).physical_nu() == 1e6
 
 
 def test_ill_conditioned_threshold_refused():

@@ -1,4 +1,4 @@
-"""The closed forms behind ``bures`` and ``formation``, checked exactly.
+"""The closed forms behind ``bures``, ``formation`` and ``relent``, checked exactly.
 
 Where square roots of rationals are left, an identity is decided at seeded rationals:
 the minimal polynomial of the difference of its sides is x exactly when the difference
@@ -9,10 +9,11 @@ import math
 import random
 import sys
 
+import mpmath
 import sympy
-from sympy import Rational, sqrt
+from sympy import Rational, log, sqrt
 
-from gent import bures
+from gent import bures, relent
 from gent.formation import entanglement_of_formation
 from gent.scalar import symmetric_sts
 
@@ -119,7 +120,95 @@ def test_formation_of_giedke_et_al():
     assert sympy.cancel((c_plus + c_minus) / 2 - Rational(1, 2) - c_minus) == 0
     assert sympy.cancel(c_minus - (1 - 2 * kt) ** 2 / (8 * kt)) == 0
     e_f = c_plus * sympy.log(c_plus) - c_minus * sympy.log(c_minus)
-    for r_value, kt_value in _sts_kts(606):
+    for r_value, kt_value in _sts_kts(606) + [(r, symmetric_sts(r).kappa_tilde_minus) for r in (3, 5)]:
         value = float(e_f.subs(s, sympy.sqrt(2 * sympy.Float(kt_value, 40))))
         got = entanglement_of_formation(symmetric_sts(r_value))
         assert math.isclose(got, value, rel_tol=1e-13), (r_value, got, value)
+
+
+def test_entropy_is_the_brace_at_rho_prime_equal_rho():
+    # -Tr rho ln rho' at rho' = rho: sqrt(det V') = nu = 1/2 + x and g = 2 det V / nu = 2 nu,
+    # so g - 1 = 2x, and the brace ln(1+x) + (g-1)/2 ln(1+1/x) is (x+1)ln(x+1) - x ln x
+    xs = sympy.Symbol("x", positive=True)
+    nu = Rational(1, 2) + xs
+    assert sympy.simplify(2 * nu**2 / nu - 1 - 2 * xs) == 0
+    brace = log(1 + xs) + xs * log(1 + 1 / xs)
+    assert sympy.simplify(sympy.expand_log((xs + 1) * log(xs + 1) - xs * log(xs) - brace, force=True)) == 0
+    rng = random.Random(707)
+    for _ in range(40):
+        value = 10 ** rng.uniform(-10, 12)
+        ref = float(brace.subs(xs, sympy.Float(value, 50)).evalf(50))
+        assert math.isclose(relent._entropy_excess(value), ref, rel_tol=4 * sys.float_info.epsilon), value
+
+
+# mode_objective: f(x) = (1+g)/2 ln(x+1/2) + (1-g)/2 ln(x-1/2), g = kappa^2/(2 x kt) + 2 x kt
+_X, _K2, _KT = sympy.symbols("x kappa_sq kt", positive=True)
+_G = _K2 / (2 * _X * _KT) + 2 * _X * _KT
+_F = (1 + _G) / 2 * log(_X + Rational(1, 2)) + (1 - _G) / 2 * log(_X - Rational(1, 2))
+
+
+def _mode_draws(n, seed):
+    """n seeded (e = x - 1/2, kappa^2, kt) floats, e from 1e-6 to 10^1.5."""
+    rng = random.Random(seed)
+    return [(10 ** rng.uniform(-6, 1.5), rng.uniform(0.5, 3.0) ** 2, rng.uniform(0.01, 0.49)) for _ in range(n)]
+
+
+def test_g_minus_1_is_g_less_1():
+    # _g_minus_1 = (kappa^2 - 1/4 + (2 kt e - (1/2 - kt))^2)/p with p = 2 x kt, x = 1/2 + e;
+    # exact at the floats' own rationals, to a few eps relative (nothing cancels)
+    e = sympy.Symbol("e", positive=True)
+    g_minus_1 = (_K2 - Rational(1, 4) + (2 * _KT * e - (Rational(1, 2) - _KT)) ** 2) / (_KT * (1 + 2 * e))
+    assert sympy.cancel(_G.subs(_X, Rational(1, 2) + e) - 1 - g_minus_1) == 0
+    for e_value, k2, kt in _mode_draws(200, 808):
+        exact = (_G - 1).subs({_X: Rational(1, 2) + Rational(e_value), _K2: Rational(k2), _KT: Rational(kt)})
+        got = relent._g_minus_1(e_value, k2, kt)
+        assert abs(got - exact) <= 4 * sys.float_info.epsilon * abs(exact), (e_value, k2, kt)
+
+
+def test_mode_slope_is_the_derivatives_of_mode_objective():
+    # f' = 1/(x+1/2) - (g-1)/(2D) + g' L/2 and f'' = -1/(x+1/2)^2 - g'/D + (g-1) x/D^2 + g'' L/2,
+    # D = x^2 - 1/4, L = ln((x+1/2)/(x-1/2)), g' = (p^2 - kappa^2)/(p x), g'' = 2 kappa^2/(p x^2);
+    # _mode_slope's floats hold to 8 eps of the size of their terms at 50-digit derivatives
+    half, big_d = Rational(1, 2), _X**2 - Rational(1, 4)
+    big_l = log(_X + half) - log(_X - half)
+    p = 2 * _X * _KT
+    g1, g2 = (p * p - _K2) / (p * _X), 2 * _K2 / (p * _X**2)
+    assert sympy.simplify(sympy.diff(_G, _X) - g1) == 0 and sympy.simplify(sympy.diff(_G, _X, 2) - g2) == 0
+    f1 = 1 / (_X + half) - (_G - 1) / (2 * big_d) + g1 * big_l / 2
+    f2 = -1 / (_X + half) ** 2 - g1 / big_d + (_G - 1) * _X / big_d**2 + g2 * big_l / 2
+    assert sympy.simplify(sympy.diff(_F, _X) - f1) == 0
+    assert sympy.simplify(sympy.diff(_F, _X, 2) - f2) == 0
+    d1 = sympy.lambdify((_X, _K2, _KT), sympy.diff(_F, _X), "mpmath")
+    d2 = sympy.lambdify((_X, _K2, _KT), sympy.diff(_F, _X, 2), "mpmath")
+    size2 = sympy.lambdify((_X, _K2, _KT), sum(abs(t) for t in f2.args), "mpmath")
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        for e_value, k2, kt in _mode_draws(200, 909):
+            x_value = mpmath.mpf(e_value) + mpmath.mpf(1) / 2
+            got1, got2, size1 = relent._mode_slope(e_value, k2, kt)
+            assert abs(got1 - d1(x_value, k2, kt)) <= 8 * eps * size1, (e_value, k2, kt)
+            assert abs(got2 - d2(x_value, k2, kt)) <= 8 * eps * size2(x_value, k2, kt), (e_value, k2, kt)
+
+
+def test_minimize_mode_starts_at_the_large_x_root(monkeypatch):
+    # with kappa^2 = 1/h^2 and x = y/h, f'/h -> 1/y - 1/(2 kt y^3) as h -> 0, whose root is
+    # y = 1/sqrt(2 kt): x0 = sqrt(kappa^2/(2 kt)); minimize_mode forms x0 - 1/2 as
+    # (2 kappa^2 - kt)/(4 kt (x0 + 1/2)), since x0^2 - 1/4 = (2 kappa^2 - kt)/(4 kt)
+    h, y = sympy.symbols("h y", positive=True)
+    lead = sympy.limit(sympy.diff(_F, _X).subs(_K2, 1 / h**2).subs(_X, y / h) / h, h, 0)
+    assert sympy.simplify(lead - (1 / y - 1 / (2 * _KT * y**3))) == 0
+    assert sympy.solve(lead, y) == [1 / sqrt(2 * _KT)]
+    x0 = sqrt(_K2 / (2 * _KT))
+    assert sympy.cancel(x0**2 - Rational(1, 4) - (2 * _K2 - _KT) / (4 * _KT)) == 0
+    starts, slope = [], relent._mode_slope
+
+    def recording_slope(e, kappa_sq, kt):
+        starts.append(e)
+        return slope(e, kappa_sq, kt)
+
+    monkeypatch.setattr(relent, "_mode_slope", recording_slope)
+    for _, k2, kt in _mode_draws(50, 1010):
+        starts.clear()
+        relent.minimize_mode(k2, kt)
+        exact = sympy.sqrt(Rational(k2) / (2 * Rational(kt))) - Rational(1, 2)
+        assert math.isclose(starts[0], float(exact.evalf(30)), rel_tol=4 * sys.float_info.epsilon), (k2, kt)

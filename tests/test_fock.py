@@ -5,10 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gent import cm_core, fock, relent
+from gent import bures, cm_core, fock, relent
 from gent.cm_core import OneModeCM
 from gent.errors import (
-    DecompositionFailure,
     DimensionMismatch,
     DomainError,
     GentError,
@@ -732,11 +731,28 @@ def test_one_mode_build_calls_no_linalg(monkeypatch):
         (OneModeCM(0.49, 0.5), UnphysicalState),
         (OneModeCM(1e-3, 1.0), UnphysicalState),
         (np.diag([0.2, 0.5]), UnphysicalState),
+        (OneModeCM(1e200, 1e200), NumericalDegeneracy),  # det V overflows
     ],
 )
 def test_one_mode_refusals(v, error):
-    with pytest.raises(error):
-        fock.gaussian_state_from_cm(v, 10)
+    # the build and every one-mode function, in either argument, read a CM through
+    # OneModeCM.physical_nu: one class and one message, and no NaN
+    cm = v if isinstance(v, OneModeCM) else OneModeCM(float(v[0, 0]), float(v[1, 1]))
+    good = OneModeCM(0.8, 0.9)
+    calls = [
+        lambda: fock.gaussian_state_from_cm(v, 10),
+        lambda: relent.von_neumann_entropy(cm),
+        lambda: relent.rel_entropy_one_mode(cm, good),
+        lambda: relent.rel_entropy_one_mode(good, cm),
+        lambda: bures.one_mode_fidelity(cm, good),
+        lambda: bures.one_mode_fidelity(good, cm),
+    ]
+    refusals = set()
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call()
+        refusals.add((type(exc.value), str(exc.value)))
+    assert len(refusals) == 1, refusals
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -776,10 +792,10 @@ def test_physical_states_are_built(monkeypatch):
 @pytest.mark.parametrize("f", [1.0, 1 + 3e-16, 1 - 3e-16])
 def test_one_mode_kappa_is_read_at_the_one_mode_scale(f):
     # nu = sqrt(v_qq v_pp) does not cancel, so a one-mode CM is read at the scale 1/2 of
-    # OneModeCM.is_physical, whatever its variances; read at its entry scale 5e5, the
+    # OneModeCM.physical_nu, whatever its variances; read at its entry scale 5e5, the
     # band would pass MAX_ROUNDING_TOL and refuse this pure state as ill-conditioned
     v = OneModeCM(5e5 * f, 5e-7)
-    assert v.is_physical()
+    assert v.physical_nu() == 0.5
     assert fock.gaussian_state_from_cm(v, 30).log_weights is None
     assert fock.gaussian_state_from_cm(v.matrix(), 30).log_weights is None
 
@@ -844,11 +860,6 @@ def test_build_refuses_exactly_where_is_physical_does():
             np.array_equal(state.weights, np.kron(a.weights, b.weights)) for a, b in (cores, cores[::-1])
         ), v
     assert 0 < refused < 3000
-
-
-def test_one_mode_overflow_is_a_decomposition_failure():
-    with pytest.raises(DecompositionFailure):
-        fock.gaussian_state_from_cm(OneModeCM(1e200, 1e200), 10)
 
 
 def test_identity_gates_are_skipped():

@@ -1,6 +1,8 @@
 import math
+import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +47,58 @@ def test_entropy_rejects_unphysical_large_variance():
     # nu = sqrt(1e6 * 1e-7) = 0.316 has no cancellation, so a large variance earns no allowance
     with pytest.raises(UnphysicalState):
         von_neumann_entropy(OneModeCM(1e6, 1e-7))
+
+
+def test_entropy_holds_to_rounding_against_50_digits():
+    # -Tr rho ln rho is the brace at rho' = rho: ln(1+x) + x ln(1+1/x) at nu = 1/2 + x, whose
+    # terms do not cancel; (x+1)ln(x+1) - x ln x lost 7.1e-11 relative at x = 1e6, 1.3e-2 at 1e15
+    rng = random.Random(3030)
+    xs = [10.0**k for k in range(-12, 16)] + [10 ** rng.uniform(-12, 15) for _ in range(300)]
+    with mpmath.workdps(50):
+        for x in xs:
+            m = mpmath.mpf(x)
+            ref = (m + 1) * mpmath.log(m + 1) - m * mpmath.log(m)
+            assert abs(relent._entropy_excess(x) - ref) <= 4 * sys.float_info.epsilon * ref, x
+
+
+def _mp_mode_minimum(kappa_sq, kt, x_start):
+    """mode_objective's minimum at the working precision, by bisection of f' in t = ln(x - 1/2)
+    within a factor 4 of x_start - 1/2 (f has one stationary point)."""
+    half = mpmath.mpf(1) / 2
+
+    def g_and_slope(x):
+        g = kappa_sq / (2 * x * kt) + 2 * x * kt
+        dg = 2 * kt - kappa_sq / (2 * x * x * kt)
+        return g, (x - g / 2) / (x * x - half * half) + dg * mpmath.log((x + half) / (x - half)) / 2
+
+    lo, hi = mpmath.log((x_start - half) / 4), mpmath.log(4 * (x_start - half))
+    assert g_and_slope(half + mpmath.exp(lo))[1] < 0 < g_and_slope(half + mpmath.exp(hi))[1]
+    for _ in range(130):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if g_and_slope(half + mpmath.exp(mid))[1] < 0 else (lo, mid)
+    x = half + mpmath.exp(lo)
+    g = g_and_slope(x)[0]
+    return (1 + g) / 2 * mpmath.log(x + half) + (1 - g) / 2 * mpmath.log(x - half)
+
+
+@pytest.mark.parametrize("b, d", [(0.6, 0.1), (1.0, 0.3), (10.0, 9.5), (100.0, 99.5), (1000.0, 999.5)])
+def test_e_s_near_the_threshold_against_60_digits(b, d):
+    # at 1/2 - kt = 1e-3, c = b - kt^2/(b - d); the reference takes the float state as given.
+    # With the entropy's cancelling form the error grew with b: 1.6e-9 at (100, 99.5) and
+    # 1.7e-8 at (1000, 999.5); with the brace it is at most 9.1e-11 here
+    kt = 0.5 - 1e-3
+    s = SymmetricState(b, b - kt * kt / (b - d), d)
+    res = rel_ent_entanglement(s)
+    with mpmath.workdps(60):
+        half = mpmath.mpf(1) / 2
+        b_, c_, d_ = (mpmath.mpf(t) for t in (s.b, s.c, s.d_abs))
+        kt_ = mpmath.sqrt((b_ - d_) * (b_ - c_))
+        ref = mpmath.mpf(0)
+        for k_sq, x_star in (((b_ - d_) * (b_ + c_), res.x1_star), ((b_ + d_) * (b_ - c_), res.x2_star)):
+            nu = mpmath.sqrt(k_sq)
+            entropy = (nu + half) * mpmath.log(nu + half) - (nu - half) * mpmath.log(nu - half)
+            ref += _mp_mode_minimum(k_sq, kt_, x_star) - entropy
+        assert abs(res.e_s - ref) <= 1e-9 * ref, (res.e_s, ref)
 
 
 def test_rel_entropy_same_state_is_zero():
