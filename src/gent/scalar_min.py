@@ -1,8 +1,11 @@
-"""Bracketed scalar minimization: Brent's method and grid refinement.
+"""Bracketed scalar searches: Brent's methods and grid refinement.
 
-``golden_section`` is Brent's golden-section search with parabolic
-interpolation; it places a minimum to ``resolution(x, tol)``, which
-``bures._argmax`` also uses to tell a maximum on a search bound.
+``falling_root`` is Brent's zeroin for the zero of a slope: it places a maximum
+to rounding from the sign of its derivative, and serves
+``bures.numeric_max_fidelity``.  ``golden_section`` is Brent's golden-section
+search with parabolic interpolation on values, which places a minimum only to
+``resolution(x, tol)``; the tests take it as an independent reference, and
+perfbench traces it.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import BracketFailure
+from .errors import BracketFailure, OptimizerNoConverge
 
 GOLDEN = (3 - math.sqrt(5)) / 2  # 1 - 1/phi: the golden step, as a share of the larger side
-SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+EPS = sys.float_info.epsilon
+SQRT_EPS = math.sqrt(EPS)
+TINY = sys.float_info.min  # falling_root's absolute step floor, for a root at 0
 
 
 def resolution(x: float, tol: float) -> float:
@@ -84,6 +89,60 @@ def golden_section(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, fl
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+
+
+def falling_root(f, a: float, b: float) -> float:
+    """The x in [a, b] where f falls through zero, by Brent's method; f(a) > 0 > f(b).
+
+    f is the slope of a function with one maximum on [a, b].  Each step takes
+    inverse quadratic interpolation through the last three points, or the
+    secant through two, when it lands inside the sign bracket and shrinks it
+    fast enough; otherwise it bisects (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  No step is shorter than
+    2 eps |x| + tiny, and it stops when f(x) = 0 or the bracket lies within
+    4 eps |x| + tiny of x: a root is placed to rounding, where a search on
+    values stops at sqrt(eps).  Raises OptimizerNoConverge unless
+    f(a) > 0 > f(b), that is when the maximum lies on or past a search bound.
+    """
+    fa, fb = f(a), f(b)
+    if not fa > 0 > fb:
+        raise OptimizerNoConverge(f"maximum on a search bound of [{a!r}, {b!r}]: "
+                                  f"slope {fa!r} at the lower end, {fb!r} at the upper")
+    c, fc = a, fa
+    d = e = b - a  # the last step, and the one before it
+    while True:
+        if (fb > 0) == (fc > 0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best point so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2 * EPS * abs(b) + TINY
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0:
+            return b
+        if abs(e) < tol1 or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic interpolation through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            s, e = e, d
+            if 2 * p < 3 * m * q - abs(tol1 * q) and p < abs(0.5 * s * q):
+                d = p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
 
 
 def bracket_doubling(f, x0: float, step: float, xmax: float = 1e6):

@@ -15,7 +15,7 @@ from sympy import Rational, log, sqrt
 
 from gent import bures, relent
 from gent.formation import entanglement_of_formation
-from gent.scalar import symmetric_sts
+from gent.scalar import SymmetricState, physical_kappa, symmetric_sts
 
 x = sympy.Symbol("x")
 
@@ -70,6 +70,121 @@ def test_product_of_the_mode_maxima_is_at_most_f_max():
     assert sympy.solve(numerator, x2) == [Rational(1, 2)]
     for value in (0.01, 0.1, 0.25, 0.4, 0.49):
         assert math.isclose(bures.max_fidelity_closed(value), float(f_max.subs(kt, value)), rel_tol=1e-15)
+
+
+def test_one_mode_fidelity_conjugate_form():
+    # 1/F = S - 2 sqrt(delta) with S = sqrt(Delta + 4 delta); (S - 2 sqrt(delta))(S + 2 sqrt(delta))
+    # = Delta, so F = (S + 2 sqrt(delta))/Delta, whose two terms add where the reciprocal's cancel;
+    # _fid1 at seeded rational modes measured within 1.4 eps of 30 digits, bound 4 eps
+    big, small = sympy.symbols("Delta delta", positive=True)
+    root = sqrt(big + 4 * small)
+    assert sympy.expand((root - 2 * sqrt(small)) * (root + 2 * sqrt(small))) == big
+    assert sympy.simplify(1 / (root - 2 * sqrt(small)) - (root + 2 * sqrt(small)) / big) == 0
+    for a, b, y in _modes(12, 1111):
+        x_var = 1 / (4 * y) + Rational(1, 3)
+        k = (a * b - Rational(1, 4)) * (x_var * y - Rational(1, 4))
+        ref = 1 / (sqrt((a + x_var) * (b + y) + 4 * k) - 2 * sqrt(k))
+        f = bures._fid1(float(a), float(b), float(x_var), float(y))
+        assert abs(f - float(ref.evalf(30))) <= 4 * sys.float_info.epsilon * f, (a, b, y)
+
+
+_A, _B, _XV, _YV, _S = sympy.symbols("A B X Y s", positive=True)
+
+
+def _inv_fid(big_x, big_y):
+    """1/F of the mode (A, B) and the candidate (X, Y), in the reciprocal form."""
+    k = (_A * _B - Rational(1, 4)) * (big_x * big_y - Rational(1, 4))
+    return sqrt((_A + big_x) * (_B + big_y) + 4 * k) - 2 * sqrt(k)
+
+
+def _flow_slope(big_x, big_y):
+    """d ln F/ds along (X e^s, Y e^-s), at s = 0: -F (XB - YA)/(2 sqrt(Delta + 4 delta))."""
+    k = (_A * _B - Rational(1, 4)) * (big_x * big_y - Rational(1, 4))
+    root = sqrt((_A + big_x) * (_B + big_y) + 4 * k)
+    return -(big_x * _B - big_y * _A) / (2 * root * _inv_fid(big_x, big_y))
+
+
+def _entangled_states(n, seed):
+    """n seeded entangled SymmetricStates (b, c, |d|) drawn as in criterion 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        b = rng.uniform(0.5, 3.0)
+        c = rng.uniform(0.0, b)
+        d = rng.uniform(0.0, c)
+        if (b + d) * (b - c) >= 0.25 and 1e-4 < (b - d) * (b - c) < 0.2499:
+            out.append(SymmetricState(b, c, d))
+    return out
+
+
+def test_slope_along_the_flow_keeps_delta_fixed(monkeypatch):
+    # (X, Y) -> (X e^s, Y e^-s) keeps XY, so delta = (AB - 1/4)(XY - 1/4) is fixed, and
+    # d(1/F)/ds = (dDelta/ds)/(2 sqrt(Delta + 4 delta)) with dDelta/ds = XB - YA at s = 0
+    flowed_x, flowed_y = _XV * sympy.exp(_S), _YV * sympy.exp(-_S)
+    assert sympy.simplify(flowed_x * flowed_y - _XV * _YV) == 0
+    d_inv = sympy.diff(_inv_fid(flowed_x, flowed_y), _S).subs(_S, 0)
+    k = (_A * _B - Rational(1, 4)) * (_XV * _YV - Rational(1, 4))
+    assert sympy.simplify(d_inv - (_XV * _B - _YV * _A) / (2 * sqrt((_A + _XV) * (_B + _YV) + 4 * k))) == 0
+    # numeric_max_fidelity's slope h(w) is the sum of that flow slope over mode 1
+    # (kappa_+^2/kt, kt) at (X1*, 1/(4 x2)) and mode 2 (kt, kappa_-^2/kt) at (x2, Y2*); its
+    # floats at seeded slices hold to the size of XB and YA in the two terms (they cancel
+    # as kt -> 1/2) times 1.7 eps (measured on 1200 slices), against 40 digits from the
+    # kappas the verifier reads; bound 8 eps
+    slopes, solve = [], bures.falling_root
+    monkeypatch.setattr(bures, "falling_root", lambda f, lo, hi: slopes.append(f) or solve(f, lo, hi))
+    flow_slope = sympy.lambdify((_A, _B, _XV, _YV), _flow_slope(_XV, _YV), "mpmath")
+    size = sympy.lambdify((_A, _B, _XV, _YV),
+                          _flow_slope(_XV, _YV) * (_XV * _B + _YV * _A) / (_XV * _B - _YV * _A), "mpmath")
+    rng = random.Random(1212)
+    eps = sys.float_info.epsilon
+    for s in _entangled_states(10, 1212):
+        slopes.clear()
+        bures.numeric_max_fidelity(s)
+        kt = s.kappa_tilde_minus
+        kp, km = physical_kappa(s.kappa_plus, s.b), physical_kappa(s.kappa_minus, s.b)
+        with mpmath.workdps(40):
+            kt_, kp_, km_ = (mpmath.mpf(v) for v in (kt, kp, km))
+            quarter = mpmath.mpf(1) / 4
+            for w in [math.log(0.5)] + [rng.uniform(-4.0, 3.0) for _ in range(5)]:
+                x2 = mpmath.exp(mpmath.mpf(w))
+                modes = ((kp_**2 / kt_, kt_, x2 + (kp_**2 - quarter) / kt_, quarter / x2),
+                         (kt_, km_**2 / kt_, x2, quarter / x2 + (km_**2 - quarter) / kt_))
+                h = sum(flow_slope(*mode) for mode in modes)
+                assert abs(slopes[0](w) - h) <= 8 * eps * sum(abs(size(*mode)) for mode in modes), (s, w)
+
+
+def test_envelope_step_at_each_mode_maximum():
+    # at X* = A + 1/(4Y) - 1/(4B), d ln F/dX = 0, so along w = -ln(4Y) (mode 1, X = X*(Y))
+    # the total slope of ln F is its slope along the flow at fixed a = ln(4 X Y): the
+    # verifier's h.  Mode 2, at fixed X = e^w with Y* = B + 1/(4X) - 1/(4A), alike.
+    # Decided exactly at seeded rational modes.
+    x_star = _A + 1 / (4 * _YV) - 1 / (4 * _B)
+    y_star = _B + 1 / (4 * _XV) - 1 / (4 * _A)
+    total_1 = _YV * sympy.diff(sympy.log(_inv_fid(x_star, _YV)), _YV)  # d/dw = -Y d/dY of ln F
+    total_2 = -_XV * sympy.diff(sympy.log(_inv_fid(_XV, y_star)), _XV)  # d/dw = X d/dX of ln F
+    for a, b, v in _modes(6, 1313)[1:]:  # mixed modes: at AB = 1/4 the maximum is an edge
+        at = {_A: a, _B: b, _YV: v, _XV: v}
+        assert _is_zero(total_1.subs(at) - _flow_slope(x_star, _YV).subs(at)), (a, b, v)
+        assert _is_zero(total_2.subs(at) - _flow_slope(_XV, y_star).subs(at)), (a, b, v)
+
+
+def test_maximizing_variances_in_direct_form():
+    # mode 1 = (kappa_+^2/kt, kt) at fixed Y1 = 1/(4 x2), mode 2 = (kt, kappa_-^2/kt) at fixed
+    # X2 = x2: X* = A + 1/(4Y) - 1/(4B) is X1* = x2 + e1 and Y* = B + 1/(4X) - 1/(4A) is
+    # Y2* = 1/(4 x2) + e2, e = (kappa^2 - 1/4)/kt; with a = ln(X1/X2) and ln(Y2/Y1), e^a - 1 is
+    # e1/x2 and 4 x2 e2; and delta at each maximum is kt e1^2 y1 and kt e2^2 x2
+    kp, km, kt, x2 = sympy.symbols("kappa_p kappa_m kt x2", positive=True)
+    e1, e2 = (kp**2 - Rational(1, 4)) / kt, (km**2 - Rational(1, 4)) / kt
+    y1 = 1 / (4 * x2)
+    x1_star = kp**2 / kt + 1 / (4 * y1) - 1 / (4 * kt)
+    y2_star = km**2 / kt + 1 / (4 * x2) - 1 / (4 * kt)
+    assert sympy.cancel(x1_star - (x2 + e1)) == 0
+    assert sympy.cancel(y2_star - (y1 + e2)) == 0
+    assert sympy.cancel(x1_star / x2 - 1 - e1 / x2) == 0
+    assert sympy.cancel(y2_star / y1 - 1 - 4 * x2 * e2) == 0
+    quarter = Rational(1, 4)
+    assert sympy.cancel((kp**2 - quarter) * (x1_star * y1 - quarter) - kt * e1**2 * y1) == 0
+    assert sympy.cancel((km**2 - quarter) * (x2 * y2_star - quarter) - kt * e2**2 * x2) == 0
 
 
 def _sts_kts(seed, n=6):

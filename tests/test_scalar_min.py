@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gent.errors import BracketFailure
-from gent.scalar_min import bracket_doubling, golden_section, grid_minimize, resolution
+from gent.scalar_min import EPS, bracket_doubling, falling_root, golden_section, grid_minimize, resolution
 
 
 def test_golden_section_parabola():
@@ -61,13 +61,32 @@ def test_golden_steps_converge_on_a_kink():
     ],
 )
 def test_minimum_at_an_end_is_returned_within_two_resolutions(f, a, b, end, tol):
-    # the search stops once both ends of its bracket are within 2 resolutions of x,
-    # so bures._argmax reads a maximum within 4 resolutions of an end as lying on it
+    # the search stops once both ends of its bracket are within 2 resolutions of x
     g, calls = _counted(f)
     x, _ = golden_section(g, a, b, tol)
     assert a < x < b
     assert abs(x - end) <= 2 * resolution(end, tol)
     assert all(a < t < b for t in calls)  # the ends themselves are never evaluated
+
+
+@pytest.mark.parametrize(
+    "f, a, b, root, most_calls",
+    [
+        (lambda t: 1.7 - t, 0.0, 5.0, 1.7, 3),
+        (lambda t: math.cos(t), 0.0, 3.0, math.pi / 2, 8),
+        (lambda t: 3.0 - math.exp(t), -5.0, 5.0, math.log(3.0), 14),
+        (lambda t: 1e-300 - t, -1.0, 2.0, 1e-300, 4),
+        (lambda t: math.copysign(1.0, math.pi - t), 0.0, 10.0, math.pi, 54),
+    ],
+)
+def test_falling_root_places_a_root_to_rounding(f, a, b, root, most_calls):
+    # interpolation steps on smooth slopes, bisection where only the sign is informative
+    # (the step at pi); the counts are the measured ones
+    g, calls = _counted(f)
+    x = falling_root(g, a, b)
+    assert abs(x - root) <= 4 * EPS * abs(root)
+    assert len(calls) <= most_calls
+    assert all(a <= t <= b for t in calls)
 
 
 def test_bracket_doubling_brackets_minimum():
