@@ -24,10 +24,10 @@ truncations.
 
 A covariance matrix whose q-p block is exactly zero (V = T V T with
 T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
-into rotations and squeezes; one mode of this kind, diag(v_qq, v_pp), from
-its two scalars with no linear algebra.  Any other matrix takes
-``williamson`` and ``euler_decompose``.  That predicate is the only choice
-of route.
+into rotations and squeezes; one mode of this kind, diag(v_qq, v_pp), is a
+thermal core under one squeezer, with no factorization.  Any other matrix
+takes ``williamson`` and ``euler_decompose``.  That predicate is the only
+choice of route.
 
 Every passive gate, of either route and of ``apply_gate``, is its mode
 unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}): phases, diagonal
@@ -530,7 +530,7 @@ def _nearest_rotation(r: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 
 def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Williamson and Euler factors, all real, of a V with no q-p correlation.
+    """Williamson and Euler factors, all real, of a two-mode V with no q-p correlation.
 
     In the ordering (q1, q2, p1, p2) such a V is V_q (+) V_p, and the
     symplectic S = M (+) M^{-T} with M = V_q^{1/2} O kappa^{-1/2} gives
@@ -541,24 +541,7 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     (``_nearest_rotation``; a column of R2^T takes its kappa along).
     Returns (kappas, R2^T, r, R1): the mode-space unitaries of K2 and K1 are
     the rotations themselves.
-
-    One mode, V = diag(v_qq, v_pp), is read from the scalars with no linear
-    algebra: kappa = sqrt(v_qq v_pp), r = ln(v_qq / kappa)/2 and R1 = R2 = 1,
-    under the same checks, for a V that ``OneModeCM.physical_nu`` has read:
-    positive variances and a det V that neither underflows nor overflows.
     """
-    if v.shape == (2, 2):
-        vqq, vpp = float(v[0, 0]), float(v[1, 1])
-        kappa = math.sqrt(vqq * vpp)
-        r = 0.5 * math.log(vqq / kappa)
-        mq, mp = math.exp(r), math.exp(-r)
-        symplectic_err = abs(mq * mp - 1.0)
-        reconstruction_err = max(abs(mq * mq * kappa - vqq), abs(mp * mp * kappa - vpp)) / max(
-            1.0, vqq, vpp
-        )
-        if symplectic_err > 1e-7 or reconstruction_err > WILLIAMSON_TOL:
-            raise DecompositionFailure("mode-space factors fail the symplectic/reconstruction check")
-        return np.array([kappa]), np.ones((1, 1)), np.array([r]), np.ones((1, 1))
     vq, vp = v[::2, ::2], v[1::2, 1::2]
     root = sqrt_cm(vq)
     kappa_sq, o = np.linalg.eigh(root @ vp @ root)
@@ -587,9 +570,10 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     (diagonal, as the core is, they leave rho as it is), then the squeezers
     of Z and the passive unitary of K1, acting on those blocks.  A gate that
     is exactly the identity is skipped: until one acts, the cores' identity
-    blocks stand.  A V with no q-p correlation (V = T V T,
-    T = diag(1, -1, ...)) takes ``_qp_free_factors``, any other V
-    ``williamson`` and ``euler_decompose``.
+    blocks stand.  A diagonal 2x2 V needs no factorization: it is its core
+    under the squeezer of r = ln(v_qq / sqrt(v_qq v_pp))/2.  A 4x4 V with no
+    q-p correlation (V = T V T, T = diag(1, -1, 1, -1)) takes
+    ``_qp_free_factors``, any other V ``williamson`` and ``euler_decompose``.
 
     A 4x4 V is first decided on the spectrum and entry scale that ``cm_core`` keeps for
     the last matrix, as ``cm_core.is_physical`` decides it and before any eigensolve:
@@ -605,12 +589,14 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     if v.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
     qp_correlated = v[::2, 1::2].any()
-    exact = None  # the kappas read before any factorization
+    if v.shape == (2, 2) and not qp_correlated:  # diag(v_qq, v_pp): a thermal core squeezed by r
+        vqq, vpp = float(v[0, 0]), float(v[1, 1])
+        core = thermal_state(OneModeCM(vqq, vpp).physical_nu(), n)
+        r = 0.5 * math.log(vqq / math.sqrt(vqq * vpp))
+        return core if r == 0 else replace(core, blocks=_squeeze_blocks(r, n))
     if v.shape == (4, 4):  # cm_core.is_physical's spectrum and rule, before any eigensolve
         spec, scale = _spectrum_and_scale(v)
         exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
-    elif not qp_correlated:  # a diagonal one mode: the reading of every one-mode function
-        exact = [OneModeCM(float(v[0, 0]), float(v[1, 1])).physical_nu()]
     if qp_correlated:
         s, kappas = williamson(v)
         k1, z, k2 = euler_decompose(s)
@@ -618,7 +604,7 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
         squeezes = np.log(np.diag(z)[::2])
     else:
         kappas, first, squeezes, last = _qp_free_factors(v)
-    if exact is None:  # a rotated one mode
+    if v.shape == (2, 2):  # a rotated one mode
         kappas = [physical_kappa(float(kappas[0]), entry_scale(v))]
     else:  # matched to the factors' modes by rank
         kappas = exact if kappas[0] <= kappas[-1] else exact[::-1]

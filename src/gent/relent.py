@@ -40,15 +40,14 @@ def _entropy_nu(nu: float) -> float:
 
 
 def _entropy_excess(x: float) -> float:
-    """The entropy at nu = 1/2 + x, and 0 for x <= 0: the brace -Tr(rho ln rho') at rho' = rho.
+    """The entropy at nu = 1/2 + x, and 0 for x <= 0.
 
-    There sqrt(det V') = nu and g = 2 det V / nu = 2 nu, so g - 1 = 2x, and ``_brace``
-    gives ln(1+x) + x ln(1+1/x) = (x+1)ln(x+1) - x ln x, whose terms do not cancel at
-    large x.  Callers that can form x = nu - 1/2 without cancellation pass it here.
+    ln(1+x) + x ln(1+1/x) is (x+1)ln(x+1) - x ln x with no two terms that cancel
+    at large x.  Callers that can form x = nu - 1/2 without cancellation pass it here.
     """
     if x <= 0:
         return 0.0
-    return _brace(x, 2 * x)
+    return math.log1p(x) + x * math.log1p(1 / x)
 
 
 def von_neumann_entropy(v: OneModeCM) -> float:
@@ -56,46 +55,73 @@ def von_neumann_entropy(v: OneModeCM) -> float:
     return _entropy_nu(v.physical_nu())
 
 
+# 1/23, ..., 1/3, and the last five for s^2 <= 1e-3: the first term left out moves h by < 4e-18
+_ATANH_TAIL = tuple(1 / k for k in range(23, 1, -2))
+_ATANH_TAIL_SHORT = _ATANH_TAIL[-5:]
+
+
+def _h(u: float, one_plus_u: float) -> float:
+    """h(u) = ln(1+u) - u <= 0 for u > -1, given u and 1 + u each to rounding: a few eps relative.
+
+    Where |s| < 1/5, s = u/(2+u), ln(1+u) = 2 atanh(s) and u - 2s = u s give
+    h = 2 s^3 (1/3 + s^2/5 + s^4/7 + ...) - u s, with no cancellation against u.
+    """
+    if not -1 / 3 < u < 0.5:
+        return math.log(one_plus_u) - u
+    s = u / (2 + u)
+    s2, tail = s * s, 0.0
+    for c in _ATANH_TAIL if s2 > 1e-3 else _ATANH_TAIL_SHORT:
+        tail = tail * s2 + c
+    return 2 * s * s2 * tail - u * s
+
+
+def _split(n: float, n_p: float, squeeze: float) -> float:
+    """S(rho'||rho) = Tr rho (ln rho - ln rho') of one-mode Gaussian states with diagonal CMs.
+
+    rho has CM diag(a, b), nu = sqrt(ab) = 1/2 + n, and rho' diag(a', b'), nu' = 1/2 + n' > 1/2;
+    ``squeeze`` is (sqrt(a b') - sqrt(b a'))^2 / (2 nu').  S = B + squeeze L(nu'), L(y) =
+    ln(1 + 1/(y - 1/2)), where B = (n+1) h(delta/(n+1)) - n h(delta/n), delta = nu' - nu, is the
+    relative entropy of the thermal states of nu and nu'.  With v = delta/(nu' + 1/2), B is
+    -h(-v) - n h(v/n), and -h(-v) + v at n = 0: every term is >= 0 and 0 at rho' = rho, so
+    nothing cancels.  1 - v and 1 + v/n are formed as quotients, so that a log near 0 keeps
+    its digits.
+    """
+    v = (n_p - n) / (n_p + 1)
+    one_less_v = (n + 1) / (n_p + 1)
+    tail = v if n == 0 else -n * _h(v / n, one_less_v * n_p / n)
+    return tail - _h(-v, one_less_v) + squeeze * math.log1p(1 / n_p)
+
+
 def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
-    """S(rho'/rho) = Tr[rho (ln rho - ln rho')] for diagonal one-mode CMs.
+    """S(rho'/rho) = Tr[rho (ln rho - ln rho')] for diagonal one-mode CMs, by ``_split``.
 
     ``vp`` describes rho', ``v`` describes rho; ``OneModeCM.physical_nu`` reads
-    and refuses each.  Diverges when rho' is pure and different from rho.
+    and refuses each.  A pure rho' gives 0 for the same pure rho, and otherwise
+    SupportViolation: the relative entropy diverges.
     """
     nup, nu = vp.physical_nu(), v.physical_nu()
-    same = (
-        abs(v.sigma_qq - vp.sigma_qq) <= 1e-14 * max(1.0, v.sigma_qq)
-        and abs(v.sigma_pp - vp.sigma_pp) <= 1e-14 * max(1.0, v.sigma_pp)
-    )
-    if same:
-        return 0.0
+    root_a, root_b, root_ap, root_bp = (math.sqrt(t) for t in (v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp))
+    mismatch = root_a * root_bp - root_b * root_ap  # sqrt(a b') - sqrt(b a'), with no product to overflow
     if nup == VACUUM:
+        if nu == VACUUM and mismatch == 0:
+            return 0.0
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
-    cross = (v.sigma_qq * vp.sigma_pp + v.sigma_pp * vp.sigma_qq) / nup
-    return _brace(nup - 0.5, cross - 1) - _entropy_nu(nu)
+    return _split(nu - 0.5, nup - 0.5, mismatch * mismatch / (2 * nup))
 
 
-def mode_objective(x: float, kappa_sq: float, kt: float) -> float:
-    """One brace of the two-mode relative entropy as a function of x > 1/2.
+def mode_rel_entropy(e: float, kappa: float, kt: float) -> float:
+    """``_split`` of a beam-splitter mode, CM diag(kappa^2/kt, kt), against CM diag(2x^2, 1/2).
 
-    Equals S(rho'/rho) + S_N(rho) for rho with CM diag(kappa_sq/kt, kt) and
-    rho' with CM diag(2x^2, 1/2) (mode ordering irrelevant by symmetry):
-    (1+g) ln(x+1/2)/2 + (1-g) ln(x-1/2)/2 with g = kappa_sq/(2 x kt) + 2 x kt.
+    Here nu = kappa, nu' = x = 1/2 + e and the squeeze term is
+    (kappa - 2 kt x)^2 L(x) / (4 kt x), with kappa - 2 kt x formed from e.  Its minimum
+    over e > 0 is the mode's q_s.  It is the brace -Tr(rho ln rho') = (1+g) ln(x+1/2)/2 +
+    (1-g) ln(x-1/2)/2, g = kappa^2/(2 x kt) + 2 x kt, less S(rho), so ``_mode_slope``
+    gives its derivatives.
     """
-    if x <= 0.5:
-        raise DomainError(f"x = {x} must exceed 1/2")
-    e = x - 0.5
-    return _brace(e, _g_minus_1(e, kappa_sq, kt))
-
-
-def _brace(e: float, g_minus_1: float) -> float:
-    """(1+g) ln(x+1/2)/2 + (1-g) ln(x-1/2)/2 at x = 1/2 + e: the one-mode
-    relative-entropy brace -Tr(rho ln rho') for diagonal CMs V of rho and V'
-    of rho', with x = sqrt(det V') and g = (v_qq v'_pp + v_pp v'_qq)/x.
-    Written ln(x+1/2) + (g-1) L/2 with L = ln((x+1/2)/(x-1/2)), so that no
-    two terms cancel at large x, and taken from e itself, so that x -> 1/2
-    keeps its digits."""
-    return math.log1p(e) + 0.5 * g_minus_1 * math.log1p(1 / e)
+    if e <= 0:
+        raise DomainError(f"x - 1/2 = {e} must be positive")
+    p = kt * (1 + 2 * e)  # 2 kt x
+    return _split(kappa - 0.5, e, (kappa - kt - 2 * kt * e) ** 2 / (2 * p))
 
 
 def _g_minus_1(e: float, kappa_sq: float, kt: float) -> float:
@@ -106,7 +132,7 @@ def _g_minus_1(e: float, kappa_sq: float, kt: float) -> float:
 
 
 def _mode_slope(e: float, kappa_sq: float, kt: float) -> tuple[float, float, float]:
-    """(f', f'', size of the terms of f') of mode_objective at x = 1/2 + e.
+    """(f', f'', size of the terms of f') of mode_rel_entropy at x = 1/2 + e.
 
     With D = x^2 - 1/4 = e (x + 1/2), f' = 1/(x+1/2) - (g-1)/(2D) + g' L/2
     and f'' = -1/(x+1/2)^2 - g'/D + (g-1) x/D^2 + g'' L/2, where
@@ -124,8 +150,8 @@ def _mode_slope(e: float, kappa_sq: float, kt: float) -> tuple[float, float, flo
     return f1, f2, 1 / xp + abs(gm1) / (2 * d) + (gm1 + 1) * l / (2 * x)
 
 
-def minimize_mode(kappa_sq: float, kt: float) -> tuple[float, float]:
-    """Global minimum (x*, f(x*)) of mode_objective over (1/2, inf).
+def minimize_mode(kappa_sq: float, kt: float) -> float:
+    """x* - 1/2 for the global minimizer x* of f = mode_rel_entropy over (1/2, inf).
 
     f rises to +inf at both ends and has one stationary point, the root of
     f'.  Newton steps for it are taken in t = ln(x - 1/2), a variable
@@ -171,7 +197,7 @@ def minimize_mode(kappa_sq: float, kt: float) -> tuple[float, float]:
         e = e_next
     else:
         raise OptimizerNoConverge(f"no stationary point in {_NEWTON_MAX_STEPS} steps")
-    return 0.5 + e, _brace(e, _g_minus_1(e, kappa_sq, kt))
+    return e
 
 
 def _vacuum_floor(kappa: float) -> float:
@@ -190,47 +216,34 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
 
     The separable candidates are taken on the separability threshold surface;
     the two transformed-mode minimizations are independent, and each
-    nonclassicality degree q_s is the per-mode minimum minus the per-mode
-    entropy.
+    nonclassicality degree q_s is ``mode_rel_entropy`` at its mode's minimizer,
+    a sum of terms >= 0, so E_S = q_s1 + q_s2 is too.
 
     The minimizers satisfy x1* >= x2*, the order a separable candidate needs:
-    d(mode_objective)/d(kappa^2) is ln((x+1/2)/(x-1/2)) / (4 x kt), which
-    falls with x, so the minimizer is nondecreasing in kappa^2, and
-    kappa_+^2 - kappa_-^2 = 2b(c - |d|) >= 0.  The two solves can break the
-    order only by rounding, where kappa_+ = kappa_- and the minimizers agree,
-    so x1* is raised to x2* there; q_s1 stays mode 1's own minimum.
-
-    E_S is returned nonnegative: near kt = 1/2 it is a difference of O(1)
-    terms that cancel to rounding.
+    d(mode_rel_entropy)/d(kappa^2) is ln((x+1/2)/(x-1/2)) / (4 x kt) plus a
+    constant in x, and it falls with x, so the minimizer is nondecreasing in
+    kappa^2, and kappa_+^2 - kappa_-^2 = 2b(c - |d|) >= 0.  The two solves can
+    break the order only by rounding, where kappa_+ = kappa_- and the minimizers
+    agree, so x1* is raised to x2* there; q_s1 stays mode 1's own minimum.
     """
     separable = s.is_separable()  # raises UnphysicalState
     kp, km, kt = _vacuum_floor(s.kappa_plus), _vacuum_floor(s.kappa_minus), s.kappa_tilde_minus
     # the modes have CMs diag(kp^2/kt, kt) and diag(kt, km^2/kt): nu = kp, km
-    s_n1 = _entropy_nu(kp)
-    s_n2 = _entropy_nu(km)
+    s_n1, s_n2 = _entropy_nu(kp), _entropy_nu(km)
     if separable:
         return RelEntResult(0.0, kp, km, 0.0, 0.0, s_n1, s_n2)
-    x1, m1 = minimize_mode(kp * kp, kt)
-    x2, m2 = minimize_mode(km * km, kt)
-    x1 = max(x1, x2)
-    q1 = m1 - s_n1
-    q2 = m2 - s_n2
-    return RelEntResult(
-        e_s=max(q1 + q2, 0.0),
-        x1_star=x1,
-        x2_star=x2,
-        q_s1=q1,
-        q_s2=q2,
-        s_n1=s_n1,
-        s_n2=s_n2,
-    )
+    e1 = minimize_mode(kp * kp, kt)
+    e2 = minimize_mode(km * km, kt)
+    q1 = mode_rel_entropy(e1, kp, kt)
+    q2 = mode_rel_entropy(e2, km, kt)
+    return RelEntResult(q1 + q2, 0.5 + max(e1, e2), 0.5 + e2, q1, q2, s_n1, s_n2)
 
 
 def grid_rel_ent(s: SymmetricState) -> float:
-    """E_S of an entangled state by grid scans of the two mode objectives.
+    """E_S of an entangled state by grid scans of the two modes' ``mode_rel_entropy``.
 
     A check on rel_ent_entanglement that shares its formulas but not its
-    minimizer.  Each scan runs on [1/2 + 1e-15, 10 + 2 kappa^2/kt^2]: the
+    minimizer.  Each scan runs on x - 1/2 in [1e-15, 9.5 + 2 kappa^2/kt^2]: the
     minimizer grows with the squeezing (x1* = 105 at r = 5, nbar = 1/2), so
     the upper limit grows as kt falls; at weak squeezing it lies about r^2
     above 1/2 (pure states), so the scan starts a few ulp above 1/2.
@@ -240,7 +253,7 @@ def grid_rel_ent(s: SymmetricState) -> float:
     kt = s.kappa_tilde_minus
     total = 0.0
     for kappa in (_vacuum_floor(s.kappa_plus), _vacuum_floor(s.kappa_minus)):
-        f = lambda xs: np.array([mode_objective(x, kappa * kappa, kt) for x in xs])
-        _, m = grid_minimize(f, 0.5 + 1e-15, 10.0 + 2.0 * kappa * kappa / (kt * kt))
-        total += m - _entropy_nu(kappa)
+        f = lambda es: np.array([mode_rel_entropy(e, kappa, kt) for e in es])
+        _, m = grid_minimize(f, 1e-15, 9.5 + 2.0 * kappa * kappa / (kt * kt))
+        total += m
     return total

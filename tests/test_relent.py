@@ -12,7 +12,7 @@ from gent.errors import DomainError, OptimizerNoConverge, SupportViolation, Unph
 from gent.relent import (
     grid_rel_ent,
     minimize_mode,
-    mode_objective,
+    mode_rel_entropy,
     rel_ent_entanglement,
     rel_entropy_one_mode,
     von_neumann_entropy,
@@ -62,8 +62,9 @@ def test_entropy_holds_to_rounding_against_50_digits():
 
 
 def _mp_mode_minimum(kappa_sq, kt, x_start):
-    """mode_objective's minimum at the working precision, by bisection of f' in t = ln(x - 1/2)
-    within a factor 4 of x_start - 1/2 (f has one stationary point)."""
+    """The minimum of the brace -Tr(rho ln rho') of mode_rel_entropy at the working precision,
+    by bisection of f' in t = ln(x - 1/2) within a factor 4 of x_start - 1/2 (f has one
+    stationary point)."""
     half = mpmath.mpf(1) / 2
 
     def g_and_slope(x):
@@ -81,29 +82,85 @@ def _mp_mode_minimum(kappa_sq, kt, x_start):
     return (1 + g) / 2 * mpmath.log(x + half) + (1 - g) / 2 * mpmath.log(x - half)
 
 
-@pytest.mark.parametrize("b, d", [(0.6, 0.1), (1.0, 0.3), (10.0, 9.5), (100.0, 99.5), (1000.0, 999.5)])
-def test_e_s_near_the_threshold_against_60_digits(b, d):
-    # at 1/2 - kt = 1e-3, c = b - kt^2/(b - d); the reference takes the float state as given.
-    # With the entropy's cancelling form the error grew with b: 1.6e-9 at (100, 99.5) and
-    # 1.7e-8 at (1000, 999.5); with the brace it is at most 9.1e-11 here
-    kt = 0.5 - 1e-3
-    s = SymmetricState(b, b - kt * kt / (b - d), d)
-    res = rel_ent_entanglement(s)
-    with mpmath.workdps(60):
-        half = mpmath.mpf(1) / 2
-        b_, c_, d_ = (mpmath.mpf(t) for t in (s.b, s.c, s.d_abs))
-        kt_ = mpmath.sqrt((b_ - d_) * (b_ - c_))
-        ref = mpmath.mpf(0)
-        for k_sq, x_star in (((b_ - d_) * (b_ + c_), res.x1_star), ((b_ + d_) * (b_ - c_), res.x2_star)):
-            nu = mpmath.sqrt(k_sq)
-            entropy = (nu + half) * mpmath.log(nu + half) - (nu - half) * mpmath.log(nu - half)
-            ref += _mp_mode_minimum(k_sq, kt_, x_star) - entropy
-        assert abs(res.e_s - ref) <= 1e-9 * ref, (res.e_s, ref)
+NEAR_THRESHOLD_STATES = [(0.6, 0.1), (1.0, 0.3), (1.0, 0.5), (3.0, 0.9), (3.0, 2.5), (10.0, 9.5),
+                         (100.0, 99.5), (1000.0, 999.5), "pure"]
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_e_s_near_the_threshold_against_60_digits(gap):
+    # at 1/2 - kt = gap, c = b - kt^2/(b - d), and the pure symmetric_sts(r) of that kt.  The
+    # reference takes the float state as given, and the pure state as exactly pure (its float
+    # kappas read as exactly 1/2) at its float kt.  E_S ~ C gap^2 moves by about eps/(2 gap)
+    # relative under kt's own rounding: measured at most 0.77 eps/gap, 5.2e-9 at gap 1e-8, where
+    # brace - entropy lost 0.04 at 1e-7 and all digits at 1e-8.  At gap 1e-8 the threshold rule
+    # reads (1000, 999.5) as separable: above_vacuum(kt, b) allows 128 eps b^2 = 2.8e-8
+    eps = sys.float_info.epsilon
+    kt = 0.5 - gap
+    separable = []
+    for state in NEAR_THRESHOLD_STATES:
+        if state == "pure":
+            s = symmetric_sts(-0.5 * math.log(2 * kt))
+            assert relent._vacuum_floor(s.kappa_plus) == relent._vacuum_floor(s.kappa_minus) == 0.5
+        else:
+            b, d = state
+            s = SymmetricState(b, b - kt * kt / (b - d), d)
+        if s.is_separable():
+            separable.append(state)
+            continue
+        res = rel_ent_entanglement(s)
+        with mpmath.workdps(60):
+            b_, c_, d_ = (mpmath.mpf(t) for t in (s.b, s.c, s.d_abs))
+            kt_ = mpmath.sqrt((b_ - d_) * (b_ - c_))
+            k_sqs = [mpmath.mpf(1) / 4] * 2 if state == "pure" else [(b_ - d_) * (b_ + c_), (b_ + d_) * (b_ - c_)]
+            ref = mpmath.mpf(0)
+            for k_sq, x_star in zip(k_sqs, (res.x1_star, res.x2_star)):
+                nu = mpmath.sqrt(k_sq)
+                entropy = (nu + 0.5) * mpmath.log(nu + 0.5) - (nu - 0.5) * mpmath.log(nu - 0.5) if nu > 0.5 else 0
+                ref += _mp_mode_minimum(k_sq, kt_, x_star) - entropy
+        assert res.e_s > 0, state
+        assert abs(res.e_s - ref) <= min(2 * eps / gap, 1e-8) * ref, (state, res.e_s, ref)
+    assert separable == ([(1000.0, 999.5)] if gap == 1e-8 else [])
 
 
 def test_rel_entropy_same_state_is_zero():
-    v = OneModeCM(0.8, 1.1)
-    assert rel_entropy_one_mode(v, v) == 0.0
+    # the split is 0 at rho' = rho term by term, with no shortcut; a pure rho' (the last two)
+    # gives 0 for the same pure rho alone
+    for v in (OneModeCM(0.8, 1.1), OneModeCM(1e7, 3e-7), OneModeCM(0.5 + 1e-9, 0.5 + 1e-9),
+              OneModeCM(0.5, 0.5), OneModeCM(0.5 * math.e, 0.5 / math.e)):
+        assert rel_entropy_one_mode(v, v) == 0.0, v
+
+
+@pytest.mark.parametrize("nu", [1.0, 10.0, 1e3, 1e5, 1e7])
+def test_rel_entropy_of_near_thermal_pairs_against_60_digits(nu):
+    # nu' = (1 +- 10^-k) nu, where brace - entropy cancelled to a relative error of about
+    # 10^k eps nu (5.3e-9 at nu = 1e7, k = 3) and lost every digit from k = 8 on; the split
+    # measured at most 2.0 eps
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(60):
+        nu_, half = mpmath.mpf(nu), mpmath.mpf(1) / 2
+        entropy = (nu_ + half) * mpmath.log(nu_ + half) - (nu_ - half) * mpmath.log(nu_ - half)
+        for k in range(1, 13):
+            for nup in (nu * (1 + 10.0**-k), nu * (1 - 10.0**-k)):
+                nup_ = mpmath.mpf(nup)
+                brace = (1 + 2 * nu_) / 2 * mpmath.log(nup_ + half) + (1 - 2 * nu_) / 2 * mpmath.log(nup_ - half)
+                got = rel_entropy_one_mode(OneModeCM(nup, nup), OneModeCM(nu, nu))
+                assert abs(got - (brace - entropy)) <= 4 * eps * (brace - entropy), (nu, nup)
+
+
+def test_h_against_50_digits():
+    # h(u) = ln(1+u) - u from |u| = 1e-12 to 1e3, with 1 + u exact: measured at most 2.3 eps
+    rng = random.Random(1515)
+    us = [sign * 10.0**k for k in range(-12, 4) for sign in (1, -1) if sign * 10.0**k > -1]
+    us += [sign * 10 ** rng.uniform(-12, 3) for sign in (1, -1) for _ in range(300)]
+    us += [rng.uniform(-0.999, 1.0) for _ in range(300)]
+    with mpmath.workdps(50):
+        for u in us:
+            w = 1.0 + u
+            u = w - 1.0  # exact, so that (u, w) is one point
+            if u <= -1 or u == 0:
+                continue
+            ref = mpmath.log1p(mpmath.mpf(u)) - u
+            assert abs(relent._h(u, w) - ref) <= 4 * sys.float_info.epsilon * abs(ref), u
 
 
 def test_rel_entropy_vs_fock_oracle():
@@ -124,43 +181,62 @@ def test_rel_entropy_refuses_unphysical_input(vp, v):
         rel_entropy_one_mode(vp, v)
 
 
-def test_rel_entropy_pure_reference_diverges():
+@pytest.mark.parametrize("vp, v", [(OneModeCM(0.5, 0.5), OneModeCM(1.0, 1.0)),
+                                   (OneModeCM(0.5, 0.5), OneModeCM(0.5 * math.e, 0.5 / math.e)),
+                                   (OneModeCM(0.5 * math.e, 0.5 / math.e), OneModeCM(0.5, 0.5)),
+                                   (OneModeCM(0.5, 0.5), OneModeCM(0.5 + 1e-9, 0.5 + 1e-9))])
+def test_rel_entropy_pure_reference_diverges(vp, v):
     with pytest.raises(SupportViolation):
-        rel_entropy_one_mode(OneModeCM(0.5, 0.5), OneModeCM(1.0, 1.0))
+        rel_entropy_one_mode(vp, v)
 
 
-def test_mode_objective_value():
-    # q-function of the second transformed mode of (b, c, |d|) = (1, 0.8, 0.6)
-    val = mode_objective(0.8, 0.32, math.sqrt(0.08))
-    assert val == pytest.approx(0.3794183756, abs=1e-8)
+def test_mode_rel_entropy_value():
+    # q-function of the second transformed mode of (b, c, |d|) = (1, 0.8, 0.6): the brace
+    # 0.3794183756 at x = 0.8, less the mode entropy
+    k = math.sqrt(0.32)
+    val = mode_rel_entropy(0.3, k, math.sqrt(0.08))
+    assert val + von_neumann_entropy(OneModeCM(k, k)) == pytest.approx(0.3794183756, abs=1e-8)
     with pytest.raises(DomainError):
-        mode_objective(0.5, 0.32, math.sqrt(0.08))
+        mode_rel_entropy(0.0, k, math.sqrt(0.08))
 
 
-def test_one_mode_rel_entropy_is_the_mode_objective():
-    # mode_objective(x, k^2, kt) = S(rho'||rho) + S(rho) for rho of CM
-    # diag(k^2/kt, kt) and rho' of CM diag(2x^2, 1/2); both read one brace
+def _mp_rel_entropy_and_size(x, k, kt):
+    """S(rho'||rho) = brace - entropy for rho of CM diag(k^2/kt, kt) and rho' of CM
+    diag(2x^2, 1/2), and the size of the terms, at the working precision."""
+    x, k, kt, half = mpmath.mpf(x), mpmath.mpf(k), mpmath.mpf(kt), mpmath.mpf(1) / 2
+    g = k * k / (2 * x * kt) + 2 * x * kt
+    big_l = mpmath.log((x + half) / (x - half))
+    entropy = (k + half) * mpmath.log(k + half) - (k - half) * mpmath.log(k - half)
+    brace = mpmath.log(x + half) + (g - 1) / 2 * big_l
+    return brace - entropy, entropy + mpmath.log(x + half) + abs(g - 1) / 2 * big_l
+
+
+def test_one_mode_rel_entropy_is_the_mode_form_against_60_digits():
+    # rel_entropy_one_mode on the CMs and mode_rel_entropy on (x - 1/2, k, kt) hold to 60 digits
+    # of the mode problem: measured at most 2.5 and 2.1 eps of the size of the terms (the old
+    # brace - entropy forms agreed with each other to 16 eps of it), and mode_rel_entropy to
+    # 6.9 eps of its value
     rng = np.random.default_rng(1616)
     eps = sys.float_info.epsilon
-    worst = 0.0
-    for _ in range(500):
-        kt, k, x = rng.uniform(0.01, 0.49), rng.uniform(0.5, 3.0), 0.5 + 10 ** rng.uniform(-6, 1.5)
-        entropy = von_neumann_entropy(OneModeCM(k, k))
-        g = k * k / (2 * x * kt) + 2 * x * kt
-        size = entropy + math.log(x + 0.5) + abs(g - 1) / 2 * math.log((x + 0.5) / (x - 0.5))
-        gap = rel_entropy_one_mode(OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt)) + entropy
-        worst = max(worst, abs(gap - mode_objective(x, k * k, kt)) / size)
-    assert worst < 16 * eps
+    with mpmath.workdps(60):
+        for _ in range(500):
+            kt, k, x = rng.uniform(0.01, 0.49), rng.uniform(0.5, 3.0), 0.5 + 10 ** rng.uniform(-6, 1.5)
+            ref, size = _mp_rel_entropy_and_size(x, k, kt)
+            one_mode = rel_entropy_one_mode(OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt))
+            mode = mode_rel_entropy(x - 0.5, k, kt)
+            assert abs(one_mode - ref) <= 8 * eps * size, (kt, k, x)
+            assert abs(mode - ref) <= 8 * eps * size and abs(mode - ref) <= 16 * eps * ref, (kt, k, x)
 
 
 def test_minimize_mode():
     kt = math.sqrt(0.08)
-    x1, m1 = minimize_mode(0.72, kt)
-    x2, m2 = minimize_mode(0.32, kt)
-    assert x1 == pytest.approx(1.1100046, abs=1e-4)
-    assert m1 == pytest.approx(0.8521063, abs=1e-6)
-    assert x2 == pytest.approx(0.7182794, abs=1e-4)
-    assert m2 == pytest.approx(0.3641169, abs=1e-6)
+    e1, e2 = minimize_mode(0.72, kt), minimize_mode(0.32, kt)
+    assert 0.5 + e1 == pytest.approx(1.1100046, abs=1e-4)
+    assert 0.5 + e2 == pytest.approx(0.7182794, abs=1e-4)
+    # the minima of the brace, as mode_rel_entropy plus the mode entropy
+    for e, k_sq, brace in ((e1, 0.72, 0.8521063), (e2, 0.32, 0.3641169)):
+        k = math.sqrt(k_sq)
+        assert mode_rel_entropy(e, k, kt) + von_neumann_entropy(OneModeCM(k, k)) == pytest.approx(brace, abs=1e-6)
     with pytest.raises(DomainError):
         minimize_mode(0.72, 0.6)
     # kappa^2 <= kt (1 - kt): the objective falls to -inf at x -> 1/2
@@ -169,7 +245,7 @@ def test_minimize_mode():
 
 
 def _slope_and_size(x, kappa_sq, kt):
-    """f'(x) = (x - g/2)/D + g' L/2 of mode_objective, and the size of its terms."""
+    """f'(x) = (x - g/2)/D + g' L/2 of mode_rel_entropy, and the size of its terms."""
     g = kappa_sq / (2 * x * kt) + 2 * x * kt
     dg = 2 * kt - kappa_sq / (2 * x * x * kt)
     d = x * x - 0.25
@@ -178,13 +254,13 @@ def _slope_and_size(x, kappa_sq, kt):
     return (x - g / 2) / d + dg * l / 2, size
 
 
-def _golden_mode_minimum(kappa_sq, kt):
-    """Reference minimum: a doubling walk from 1/2 + 1e-9, then Brent's method.
+def _golden_mode_minimum(kappa, kt):
+    """Reference minimum of mode_rel_entropy: a doubling walk from 1/2 + 1e-9, then Brent's method.
 
     golden_section stops at the resolution sqrt(eps)*|x| + 1e-10/3; at a
     minimum that places x to ~sqrt(eps) relative and the value to rounding.
     """
-    f = lambda x: mode_objective(x, kappa_sq, kt)
+    f = lambda x: mode_rel_entropy(x - 0.5, kappa, kt)
     a, b = bracket_doubling(f, 0.5 + 1e-9, 1e-4)
     return golden_section(f, a, b, 1e-10)
 
@@ -203,8 +279,8 @@ def test_mode_minima_match_golden_section(rng):
     for s in random_entangled_symmetric(rng, 2000):
         kt = s.kappa_tilde_minus
         for kappa in (s.kappa_plus, s.kappa_minus):
-            _, m = minimize_mode(kappa * kappa, kt)
-            _, m_ref = _golden_mode_minimum(kappa * kappa, kt)
+            m = mode_rel_entropy(minimize_mode(kappa * kappa, kt), kappa, kt)
+            _, m_ref = _golden_mode_minimum(kappa, kt)
             assert abs(m - m_ref) <= 1e-13 * (abs(m_ref) + 1), s
 
 
@@ -213,10 +289,11 @@ def test_minimize_mode_safeguards_hold_an_understated_curvature(monkeypatch, rng
     # f'' understated makes every Newton step too long: the sign bracket's bisection
     # takes over (about 40 slope evaluations per solve, against 4), and with the
     # rounding stop switched off (size 0) the tiny-move stop ends the solve.  Measured
-    # gaps to the unperturbed solve: f 2 eps relative, x 0.48 sqrt(eps) (x - 1/2)
-    cases = [(k * k, s.kappa_tilde_minus) for s in random_entangled_symmetric(rng, 50)
+    # gaps to the unperturbed solve: f = mode_rel_entropy 0.88 eps of the brace f + S(kappa),
+    # whose terms set the rounding of the stationary point, and x - 1/2 0.48 sqrt(eps) relative
+    cases = [(k, s.kappa_tilde_minus) for s in random_entangled_symmetric(rng, 50)
              for k in (s.kappa_plus, s.kappa_minus)]
-    want = [minimize_mode(*case) for case in cases]
+    want = [minimize_mode(k * k, kt) for k, kt in cases]
     slope, calls = relent._mode_slope, []
     for size_factor in (1.0, 0.0):
         def understated(e, kappa_sq, kt):
@@ -225,14 +302,15 @@ def test_minimize_mode_safeguards_hold_an_understated_curvature(monkeypatch, rng
             return f1, curvature * f2, size_factor * size
 
         monkeypatch.setattr(relent, "_mode_slope", understated)
-        for case, (x, f) in zip(cases, want):
-            x_p, f_p = minimize_mode(*case)
-            assert abs(f_p - f) <= 8 * sys.float_info.epsilon * abs(f), case
-            assert abs(x_p - x) <= math.sqrt(sys.float_info.epsilon) * (x - 0.5), case
+        for (k, kt), e in zip(cases, want):
+            e_p = minimize_mode(k * k, kt)
+            f, f_p = mode_rel_entropy(e, k, kt), mode_rel_entropy(e_p, k, kt)
+            assert abs(f_p - f) <= 8 * sys.float_info.epsilon * (f + relent._entropy_nu(k)), (k, kt)
+            assert abs(e_p - e) <= math.sqrt(sys.float_info.epsilon) * e, (k, kt)
     assert len(calls) > 2 * len(cases) * 20
     monkeypatch.setattr(relent, "_NEWTON_MAX_STEPS", 5)
     with pytest.raises(OptimizerNoConverge, match="no stationary point in 5 steps"):
-        minimize_mode(*cases[0])
+        minimize_mode(cases[0][0] ** 2, cases[0][1])
 
 
 @pytest.mark.parametrize("r, nbar", [(3, 0), (5, 0.5), (6, 0.5), (6.5, 0)])
@@ -279,7 +357,7 @@ def test_minimizers_keep_order_near_equal_kappas():
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_e_s_nonnegative_near_threshold(k):
-    # E_S is a difference of O(1) terms that cancel as kt -> 1/2
+    # E_S is a sum of nonnegative terms, each of order (1/2 - kt)^2 as kt -> 1/2
     kt = 0.5 - 10.0**-k
     res = rel_ent_entanglement(SymmetricState(1.0, 1.0 - kt, 1.0 - kt))
     assert 0.0 <= res.e_s <= 1e-5
