@@ -62,26 +62,24 @@ def one_mode_fidelity(v: OneModeCM, vp: OneModeCM) -> float:
     Delta = det(V + V'), delta = (det V - 1/4)(det V' - 1/4), evaluated as
     (sqrt(Delta + 4*delta) + 2*sqrt(delta)) / Delta, whose terms do not cancel;
     cross-validated against the truncated-Fock-basis fidelity.
-    ``OneModeCM.physical_nu`` reads and refuses each CM.
+    ``OneModeCM.physical_excess`` reads and refuses each CM, and gives its det V - 1/4.
     """
-    v.physical_nu()
-    vp.physical_nu()
-    return _fid1(v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp)
+    (u, _), (w, _) = v.physical_excess(), vp.physical_excess()
+    return _fid1(v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp, u, w)
 
 
-def _fid1(sqq, spp, tqq, tpp) -> float:
+def _fid1(sqq, spp, tqq, tpp, u, v) -> float:
     """F of the diagonal one-mode CMs (sqq, spp) and (tqq, tpp), to a few eps relative.
 
+    The caller passes each CM's det V - 1/4 >= 0, u and v, formed without
+    cancellation, so that delta = u v holds its digits near a pure state.
     The two roots of the reciprocal form are each about 2 det V and cancel to 1/F;
     their product is Delta, so F = (sqrt(Delta + 4 delta) + 2 sqrt(delta)) / Delta.
     Where Delta + 4 delta overflows, though each det V is finite, Delta and delta
     are scaled by 2^-1028 (exact) and F by the square root of that.
     """
     q, p = sqq + tqq, spp + tpp
-    u, v = sqq * spp - 0.25, tqq * tpp - 0.25
     delta_big, delta_small = q * p, u * v
-    if delta_small < 0:  # roundoff near a pure state
-        u = delta_small = 0.0
     radicand, scale = delta_big + 4 * delta_small, 1.0
     if radicand == math.inf:
         scale = _OVERFLOW_SCALE
@@ -161,7 +159,9 @@ def numeric_max_fidelity(s: SymmetricState) -> tuple[float, SymmetricState, floa
     m1, m2 = e1 / x2, 4 * x2 * e2  # e^a - 1 at each mode's maximum
     if m2 > m1:  # a2* > a1*: clip a2 to a1 (c' = |d'|), so the candidate is in the family
         m2, y2 = m1, y1 * (1 + m1)
-    f_star = _fid1(g1q, kt, x2 + e1, y1) * _fid1(kt, g2p, x2, y2)
+    # det - 1/4 of the given modes is kt e1, kt e2, and of the candidates (x2 + e1) y1 - 1/4
+    # = e1 y1 = m1/4 and x2 y2 - 1/4 = m2/4, clipped or not
+    f_star = _fid1(g1q, kt, x2 + e1, y1, kt * e1, m1 / 4) * _fid1(kt, g2p, x2, y2, kt * e2, m2 / 4)
     # X1 + X2 = t1 X2 and Y1 + Y2 = t2 Y1 with t >= 2, so b' >= 1/2 after rounding too;
     # c' = (X1 - X2)/(2u') and |d'| = (Y2 - Y1)u'/2 without cancellation
     t1, t2 = 2 + m1, 2 + m2

@@ -117,10 +117,11 @@ def _read_form(args):
         b, c, d = args.b, args.c, args.d
         if c is None or d is None:
             _fail(EXIT_PARSE, "--b requires --c and --d")
-        # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d)
+        # local rotations and mirrors take diag(c, d) to diag(c', d'), c' >= |d'|, sign(d') = sign(c d),
+        # read from the signs of c and d: c d can underflow to -0.0; 0.0 - 0.0 is 0.0, not -0.0
         c_abs, d_abs = max(abs(c), abs(d)), min(abs(c), abs(d))
         b = max(b, VACUUM) if above_vacuum(b, b) else b
-        form, scale = StandardFormI(b, b, c_abs, -d_abs if c * d < 0 else d_abs), max(b, c_abs)
+        form, scale = StandardFormI(b, b, c_abs, 0.0 - d_abs if (c < 0) != (d < 0) else d_abs), max(b, c_abs)
     # raises NonPositiveDefinite unless b > c, as symplectic_spectrum refuses V
     return form, scale, form_I_spectrum(form)
 
@@ -167,10 +168,11 @@ def cmd_check(args) -> int:
         f"kappas:             k+ = {spec.kappa_plus:.9g}  k- = {spec.kappa_minus:.9g}  "
         f"kt+ = {spec.kappa_tilde_plus:.9g}  kt- = {spec.kappa_tilde_minus:.9g}"
     )
-    # local symplectics keep det V1 = b1^2, det V2 = b2^2 and det C = c d
+    # local symplectics keep det V1 = b1^2, det V2 = b2^2 and det C = c d (0.0 + c d: one that
+    # underflows prints 0, not -0)
     print(
         f"invariants:         det V1 = {form.b1**2:.9g}  det V2 = {form.b2**2:.9g}  "
-        f"det C = {form.c * form.d:.9g}  det V = {(kp * km) ** 2:.9g}"
+        f"det C = {0.0 + form.c * form.d:.9g}  det V = {(kp * km) ** 2:.9g}"
     )
     print(
         f"standard form I:    b1 = {form.b1:.9g}  b2 = {form.b2:.9g}  "
@@ -320,7 +322,7 @@ def cmd_oracle(args) -> int:
         else:  # the entropy sum over the spectrum, each kappa read as the Fock build reads it
             spec, scale = cm_core.symplectic_spectrum(cm_a), cm_core.entry_scale(cm_a)
             kappas = (spec.kappa_plus, spec.kappa_minus)
-            payload["closed_form"] = sum(relent._entropy_nu(physical_kappa(k, scale)) for k in kappas)
+            payload["closed_form"] = sum(relent._entropy_excess(physical_kappa(k, scale) - 0.5) for k in kappas)
     if "closed_form" in payload:
         payload["discrepancy"] = abs(payload["value"] - payload["closed_form"])
     payload["dim_per_mode"] = states[0][0].dim_per_mode

@@ -73,9 +73,8 @@ class FockOperator:
     parity class, each on the levels ``_parity_classes`` lists for that class
     and in that order.  Gates act on the blocks alone.
     ``weights`` are the thermal-core populations in the number basis.
-    ``parity_blocks`` and the dense views ``unitary``, ``matrix`` and
-    ``log_matrix`` are derived on first use and cached; no functional reads
-    a dense view.
+    ``parity_blocks`` and the dense views ``matrix`` and ``log_matrix`` are
+    derived on first use and cached; no functional reads a dense view.
 
     ``log_weights`` carries ln(weights) exactly: the thermal-core logarithm is
     analytic, so the entropies keep the deep tail that an eigensolver would
@@ -105,11 +104,6 @@ class FockOperator:
         ``matrix`` is A_p A_p^dag.
         """
         return tuple(u * np.sqrt(self.weights[idx]) for u, idx in zip(self.blocks, self._classes))
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        """U as a dense matrix."""
-        return self._dense(self.blocks)
 
     @cached_property
     def matrix(self) -> np.ndarray:

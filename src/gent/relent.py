@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OptimizerNoConverge, SupportViolation
-from .scalar import VACUUM, OneModeCM, SymmetricState
+from .scalar import OneModeCM, SymmetricState
 from .scalar_min import grid_minimize
 
 # minimize_mode: rounding unit, step cap, longest step in t (keeps exp finite),
@@ -34,11 +34,6 @@ class RelEntResult:
     s_n2: float
 
 
-def _entropy_nu(nu: float) -> float:
-    """The entropy of a one-mode state of symplectic eigenvalue nu, and 0 for nu <= 1/2 (pure)."""
-    return _entropy_excess(nu - 0.5)
-
-
 def _entropy_excess(x: float) -> float:
     """The entropy at nu = 1/2 + x, and 0 for x <= 0.
 
@@ -51,8 +46,9 @@ def _entropy_excess(x: float) -> float:
 
 
 def von_neumann_entropy(v: OneModeCM) -> float:
-    """Entropy of a one-mode Gaussian state, in nats; ``OneModeCM.physical_nu`` refuses v."""
-    return _entropy_nu(v.physical_nu())
+    """Entropy of a one-mode Gaussian state, in nats, at the n = nu - 1/2 that
+    ``OneModeCM.physical_excess`` reads (and refuses)."""
+    return _entropy_excess(v.physical_excess()[1])
 
 
 # 1/23, ..., 1/3, and the last five for s^2 <= 1e-3: the first term left out moves h by < 4e-18
@@ -95,18 +91,18 @@ def _split(n: float, n_p: float, squeeze: float) -> float:
 def rel_entropy_one_mode(vp: OneModeCM, v: OneModeCM) -> float:
     """S(rho'/rho) = Tr[rho (ln rho - ln rho')] for diagonal one-mode CMs, by ``_split``.
 
-    ``vp`` describes rho', ``v`` describes rho; ``OneModeCM.physical_nu`` reads
-    and refuses each.  A pure rho' gives 0 for the same pure rho, and otherwise
-    SupportViolation: the relative entropy diverges.
+    ``vp`` describes rho', ``v`` describes rho; ``OneModeCM.physical_excess`` reads
+    and refuses each, and gives n and n'.  A pure rho' gives 0 for the same pure rho,
+    and otherwise SupportViolation: the relative entropy diverges.
     """
-    nup, nu = vp.physical_nu(), v.physical_nu()
+    (_, n_p), (_, n) = vp.physical_excess(), v.physical_excess()
     root_a, root_b, root_ap, root_bp = (math.sqrt(t) for t in (v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp))
     mismatch = root_a * root_bp - root_b * root_ap  # sqrt(a b') - sqrt(b a'), with no product to overflow
-    if nup == VACUUM:
-        if nu == VACUUM and mismatch == 0:
+    if n_p == 0:
+        if n == 0 and mismatch == 0:
             return 0.0
         raise SupportViolation("rho' is pure and rho != rho': relative entropy diverges")
-    return _split(nu - 0.5, nup - 0.5, mismatch * mismatch / (2 * nup))
+    return _split(n, n_p, mismatch * mismatch / (1 + 2 * n_p))
 
 
 def mode_rel_entropy(e: float, kappa: float, kt: float) -> float:
@@ -229,7 +225,7 @@ def rel_ent_entanglement(s: SymmetricState) -> RelEntResult:
     separable = s.is_separable()  # raises UnphysicalState
     kp, km, kt = _vacuum_floor(s.kappa_plus), _vacuum_floor(s.kappa_minus), s.kappa_tilde_minus
     # the modes have CMs diag(kp^2/kt, kt) and diag(kt, km^2/kt): nu = kp, km
-    s_n1, s_n2 = _entropy_nu(kp), _entropy_nu(km)
+    s_n1, s_n2 = _entropy_excess(kp - 0.5), _entropy_excess(km - 0.5)
     if separable:
         return RelEntResult(0.0, kp, km, 0.0, 0.0, s_n1, s_n2)
     e1 = minimize_mode(kp * kp, kt)

@@ -143,6 +143,25 @@ class OneModeCM:
             raise NumericalDegeneracy(f"ill-conditioned: det V = {self.sigma_qq:.3g} * {self.sigma_pp:.3g} overflows")
         return physical_kappa(math.sqrt(det), VACUUM, "nu")
 
+    def physical_excess(self) -> tuple[float, float]:
+        """(det V - 1/4, n = nu - 1/2) of ``physical_nu``'s reading: what every one-mode value
+        reads, and it refuses what ``physical_nu`` refuses.
+
+        Both are exactly 0 where ``physical_nu`` reads nu = 1/2.  Otherwise each comes from the
+        exact product v_qq v_pp of the given floats, in integers, whose quotients Python rounds
+        once: det V - 1/4 itself, and n as nu - 1/2 (exact for nu < 2^52) plus the Newton step
+        (det V - nu^2)/(2 nu) from the rounded nu to the true one.  So each holds to about
+        1 eps relative however near 1/2 nu lies, where sqrt(v_qq v_pp) - 1/2 keeps only about
+        eps/n of n, and n is nu - 1/2 bit for bit where nu is exact, as for v_qq = v_pp.
+        """
+        nu = self.physical_nu()
+        if nu == VACUUM:
+            return 0.0, 0.0
+        (p, q), (r, s), (a, b) = (t.as_integer_ratio() for t in (self.sigma_qq, self.sigma_pp, nu))
+        excess = (4 * p * r - q * s) / (4 * q * s)  # det V = pr/(qs), exactly
+        residual = (p * r * b * b - a * a * q * s) / (q * s * b * b)
+        return excess, (nu - VACUUM) + residual / (2 * nu)
+
     def matrix(self):
         """The 2x2 numpy array."""
         import numpy as np

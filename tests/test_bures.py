@@ -69,6 +69,20 @@ def _fidelity_50_digits(v, w):
         return 1 / (mpmath.sqrt(big + 4 * small) - 2 * mpmath.sqrt(small))
 
 
+def test_one_mode_fidelity_near_pure_against_60_digits():
+    # a near-pure mode (1/2 + n) e^{+-2z}, n from 1e-11 to 1e-3, against a mixed one: delta =
+    # (det V - 1/4)(det V' - 1/4) from the reader's exact det V - 1/4 holds F to measured 1.2 eps
+    # relative of the reference at the float CMs, where v_qq v_pp - 1/4 left 2.2e4 eps
+    eps = sys.float_info.epsilon
+    rng = random.Random(7)
+    for _ in range(400):
+        n, z, nu, z_p = 10 ** rng.uniform(-11, -3), rng.uniform(-3, 3), rng.uniform(0.6, 3), rng.uniform(-1, 1)
+        v = OneModeCM((0.5 + n) * math.exp(2 * z), (0.5 + n) * math.exp(-2 * z))
+        w = OneModeCM(nu * math.exp(2 * z_p), nu * math.exp(-2 * z_p))
+        ref = _fidelity_50_digits(v, w)
+        assert abs(one_mode_fidelity(v, w) - ref) <= 8 * eps * ref, (v, w)
+
+
 def _one_mode_pair_draw(rng):
     """A seeded one-mode CM: thermal (v, v), squeezed thermal with entries from 1e-6 to 1e150,
     or pure with a power-of-two squeeze; every det V is exact or at least 0.56, so the
@@ -287,13 +301,16 @@ def test_one_mode_closed_form_maximum_against_brent():
     # over a in [0, max(0, ln 16AY) + 3] (X up to e^3 past 4A; mode 2 alike) must not
     # beat it.  Measured on these 3000 draws: Brent above by at most 2.7 eps relative
     # (rounding of _fid1; 4.5e-13 when its two terms cancelled), argmaxes apart by at
-    # most 4.7 sqrt(eps)(1 + a*); bounds 8 eps and 32 sqrt(eps)
+    # most 3.0 sqrt(eps)(1 + a*); bounds 8 eps and 32 sqrt(eps).  The candidate at a = z
+    # has det - 1/4 = (e^z - 1)/4
     worst_f = worst_a = 0.0
     for a_, b_, v in _one_mode_draws(np.random.default_rng(2007), 3000):
-        k = max(0.0, a_ * b_ - 0.25)
+        k = OneModeCM(a_, b_).physical_excess()[0]
         forms = (
-            (lambda z: bures._fid1(a_, b_, math.exp(z) / (4 * v), v), math.log(16 * a_ * v), 4 * v * k / b_),
-            (lambda z: bures._fid1(a_, b_, v, math.exp(z) / (4 * v)), math.log(16 * b_ * v), 4 * v * k / a_),
+            (lambda z: bures._fid1(a_, b_, math.exp(z) / (4 * v), v, k, math.expm1(z) / 4),
+             math.log(16 * a_ * v), 4 * v * k / b_),
+            (lambda z: bures._fid1(a_, b_, v, math.exp(z) / (4 * v), k, math.expm1(z) / 4),
+             math.log(16 * b_ * v), 4 * v * k / a_),
         )
         for f, ln_hi, offset in forms:
             a_star = math.log1p(offset)
@@ -309,8 +326,8 @@ def test_numeric_maximizer_argmax_is_sigma_star_b():
     # Y2 = g2p + 1/2 - 1/(4 kt).  On the criterion-1 draws the verifier's argmax
     # (b', c', |d'|, u') matched it to 16.6 eps relative, in |d'|, whose reference
     # Y2 - 1/2 cancels where kappa_- nears 1/2 (b' 1.8, c' 4.3, u' 1.3 eps; a search on
-    # values stopped at 1.5 sqrt(eps)), and the fidelity there matched F_max to 7.5 eps
-    # relative; bounds 32 eps and 16 eps
+    # values stopped at 1.5 sqrt(eps)), and one_mode_fidelity of the four CMs there matched F_max to
+    # 2.0 eps relative; bounds 32 eps and 16 eps
     eps = sys.float_info.epsilon
     for s in random_entangled_symmetric(np.random.default_rng(101), 100):
         kt = s.kappa_tilde_minus
@@ -322,7 +339,9 @@ def test_numeric_maximizer_argmax_is_sigma_star_b():
         got, want = (argmax.b, argmax.c, argmax.d_abs, u_arg), (b, (x1 - x2) / (2 * u), (y2 - y1) * u / 2, u)
         assert all(abs(g - w) <= 32 * eps * w for g, w in zip(got, want)), s
         f_max = max_fidelity_closed(kt)
-        assert abs(bures._fid1(g1q, kt, x1, y1) * bures._fid1(kt, g2p, x2, y2) - f_max) <= 16 * eps * f_max, s
+        f = one_mode_fidelity(OneModeCM(g1q, kt), OneModeCM(x1, y1)) * one_mode_fidelity(
+            OneModeCM(kt, g2p), OneModeCM(x2, y2))
+        assert abs(f - f_max) <= 16 * eps * f_max, s
 
 
 def _recorded_root_solves(monkeypatch):
@@ -392,8 +411,9 @@ def test_numeric_maximizer_bound_certifies_f_star(monkeypatch):
         kt, x2 = s.kappa_tilde_minus, math.exp(solves[-1][1])
         kp, km = physical_kappa(s.kappa_plus, s.b), physical_kappa(s.kappa_minus, s.b)
         e1, e2 = (kp - 0.5) * (kp + 0.5) / kt, (km - 0.5) * (km + 0.5) / kt
-        y1 = 0.25 / x2  # each mode's maximum: X1* = x2 + e1, Y2* = y1 + e2
-        u = bures._fid1(kp**2 / kt, kt, x2 + e1, y1) * bures._fid1(kt, km**2 / kt, x2, y1 + e2)
+        y1 = 0.25 / x2  # each mode's maximum: X1* = x2 + e1, Y2* = y1 + e2, with the verifier's det - 1/4
+        u = (bures._fid1(kp**2 / kt, kt, x2 + e1, y1, kt * e1, e1 / x2 / 4)
+             * bures._fid1(kt, km**2 / kt, x2, y1 + e2, kt * e2, x2 * e2))
         assert 0.0 <= u - f_star <= 128 * eps * f_star and argmax.c >= argmax.d_abs, s
         a1, a2 = math.log1p(e1 / x2), math.log1p(4 * x2 * e2)
         if a2 > a1 and kp > 0.6:  # mixed: a pure state has a1* = a2* = 0

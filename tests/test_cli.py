@@ -150,6 +150,32 @@ def test_check_decides_parameters_as_the_measures_do(capsys):
             assert not [t for t in numbers if t.startswith("-") and float(t) == 0], (command, flags, out)
 
 
+def test_check_reads_the_sign_of_d_as_the_measures_do(capsys):
+    # sign(d') = sign(c d) from the signs of c and d, where c d underflows to -0.0: check's
+    # standard form I carries the d that bures and relent print, and an underflowing det C
+    # prints as 0, not as -0
+    for c, d in (("1e-200", "-1e-200"), ("-1e-200", "1e-200"), ("-1e-200", "-1e-200"), ("1e-200", "1e-200")):
+        _, out, _ = run_cli(capsys, "check", "--b", "1", "--c", c, "--d", d)
+        printed = float(re.search(r"standard form I:.*d = (\S+)", out).group(1))
+        want = math.copysign(1e-200, float(c) * 1e200 * float(d))
+        assert printed == want, (c, d, out)
+        if want < 0:  # a d > 0 within the rounding allowance bures reads as -|d|
+            _, out_b, _ = run_cli(capsys, "bures", "--b", "1", "--c", c, "--d", d)
+            assert json.loads(out_b)["input"]["d"] == want, (c, d)
+    for flags in (("--r", "1e-320"), ("--b", "1", "--c", "1e-200", "--d", "-1e-200")):
+        _, out, _ = run_cli(capsys, "check", *flags)
+        assert not [t for t in re.findall(r"= (\S+)", out) if t.startswith("-") and float(t) == 0], (flags, out)
+
+
+def test_oracle_fidelity_reads_a_near_pure_mode_as_the_fock_build_does(capsys):
+    # nu - 1/2 = 2.5e-14 is within the band: OneModeCM's reader and the Fock build both read the
+    # mode as pure; what is left is the O(nu - 1/2) gap between the given variances and the
+    # squeezed vacuum the build makes, measured 1.4e-14 (1.2e-7 with det V - 1/4 kept at 2.5e-14)
+    code, out, _ = run_cli(capsys, "oracle", "fidelity", "--state1", "0.50000000000005,0.5", "--state2", "1,0.8",
+                           "--dim", "60")
+    assert code == 0 and json.loads(out)["discrepancy"] <= 3e-14, out
+
+
 def _check_numbers(out):
     """The uncertainty det and the invariants (det V1, det V2, det C, det V) of a gent check report."""
     lines = dict(line.split(":", 1) for line in out.splitlines())

@@ -10,12 +10,14 @@ import random
 import sys
 
 import mpmath
+import numpy as np
 import sympy
 from sympy import Rational, log, sqrt
 
 from gent import bures, relent
 from gent.formation import entanglement_of_formation
-from gent.scalar import SymmetricState, physical_kappa, symmetric_sts
+from gent.scalar import StandardFormI, SymmetricState, form_I_spectrum, physical_kappa, symmetric_sts
+from gent.standard_forms import to_standard_form_I
 
 x = sympy.Symbol("x")
 
@@ -50,7 +52,8 @@ def test_one_mode_maximum_is_free_of_a():
         if k > 0:
             assert _is_zero(sympy.diff(inv_f, big_x).subs(big_x, x_star)), (a, b, y)
         # the float one-mode fidelity of gent at X* is the closed form to rounding
-        f = bures._fid1(float(a), float(b), float(x_star), float(y))
+        f = bures._fid1(float(a), float(b), float(x_star), float(y), float(k),
+                        float(x_star * y - Rational(1, 4)))
         ref = float(2 * sqrt(b * y) / (b + y))
         assert abs(f - ref) <= 16 * sys.float_info.epsilon, (a, b, y, f, ref)
 
@@ -84,7 +87,8 @@ def test_one_mode_fidelity_conjugate_form():
         x_var = 1 / (4 * y) + Rational(1, 3)
         k = (a * b - Rational(1, 4)) * (x_var * y - Rational(1, 4))
         ref = 1 / (sqrt((a + x_var) * (b + y) + 4 * k) - 2 * sqrt(k))
-        f = bures._fid1(float(a), float(b), float(x_var), float(y))
+        f = bures._fid1(float(a), float(b), float(x_var), float(y),
+                        float(a * b - Rational(1, 4)), float(x_var * y - Rational(1, 4)))
         assert abs(f - float(ref.evalf(30))) <= 4 * sys.float_info.epsilon * f, (a, b, y)
 
 
@@ -416,3 +420,77 @@ def test_minimize_mode_starts_at_the_large_x_root(monkeypatch):
         relent.minimize_mode(k2, kt)
         exact = sympy.sqrt(Rational(k2) / (2 * Rational(kt))) - Rational(1, 2)
         assert math.isclose(starts[0], float(exact.evalf(30)), rel_tol=4 * sys.float_info.epsilon), (k2, kt)
+
+
+def test_form_I_c_and_d_are_singular_values():
+    # to_standard_form_I takes c and |d| of C' = N1 C N2^T as the half sum and half difference
+    # of P = hypot(m00 + m11, m10 - m01) and Q = hypot(m00 - m11, m10 + m01): P^2 - Q^2 = 4 det M
+    # and P^2 + Q^2 = 2 ||M||_F^2, so c |d| = |det M| and c^2 + d^2 = ||M||_F^2, and c^2, d^2
+    # are the roots of y^2 - tr(M M^T) y + det(M M^T), the squared singular values of M
+    m00, m01, m10, m11 = entries = sympy.symbols("m00 m01 m10 m11", real=True)
+    big_m = sympy.Matrix(2, 2, entries)
+    big_p2, big_q2 = (m00 + m11) ** 2 + (m10 - m01) ** 2, (m00 - m11) ** 2 + (m10 + m01) ** 2
+    c, d = (sqrt(big_p2) + sqrt(big_q2)) / 2, (sqrt(big_p2) - sqrt(big_q2)) / 2
+    assert sympy.expand(c * d - big_m.det()) == 0
+    assert sympy.expand(c**2 + d**2 - (big_m * big_m.T).trace()) == 0
+    assert sympy.expand((c * d) ** 2 - (big_m * big_m.T).det()) == 0
+    # gent's c and |d| (taken as |det M|/c) at seeded rational C, with V1 = b1 I and V2 = b2 I so
+    # that C' = C exactly, against the singular values of the float C at 50 digits: measured
+    # 0.81 and 0.74 eps of c; bound 4 eps
+    rng = random.Random(1717)
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        for _ in range(300):
+            b1, b2 = (float(Rational(rng.randint(1, 60), rng.randint(1, 12))) for _ in range(2))
+            cm = [float(Rational(rng.randint(-90, 90), rng.randint(1, 30))) for _ in range(4)]
+            v = np.diag([b1, b1, b2, b2])
+            v[0, 2], v[0, 3], v[1, 2], v[1, 3] = cm
+            v[2:, :2] = v[:2, 2:].T
+            form = to_standard_form_I(v)
+            f2 = sum(mpmath.mpf(t) ** 2 for t in cm)
+            det = abs(mpmath.mpf(cm[0]) * cm[3] - mpmath.mpf(cm[1]) * cm[2])
+            s1 = (mpmath.sqrt(f2 + 2 * det) + mpmath.sqrt(f2 - 2 * det)) / 2
+            s2 = (mpmath.sqrt(f2 + 2 * det) - mpmath.sqrt(f2 - 2 * det)) / 2
+            assert form.b1 == b1 and form.b2 == b2, cm
+            assert abs(form.c - s1) <= 4 * eps * s1 and abs(abs(form.d) - s2) <= 4 * eps * s1, cm
+
+
+def test_form_I_spectrum_discriminant_is_a_sum_of_products():
+    # Simon's invariants of standard form I: det(y I - (Omega V)^2) = (y^2 + Delta y + det V)^2
+    # with Delta = b1^2 + b2^2 + 2cd and det V = (b1 b2 - c^2)(b1 b2 - d^2), so kappa_+-^2 are the
+    # roots of y^2 - Delta y + det V; form_I_spectrum writes the discriminant Delta^2 - 4 det V as
+    # ((b1 - b2)(b1 + b2))^2 + 4(b1 c + b2 d)(b1 d + b2 c), and the partial transpose's (d -> -d)
+    # as ((b1 - b2)(b1 + b2))^2 - 4(b1 c - b2 d)(b1 d - b2 c)
+    b1, b2, c, d, y = sympy.symbols("b1 b2 c d y", real=True)
+    v = sympy.Matrix([[b1, 0, c, 0], [0, b1, 0, d], [c, 0, b2, 0], [0, d, 0, b2]])
+    omega = sympy.Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    local, det_v = b1**2 + b2**2, (b1 * b2 - c**2) * (b1 * b2 - d**2)
+    charpoly = (y * sympy.eye(4) - (omega * v) ** 2).det()
+    assert sympy.expand(charpoly - (y**2 + (local + 2 * c * d) * y + det_v) ** 2) == 0
+    split = ((b1 - b2) * (b1 + b2)) ** 2
+    assert sympy.expand((local + 2 * c * d) ** 2 - 4 * det_v - split - 4 * (b1 * c + b2 * d) * (b1 * d + b2 * c)) == 0
+    assert sympy.expand((local - 2 * c * d) ** 2 - 4 * det_v - split + 4 * (b1 * c - b2 * d) * (b1 * d - b2 * c)) == 0
+    # gent's floats at seeded rational forms (b1 != b2, c >= |d|, b1 b2 > c^2) against the roots
+    # at 50 digits from the floats: kappa^2 within 1.2 eps of max(b1, b2)^2 (measured; the
+    # scale of rounding_tol), up to 91 eps relative in a small kappa; bound 4 eps of it
+    rng = random.Random(1818)
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        done = 0
+        while done < 300:
+            b1_, b2_ = (Rational(rng.randint(1, 60), rng.randint(1, 12)) for _ in range(2))
+            c_ = Rational(rng.randint(0, 60), rng.randint(1, 12))
+            d_ = c_ * Rational(rng.randint(-20, 20), 20)
+            if b1_ == b2_ or not b1_ * b2_ > c_**2:
+                continue
+            done += 1
+            form = StandardFormI(*(float(t) for t in (b1_, b2_, c_, d_)))
+            spec = form_I_spectrum(form)
+            fb1, fb2, fc, fd = (mpmath.mpf(t) for t in (form.b1, form.b2, form.c, form.d))
+            det = (fb1 * fb2 - fc**2) * (fb1 * fb2 - fd**2)
+            got = ((spec.kappa_plus, spec.kappa_minus), (spec.kappa_tilde_plus, spec.kappa_tilde_minus))
+            for sign, (k_big, k_small) in zip((1, -1), got):
+                delta = fb1**2 + fb2**2 + 2 * sign * fc * fd
+                root = mpmath.sqrt(delta**2 - 4 * det)
+                for k, ref in ((k_big, mpmath.sqrt((delta + root) / 2)), (k_small, mpmath.sqrt((delta - root) / 2))):
+                    assert abs(k - ref) * ref <= 4 * eps * max(form.b1, form.b2) ** 2, (form, sign)

@@ -61,6 +61,20 @@ def test_entropy_holds_to_rounding_against_50_digits():
             assert abs(relent._entropy_excess(x) - ref) <= 4 * sys.float_info.epsilon * ref, x
 
 
+def test_entropy_of_near_pure_modes_against_60_digits():
+    # (1/2 + n) e^{+-2z} with n = 10^-k: the reader's n = nu - 1/2 from the exact det V - 1/4
+    # holds S to measured 1.1 eps relative of 60 digits at the float CM, where sqrt(det V) - 1/2
+    # left 1.0e10 eps at n = 1e-11
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(60):
+        for k in range(3, 12):
+            for z in (0.0, 0.7, -1.3, 2.9):
+                v = OneModeCM((0.5 + 10.0**-k) * math.exp(2 * z), (0.5 + 10.0**-k) * math.exp(-2 * z))
+                n = mpmath.sqrt(mpmath.mpf(v.sigma_qq) * mpmath.mpf(v.sigma_pp)) - mpmath.mpf(1) / 2
+                ref = (n + 1) * mpmath.log(n + 1) - n * mpmath.log(n)
+                assert abs(von_neumann_entropy(v) - ref) <= 8 * eps * ref, (k, z)
+
+
 def _mp_mode_minimum(kappa_sq, kt, x_start):
     """The minimum of the brace -Tr(rho ln rho') of mode_rel_entropy at the working precision,
     by bisection of f' in t = ln(x - 1/2) within a factor 4 of x_start - 1/2 (f has one
@@ -211,21 +225,48 @@ def _mp_rel_entropy_and_size(x, k, kt):
     return brace - entropy, entropy + mpmath.log(x + half) + abs(g - 1) / 2 * big_l
 
 
+def _mp_rel_entropy_one_mode(vp, v):
+    """S(rho'||rho) = -S(rho) - Tr rho ln rho' of the float CMs vp (rho') and v (rho), at the
+    working precision: -Tr rho ln rho' = ln(nu' + 1/2) + L(nu') <n'>, where <n'> =
+    nu' (a/a' + b/b')/2 - 1/2 is rho's photon number in rho''s squeezed frame."""
+    a, b, ap, bp = (mpmath.mpf(t) for t in (v.sigma_qq, v.sigma_pp, vp.sigma_qq, vp.sigma_pp))
+    half = mpmath.mpf(1) / 2
+    nu, nup = mpmath.sqrt(a * b), mpmath.sqrt(ap * bp)
+    entropy = (nu + half) * mpmath.log(nu + half) - (nu - half) * mpmath.log(nu - half)
+    photons = nup * (a / ap + b / bp) / 2 - half
+    return mpmath.log(nup + half) + mpmath.log((nup + half) / (nup - half)) * photons - entropy
+
+
 def test_one_mode_rel_entropy_is_the_mode_form_against_60_digits():
-    # rel_entropy_one_mode on the CMs and mode_rel_entropy on (x - 1/2, k, kt) hold to 60 digits
-    # of the mode problem: measured at most 2.5 and 2.1 eps of the size of the terms (the old
-    # brace - entropy forms agreed with each other to 16 eps of it), and mode_rel_entropy to
-    # 6.9 eps of its value
+    # mode_rel_entropy on (x - 1/2, k, kt) holds to 60 digits of the mode problem, and
+    # rel_entropy_one_mode to 60 digits at the float CMs it is given, whose 2x^2 and k^2/kt are
+    # rounded: measured at most 2.1 and 2.9 eps of the size of the terms (the old brace - entropy
+    # forms agreed with each other to 16 eps of it), and mode_rel_entropy to 6.9 eps of its value
     rng = np.random.default_rng(1616)
     eps = sys.float_info.epsilon
     with mpmath.workdps(60):
         for _ in range(500):
             kt, k, x = rng.uniform(0.01, 0.49), rng.uniform(0.5, 3.0), 0.5 + 10 ** rng.uniform(-6, 1.5)
             ref, size = _mp_rel_entropy_and_size(x, k, kt)
-            one_mode = rel_entropy_one_mode(OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt))
+            vp, v = OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt)
+            one_mode = rel_entropy_one_mode(vp, v)
             mode = mode_rel_entropy(x - 0.5, k, kt)
-            assert abs(one_mode - ref) <= 8 * eps * size, (kt, k, x)
+            assert abs(one_mode - _mp_rel_entropy_one_mode(vp, v)) <= 8 * eps * size, (kt, k, x)
             assert abs(mode - ref) <= 8 * eps * size and abs(mode - ref) <= 16 * eps * ref, (kt, k, x)
+
+
+def test_rel_entropy_one_mode_near_pure_rho_prime_against_60_digits():
+    # rho' of CM (2x^2, 1/2) with x - 1/2 from 1e-7 to 1e-5, against rho of CM (k^2/kt, kt): the
+    # reader's n' = nu' - 1/2 from the exact det V' - 1/4 holds the value to measured 4.0 eps
+    # relative of 60 digits at the float CMs, where sqrt(det V') - 1/2 left 7.3e4 eps
+    rng = np.random.default_rng(1616)
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(60):
+        for _ in range(500):
+            kt, k, x = rng.uniform(0.01, 0.49), rng.uniform(0.5, 3.0), 0.5 + 10 ** rng.uniform(-7, -5)
+            vp, v = OneModeCM(2 * x * x, 0.5), OneModeCM(k * k / kt, kt)
+            ref = _mp_rel_entropy_one_mode(vp, v)
+            assert abs(rel_entropy_one_mode(vp, v) - ref) <= 8 * eps * ref, (kt, k, x)
 
 
 def test_minimize_mode():
@@ -305,7 +346,7 @@ def test_minimize_mode_safeguards_hold_an_understated_curvature(monkeypatch, rng
         for (k, kt), e in zip(cases, want):
             e_p = minimize_mode(k * k, kt)
             f, f_p = mode_rel_entropy(e, k, kt), mode_rel_entropy(e_p, k, kt)
-            assert abs(f_p - f) <= 8 * sys.float_info.epsilon * (f + relent._entropy_nu(k)), (k, kt)
+            assert abs(f_p - f) <= 8 * sys.float_info.epsilon * (f + relent._entropy_excess(k - 0.5)), (k, kt)
             assert abs(e_p - e) <= math.sqrt(sys.float_info.epsilon) * e, (k, kt)
     assert len(calls) > 2 * len(cases) * 20
     monkeypatch.setattr(relent, "_NEWTON_MAX_STEPS", 5)
