@@ -33,8 +33,9 @@ EXIT_ENTANGLED = 3
 EXIT_NOT_SYMMETRIC = 4
 EXIT_SUPPORT = 5
 
-# argparse's own pattern misses the exponent form, and "--d -1e-5" would read as an option
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# argparse's own pattern misses the exponent form, and "--d -1e-5" would read as an option;
+# so would a --stateK pair "-1,0.5", which its reader then refuses as not positive definite
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(,.*)?$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,12 +271,13 @@ def _write_sweep(rows, path, fmt) -> None:
 
 
 def _parse_one_mode(text: str, flag: str) -> OneModeCM:
+    """Two finite numbers, as every float flag takes; ``OneModeCM.physical_nu`` refuses the rest."""
     try:
         sqq, spp = (float(t) for t in text.split(","))
     except ValueError:
         _fail(EXIT_PARSE, f"{flag}: expected 'sigma_qq,sigma_pp', got {text!r}")
-    if not (0 < sqq < math.inf and 0 < spp < math.inf):  # NaN fails both
-        _fail(EXIT_PARSE, f"{flag}: variances must be positive and finite")
+    if not (math.isfinite(sqq) and math.isfinite(spp)):
+        _fail(EXIT_PARSE, f"{flag}: expected a finite number for each variance, got {text!r}")
     return OneModeCM(sqq, spp)
 
 

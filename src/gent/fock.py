@@ -1,12 +1,15 @@
 """Brute-force ground truth in a truncated number basis.
 
-Gaussian states are realized by Williamson decomposition of the covariance
-matrix followed by an Euler (passive - squeeze - passive) factorization of
-the symplectic, applied as unitary gates to a product of thermal states.
-A two-mode CM is refused, and its thermal cores are filled, on the
-closed-form spectrum and the threshold rule of ``cm_core.is_physical``, and a
-diagonal one-mode CM on ``OneModeCM.physical_nu``, as every one-mode function
-reads it; the factorizations only build gates.
+A one-mode state, diagonal or rotated, is its thermal core under one
+squeezer along its principal axis and one phase, in closed form.  A two-mode
+state is realized by a Williamson decomposition of the covariance matrix
+followed by an Euler (passive - squeeze - passive) factorization of the
+symplectic, applied as unitary gates to a product of thermal states.  A
+two-mode CM is refused, and its thermal cores are filled, on the closed-form
+spectrum and the threshold rule of ``cm_core.is_physical``, so the
+factorizations only build gates; a OneModeCM and a diagonal one-mode CM on
+``OneModeCM.physical_nu``, as every one-mode function reads it, and a
+rotated one on its sqrt(det V) at its entry scale.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
 weights and their exact logarithm; every functional reads these factors,
 and dense matrices are derived only on demand.  Every gate commutes with the
@@ -22,14 +25,14 @@ entropy is -sum w ln w, since U is unitary.  Truncated states are never
 renormalized; the trace deficit is carried so tests can reject inadmissible
 truncations.
 
-A covariance matrix whose q-p block is exactly zero (V = T V T with
+A two-mode covariance matrix whose q-p block is exactly zero (V = T V T with
 T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
-into rotations and squeezes; one mode of this kind, diag(v_qq, v_pp), is a
-thermal core under one squeezer, with no factorization.  Any other matrix
-takes ``williamson`` and ``euler_decompose``.  That predicate is the only
-choice of route.
+into rotations and squeezes.  Any other two-mode matrix takes ``williamson``
+and ``euler_decompose``.  That predicate is the only choice of route; the
+factorizations, ``_passive_mode_unitary`` and the passive and squeeze
+actions serve two modes only.
 
-Every passive gate, of either route and of ``apply_gate``, is its mode
+Every two-mode passive gate, of either route and of ``apply_gate``, is its mode
 unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}): phases, diagonal
 in the number basis, around one real rotation that acts sector by sector
 from cached eigenpairs.  No gate runs an eigensolve, and U and rho are real
@@ -54,6 +57,7 @@ from .cm_core import VACUUM, OneModeCM, _spectrum_and_scale, entry_scale, omega,
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
+    NonPositiveDefinite,
     SupportViolation,
     TruncationWarning,
 )
@@ -282,17 +286,14 @@ def _squeeze_blocks(r: float, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _squeeze_action(squeezes, n: int, blocks) -> tuple[np.ndarray, ...]:
-    """The squeezer of r_k on each mode k (one or two modes), applied to the rows of class blocks.
+    """The squeezers S1 (x) S2 of (r_1, r_2) on two modes, applied to the rows of class blocks.
 
-    On one mode the squeezer's class blocks act on the factor's.  On two,
     S1 (x) S2 acts on run q of class p, the levels (class q) x (class p ^ q),
     as the kron of S1's block q and S2's block p ^ q.
     """
     ops = [_squeeze_blocks(r, n) for r in squeezes]
     if blocks is None:
-        return ops[0] if len(ops) == 1 else _kron_blocks(*ops)
-    if len(ops) == 1:
-        return tuple(s @ x for s, x in zip(ops[0], blocks))
+        return _kron_blocks(*ops)
     out = []
     for p, x in enumerate(blocks):
         y, start = np.empty_like(x), 0
@@ -349,11 +350,8 @@ def _mode_angles(u: np.ndarray) -> tuple[tuple[float, ...], float, tuple[float, 
     and no phases.  Any other two-mode u is e^{ig} D(x) R(theta) D(y) with
     D(x) = diag(e^{ix}, e^{-ix}) and g = arg(det u)/2 (Reck et al., PRL 73,
     58 (1994)): the first column of e^{-ig} u, an SU(2) matrix, is
-    (e^{i(x+y)} cos theta, e^{i(y-x)} sin theta) and fixes the second.  One
-    mode is the phase beta = arg u00 alone.
+    (e^{i(x+y)} cos theta, e^{i(y-x)} sin theta) and fixes the second.
     """
-    if u.shape == (1, 1):
-        return (0.0,), 0.0, (cmath.phase(u[0, 0]),)
     r = u.real
     if not u.imag.any() and r[0, 0] * r[1, 1] > r[0, 1] * r[1, 0]:
         return (0.0, 0.0), math.atan2(r[1, 0], r[0, 0]), (0.0, 0.0)
@@ -555,61 +553,73 @@ def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return kappas, r2t, np.log(e), r1
 
 
+def _one_mode_state(v, n: int) -> FockOperator:
+    """The one-mode state of V = R(phi) diag(nu e^{2r}, nu e^{-2r}) R(phi)^T, in closed form.
+
+    It is the thermal core of nu, the squeezer of r and the phase e^{i phi n},
+    the Fock unitary of R(phi).  phi turns q onto the principal axis nearest
+    it, |phi| <= pi/4 from tan 2 phi = 2 v_qp / (v_qq - v_pp), so a diagonal V
+    takes phi = 0 and no phase; e^{2r} = (v_qq + v_qp tan phi) / sqrt(det V)
+    is V's variance along that axis over nu.  A OneModeCM or a diagonal V is
+    read, and refused, by ``OneModeCM.physical_nu``.  A rotated V that is not
+    positive definite raises NonPositiveDefinite with ``sqrt_cm``'s message;
+    its det V cancels as a two-mode kappa does, so its nu is
+    ``physical_kappa(sqrt(det V))`` at its entry scale.  No np.linalg routine reads V.
+    """
+    one = isinstance(v, OneModeCM)
+    (x, y), (_, z) = ((v.sigma_qq, 0.0), (0.0, v.sigma_pp)) if one else np.asarray(v, dtype=float).tolist()
+    det = x * z - y * y
+    if y and not (x > 0 and det > 0):  # also a NaN
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    nu = physical_kappa(math.sqrt(det), entry_scale(v)) if y else (v if one else OneModeCM(x, z)).physical_nu()
+    phi = 0.5 * (math.atan2(2 * y, x - z) if x >= z else math.atan2(-2 * y, z - x))
+    r = 0.5 * math.log((x + y * math.tan(phi)) / math.sqrt(det))
+    core = thermal_state(nu, n)
+    return replace(core, blocks=_phase_action((phi,), n, _squeeze_blocks(r, n) if r else core.blocks))
+
+
 def gaussian_state_from_cm(v, n: int) -> FockOperator:
     """Build the undisplaced Gaussian state of covariance matrix v.
 
-    Accepts a OneModeCM, a 2x2 or a 4x4 array.  V = S D S^T with S = K1 Z K2
-    is realized as the thermal core of D under the passive unitary of K2,
-    written directly into the class blocks and without its right phases
-    (diagonal, as the core is, they leave rho as it is), then the squeezers
-    of Z and the passive unitary of K1, acting on those blocks.  A gate that
-    is exactly the identity is skipped: until one acts, the cores' identity
-    blocks stand.  A diagonal 2x2 V needs no factorization: it is its core
-    under the squeezer of r = ln(v_qq / sqrt(v_qq v_pp))/2.  A 4x4 V with no
-    q-p correlation (V = T V T, T = diag(1, -1, 1, -1)) takes
-    ``_qp_free_factors``, any other V ``williamson`` and ``euler_decompose``.
+    Accepts a OneModeCM, a 2x2 or a 4x4 array.  One mode, diagonal or rotated,
+    is a thermal core under one squeezer and one phase (``_one_mode_state``).
+    A 4x4 V = S D S^T with S = K1 Z K2 is realized as the thermal cores of D
+    under the passive unitary of K2, written directly into the class blocks
+    and without its right phases (diagonal, as the cores are, they leave rho
+    as it is), then the squeezers of Z and the passive unitary of K1, acting on
+    those blocks.  A gate that is exactly the identity is skipped: until one
+    acts, the cores' identity blocks stand.  A 4x4 V with no q-p correlation
+    (V = T V T, T = diag(1, -1, 1, -1)) takes ``_qp_free_factors``, any other
+    V ``williamson`` and ``euler_decompose``.
 
     A 4x4 V is first decided on the spectrum and entry scale that ``cm_core`` keeps for
     the last matrix, as ``cm_core.is_physical`` decides it and before any eigensolve:
     NonPositiveDefinite, UnphysicalState below the vacuum (named ``kappa_-``) or
     NumericalDegeneracy where the rule cannot decide.  Its cores take
     ``physical_kappa(kappa_+-, scale)`` of that spectrum, matched to the factors' modes by
-    rank.  A diagonal 2x2 V is first read, and refused, by ``OneModeCM.physical_nu``, as
-    every one-mode function reads it, and its core takes that nu; a rotated one takes
-    ``williamson``'s kappa, read by ``physical_kappa`` at its entry scale.  Within its
-    band of 1/2 a kappa is exactly 1/2 and its core pure.
+    rank.  Within its band of 1/2 a kappa is exactly 1/2 and its core pure.
     """
-    v = np.asarray(v.matrix() if isinstance(v, OneModeCM) else v, dtype=float)
-    if v.shape not in ((2, 2), (4, 4)):
+    if isinstance(v, OneModeCM) or np.shape(v) == (2, 2):
+        return _one_mode_state(v, n)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4, 4):
         raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
-    qp_correlated = v[::2, 1::2].any()
-    if v.shape == (2, 2) and not qp_correlated:  # diag(v_qq, v_pp): a thermal core squeezed by r
-        vqq, vpp = float(v[0, 0]), float(v[1, 1])
-        core = thermal_state(OneModeCM(vqq, vpp).physical_nu(), n)
-        r = 0.5 * math.log(vqq / math.sqrt(vqq * vpp))
-        return core if r == 0 else replace(core, blocks=_squeeze_blocks(r, n))
-    if v.shape == (4, 4):  # cm_core.is_physical's spectrum and rule, before any eigensolve
-        spec, scale = _spectrum_and_scale(v)
-        exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
-    if qp_correlated:
+    spec, scale = _spectrum_and_scale(v)  # cm_core.is_physical's spectrum and rule, before any eigensolve
+    exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
+    if v[::2, 1::2].any():
         s, kappas = williamson(v)
         k1, z, k2 = euler_decompose(s)
         first, last = _passive_mode_unitary(k2), _passive_mode_unitary(k1)
         squeezes = np.log(np.diag(z)[::2])
     else:
         kappas, first, squeezes, last = _qp_free_factors(v)
-    if v.shape == (2, 2):  # a rotated one mode
-        kappas = [physical_kappa(float(kappas[0]), entry_scale(v))]
-    else:  # matched to the factors' modes by rank
-        kappas = exact if kappas[0] <= kappas[-1] else exact[::-1]
-    cores = [thermal_state(kappa, n) for kappa in kappas]
+    # matched to the factors' modes by rank
+    cores = [thermal_state(kappa, n) for kappa in (exact if kappas[0] <= kappas[-1] else exact[::-1])]
     alpha, theta, _ = _mode_angles(first)
     blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity
     if any(squeezes):
         blocks = _squeeze_action(squeezes, n, blocks)
     blocks = _passive_action(last, n, blocks)
-    if len(cores) == 1:
-        return cores[0] if blocks is None else replace(cores[0], blocks=blocks)
     return tensor(*cores) if blocks is None else _product(*cores, blocks)
 
 

@@ -1058,7 +1058,17 @@ def test_non_finite_float_flag_exits_parse(capsys, tmp_path, monkeypatch, argv, 
 def test_non_finite_one_mode_state_exits_parse(capsys, pair):
     code, _, err = run_cli(capsys, "oracle", "fidelity", "--state1", pair, "--state2", "0.5,0.5")
     assert code == cli.EXIT_PARSE, err
-    assert "positive and finite" in err
+    assert "finite number" in err
+
+
+@pytest.mark.parametrize("flag", ["--state1 {}", "--state1={}"])
+@pytest.mark.parametrize("pair", ["-1,0.5", "0,0.5", "1,-2"])
+def test_non_positive_one_mode_state_is_unphysical(capsys, flag, pair):
+    # a variance that is not positive is a CM that is not positive definite, as a --cm file's
+    code, out, err = run_cli(capsys, "oracle", "entropy", *flag.format(pair).split(" "))
+    assert code == cli.EXIT_UNPHYSICAL, err
+    assert err == "error: unphysical state: covariance matrix is not positive definite\n"
+    assert out == ""
 
 
 def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):

@@ -19,6 +19,8 @@ from gent.formation import entanglement_of_formation
 from gent.scalar import StandardFormI, SymmetricState, form_I_spectrum, physical_kappa, symmetric_sts
 from gent.standard_forms import to_standard_form_I
 
+from conftest import random_entangled_symmetric
+
 x = sympy.Symbol("x")
 
 
@@ -494,3 +496,41 @@ def test_form_I_spectrum_discriminant_is_a_sum_of_products():
                 root = mpmath.sqrt(delta**2 - 4 * det)
                 for k, ref in ((k_big, mpmath.sqrt((delta + root) / 2)), (k_small, mpmath.sqrt((delta - root) / 2))):
                     assert abs(k - ref) * ref <= 4 * eps * max(form.b1, form.b2) ** 2, (form, sign)
+
+
+def test_verifier_argmax_is_the_inverse_of_the_beam_splitter_map(monkeypatch):
+    # numeric_max_fidelity's argmax, with t = 2 + m and r = sqrt(t1/t2): b' = sqrt(t1 t2)/4,
+    # c' = m1/(4r), |d'| = r m2/4 and u' = 2 x2 r.  A candidate's beam-splitter variances
+    # ((b'+c')u', (b'-|d'|)/u', (b'-c')u', (b'+|d'|)/u') are then (X1, Y1, x2, Y2) with
+    # X1 = x2 (1 + m1), Y1 = 1/(4 x2) and Y2 = Y1 (1 + m2), so kt'^2 = Y1 x2 = 1/4.
+    # Written in r (t1 = r^2 t2), every side is rational.
+    r, m2, x2 = sympy.symbols("r m2 x2", positive=True)
+    t2 = 2 + m2
+    t1 = r**2 * t2
+    m1 = t1 - 2
+    assert sympy.sqrt(t1 * t2) == r * t2 and sympy.sqrt(t1 / t2) == r
+    b, c, d, u = sympy.sqrt(t1 * t2) / 4, m1 / (4 * r), r * m2 / 4, 2 * x2 * r
+    y1 = 1 / (4 * x2)
+    for got, want in zip(((b + c) * u, (b - d) / u, (b - c) * u, (b + d) / u), (x2 * (1 + m1), y1, x2, y1 * (1 + m2))):
+        assert sympy.cancel(got - want) == 0
+    assert sympy.cancel((b - d) * (b - c) - Rational(1, 4)) == 0
+    # the verifier's floats on criterion 1's draws, against the same formula at 50 digits from
+    # its own x2* and kappas: measured within 1.5 eps relative (b', c', |d'|, u'); bound 4 eps
+    roots, solve = [], bures.falling_root
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    monkeypatch.setattr(bures, "falling_root", lambda f, lo, hi: roots.append(solve(f, lo, hi)) or roots[-1])
+    for s in random_entangled_symmetric(np.random.default_rng(101), 100):
+        _, argmax, u_arg = bures.numeric_max_fidelity(s)
+        kt = s.kappa_tilde_minus
+        kp, km = physical_kappa(s.kappa_plus, s.b), physical_kappa(s.kappa_minus, s.b)
+        with mpmath.workdps(50):
+            kt_, kp_, km_, x2_ = (mpmath.mpf(v) for v in (kt, kp, km, math.exp(roots[-1])))
+            e1, e2 = (kp_**2 - mpmath.mpf(0.25)) / kt_, (km_**2 - mpmath.mpf(0.25)) / kt_
+            m1_, m2_ = e1 / x2_, min(4 * x2_ * e2, e1 / x2_)  # the clip a2 <= a1
+            t1_, t2_ = 2 + m1_, 2 + m2_
+            r_ = mpmath.sqrt(t1_ / t2_)
+            want = (mpmath.sqrt(t1_ * t2_) / 4, m1_ / (4 * r_), r_ * m2_ / 4, 2 * x2_ * r_)
+            for g, w in zip((argmax.b, argmax.c, argmax.d_abs, u_arg), want):
+                worst = max(worst, float(abs(g - w) / w / eps))
+    assert worst <= 4, worst

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -495,22 +497,22 @@ def test_real_passive_blocks_match_complex(rng):
             np.testing.assert_allclose(block @ x_p, out, rtol=0, atol=1e-12)
 
 
-def _rebuild(angles, shape):
-    """diag(e^{i alpha}) R(theta) diag(e^{i beta}) from ``_mode_angles``; R is 1 for one mode."""
+def _rebuild(angles):
+    """diag(e^{i alpha}) R(theta) diag(e^{i beta}) from ``_mode_angles``."""
     alpha, theta, beta = angles
-    r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])[: shape[0], : shape[1]]
+    r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     return np.exp(1j * np.array(alpha))[:, None] * r * np.exp(1j * np.array(beta))
 
 
 def _degenerate_unitaries():
-    """Rotations (also complex-typed), reflections, diagonal and anti-diagonal U(2), and one-mode phases."""
+    """Rotations (also complex-typed), reflections, and diagonal and anti-diagonal U(2)."""
     out = []
     for a in (0.0, 0.3, -2.0, math.pi / 2, math.pi):
         c, s, ph = math.cos(a), math.sin(a), np.exp(1j * a)
         rotation = np.array([[c, -s], [s, c]])
         out += [rotation, rotation.astype(complex), np.array([[c, s], [s, -c]]), -rotation]
-        out += [np.diag([ph, ph.conj() ** 2]), np.array([[0, ph], [np.exp(0.5j * a), 0]]), np.array([[ph]])]
-    return out + [np.ones((1, 1)), -np.ones((1, 1)), np.eye(2, dtype=complex)]
+        out += [np.diag([ph, ph.conj() ** 2]), np.array([[0, ph], [np.exp(0.5j * a), 0]])]
+    return out + [np.eye(2, dtype=complex)]
 
 
 def test_mode_angles_round_trip():
@@ -521,12 +523,12 @@ def test_mode_angles_round_trip():
         us.append(q * (np.diag(r) / abs(np.diag(r))))  # Haar-distributed U(2)
     for u in us + _degenerate_unitaries():
         angles = fock._mode_angles(u)
-        assert np.max(np.abs(_rebuild(angles, u.shape) - u)) < 1e-15
+        assert np.max(np.abs(_rebuild(angles) - u)) < 1e-15
         if not u.imag.any():
-            # a real rotation (or one mode's 1) takes no phases
-            rotation = u[0, 0] == 1 if u.shape == (1, 1) else np.linalg.det(u.real) > 0
+            # a real rotation takes no phases
+            rotation = np.linalg.det(u.real) > 0
             assert (not any(angles[0]) and not any(angles[2])) == rotation
-            if rotation and u.shape == (2, 2):
+            if rotation:
                 assert angles[1] == math.atan2(u[1, 0].real, u[0, 0].real)
 
 
@@ -673,21 +675,19 @@ def _one_mode_inputs():
 
 
 def _gate_chain_state(v, n):
-    """The one-mode build as the explicit passive - squeeze - passive sequence on the thermal core.
+    """The diagonal one-mode build as the squeezer's class blocks times the thermal core's.
 
     The squeeze is read as the mode-space route reads a 1x1 V_q:
-    M = V_q^{1/2} kappa^{-1/2} = e^r, with rotations R1 = R2 = 1.  The core
-    takes kappa = sqrt(v_qq v_pp); the mode-space route's
-    (V_q^{1/2} V_p V_q^{1/2})^{1/2} agrees with it to an ulp.
+    M = V_q^{1/2} kappa^{-1/2} = e^r, with rotations R1 = R2 = 1, so no
+    passive gate acts.  The core takes kappa = sqrt(v_qq v_pp); the
+    mode-space route's (V_q^{1/2} V_p V_q^{1/2})^{1/2} agrees with it to an ulp.
     """
     sqq, spp = (v.sigma_qq, v.sigma_pp) if isinstance(v, OneModeCM) else (v[0, 0], v[1, 1])
     root, kappa = math.sqrt(sqq), math.sqrt(sqq * spp)
     assert math.sqrt(root * spp * root) == pytest.approx(kappa, rel=3e-16, abs=0)
     core = fock.thermal_state(kappa, n)
-    blocks = fock._passive_action(np.eye(1), n, core.blocks)
-    blocks = fock._squeeze_action([math.log(root / math.sqrt(kappa))], n, blocks)
-    blocks = fock._passive_action(np.eye(1), n, blocks)
-    return replace(core, blocks=blocks)
+    squeeze = fock._squeeze_blocks(math.log(root / math.sqrt(kappa)), n)
+    return replace(core, blocks=tuple(s @ b for s, b in zip(squeeze, core.blocks)))
 
 
 @pytest.mark.parametrize("n", [15, 60])
@@ -711,14 +711,83 @@ def test_one_mode_blocks_match_gate_chain(n):
 
 
 def test_one_mode_build_calls_no_linalg(monkeypatch):
+    # rotated ones too: one squeezer and one phase, with no williamson or euler_decompose
     n = 24
     cms = [OneModeCM(0.9, 0.7), OneModeCM(0.5, 0.5), OneModeCM(1.1, 1.1), np.diag([2.0, 0.3])]
+    cms += [np.array([[0.9, 0.2], [0.2, 0.7]]), np.array([[0.6, -0.4], [-0.4, 1.3]]), np.array([[1.0, 0.6], [0.6, 1.0]])]
     expected = [fock.gaussian_state_from_cm(v, n) for v in cms]  # also fills the per-N caches
     monkeypatch.setattr(np, "linalg", NoLinalg())
     for v, ref in zip(cms, expected):
         state = fock.gaussian_state_from_cm(v, n)
         for b, b_ref in zip(state.blocks, ref.blocks):
             assert np.array_equal(b, b_ref)
+
+
+def _rotated_one_mode_cms():
+    """(nu, r, V) of 300 seeded V = nu R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T, |r| <= 2, nu in [1/2, 2]."""
+    rng = np.random.default_rng(34)
+    out = []
+    for nu, r, phi in zip(rng.uniform(0.5, 2.0, 300), rng.uniform(-2.0, 2.0, 300), rng.uniform(-np.pi, np.pi, 300)):
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        out.append((nu, r, nu * rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T))
+    return out
+
+
+def _decomposition_chain_state(v, n):
+    """A one-mode V as the decomposition route's gate chain, from ``williamson`` and ``euler_decompose``.
+
+    S = K1 Z K2: the core of williamson's kappa, read at the entry scale, under
+    K2's phase, Z's squeezer and K1's phase; a passive one-mode K is the phase
+    of its mode unitary.
+    """
+    s, (kappa,) = fock.williamson(v)
+    k1, z, k2 = fock.euler_decompose(s)
+    core = fock.thermal_state(cm_core.physical_kappa(kappa, cm_core.entry_scale(v)), n)
+    first, last = (cmath.phase(fock._passive_mode_unitary(k)[0, 0]) for k in (k2, k1))
+    blocks = fock._phase_action((first,), n, core.blocks)
+    blocks = tuple(q @ b for q, b in zip(fock._squeeze_blocks(math.log(z[0, 0]), n), blocks))
+    return replace(core, blocks=fock._phase_action((last,), n, blocks))
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_rotated_one_mode_matches_the_decomposition_chain(n):
+    # the closed form and the decomposition route differ only in how r, phi and nu are
+    # rounded: measured 1.8e-14 at N = 12 and 1.2e-14 at N = 30
+    worst = 0.0
+    for _, _, v in _rotated_one_mode_cms():
+        state = fock.gaussian_state_from_cm(v, n)
+        assert np.iscomplexobj(state.blocks[0])
+        worst = max(worst, np.max(np.abs(state.matrix - _decomposition_chain_state(v, n).matrix)))
+    assert worst < 4e-14
+
+
+def test_rotated_one_mode_moments():
+    # the 38 of those CMs with |r| <= 0.6 and nu <= 1, where N = 60 holds the state:
+    # truncation leaves at most 5.8e-8
+    weak = [v for nu, r, v in _rotated_one_mode_cms() if abs(r) <= 0.6 and nu <= 1]
+    assert len(weak) >= 20
+    worst = 0.0
+    for v in weak:
+        worst = max(worst, np.max(np.abs(fock.moments_from_fock(fock.gaussian_state_from_cm(v, 60)) - v)))
+    assert worst < 1e-7
+
+
+@pytest.mark.parametrize(
+    "v, error, message",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
+        ([[-1.0, 0.1], [0.1, -1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
+        ([[0.0, 1e-3], [1e-3, 1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
+        ([[1.0, math.nan], [math.nan, 1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
+        ([[0.3, 0.1], [0.1, 0.3]], UnphysicalState, "kappa = 1/2 - 0.217, "),
+    ],
+)
+def test_rotated_one_mode_refusals(monkeypatch, v, error, message):
+    # the decomposition route's classes and messages (sqrt_cm's, and physical_kappa's at the
+    # entry scale), decided with no eigensolve
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    with pytest.raises(error, match="^" + re.escape(message)):
+        fock.gaussian_state_from_cm(np.array(v), 6)
 
 
 @pytest.mark.parametrize(
