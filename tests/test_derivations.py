@@ -400,28 +400,43 @@ def test_mode_slope_is_the_derivatives_of_mode_rel_entropy():
             assert abs(got2 - d2(x_value, k2, kt)) <= 8 * eps * size2(x_value, k2, kt), (e_value, k2, kt)
 
 
-def test_minimize_mode_starts_at_the_large_x_root(monkeypatch):
-    # with kappa^2 = 1/h^2 and x = y/h, f'/h -> 1/y - 1/(2 kt y^3) as h -> 0, whose root is
-    # y = 1/sqrt(2 kt): x0 = sqrt(kappa^2/(2 kt)); minimize_mode forms x0 - 1/2 as
-    # (2 kappa^2 - kt)/(4 kt (x0 + 1/2)), since x0^2 - 1/4 = (2 kappa^2 - kt)/(4 kt)
-    h, y = sympy.symbols("h y", positive=True)
-    lead = sympy.limit(sympy.diff(_F, _X).subs(_K2, 1 / h**2).subs(_X, y / h) / h, h, 0)
-    assert sympy.simplify(lead - (1 / y - 1 / (2 * _KT * y**3))) == 0
-    assert sympy.solve(lead, y) == [1 / sqrt(2 * _KT)]
-    x0 = sqrt(_K2 / (2 * _KT))
-    assert sympy.cancel(x0**2 - Rational(1, 4) - (2 * _K2 - _KT) / (4 * _KT)) == 0
+def test_minimize_mode_starts_at_the_second_order_root(monkeypatch):
+    # f' is linear in a = kappa^2/(2 kt), so f' = 0 reads a = A(x; kt); f' holds ln(x + 1/2)
+    # and ln(x - 1/2) only through L = ln((x + 1/2)/(x - 1/2)) = 2 atanh(1/(2x)), and with
+    # u = 1/x, A = x^2 + c/12 + c/(90 x^2) + O(x^-4), c = 1 - 2 kt.  Inverted, x0^2 - 1/4 =
+    # (2 kappa^2 - kt)/(4 kt) - c/12 - c/(90 a), and minimize_mode forms x0 - 1/2 as
+    # (x0^2 - 1/4)/(x0 + 1/2)
+    half, a, big_l, u = Rational(1, 2), *sympy.symbols("a L u", positive=True)
+    f1 = sympy.expand(sympy.diff(_F, _X).subs(_K2, 2 * a * _KT).subs(log(_X - half), log(_X + half) - big_l))
+    assert f1.coeff(log(_X + half)) == 0
+    big_a = sympy.cancel(-f1.subs(a, 0) / sympy.diff(f1, a))
+    assert sympy.cancel(f1.subs(a, big_a)) == 0 and sympy.diff(big_a, a) == 0
+    c = 1 - 2 * _KT
+    series = sympy.series(big_a.subs(big_l, 2 * sympy.atanh(u / 2)).subs(_X, 1 / u), u, 0, 4).removeO()
+    assert sympy.expand(series - (1 / u**2 + c / 12 + c * u**2 / 90)) == 0
+    # x0^2 - 1/4 over a - 1/4 rises with a; at the least a = 1/(8 kt) of a kappa >= 1/2 it is
+    # 1 - 2 kt/3 - 32 kt^2/45, which falls with kt to 22/45 at kt = 1/2: the start lies above 1/2
+    d = a - Rational(1, 4) - c / 12 - c / (90 * a)
+    ratio = sympy.cancel((d / (a - Rational(1, 4))).subs(a, 1 / (8 * _KT)))
+    assert sympy.expand(ratio - (1 - 2 * _KT / 3 - 32 * _KT**2 / 45)) == 0
+    assert ratio.subs(_KT, half) == Rational(22, 45)
     starts, slope = [], relent._mode_slope
 
     def recording_slope(e, kappa_sq, kt):
         starts.append(e)
         return slope(e, kappa_sq, kt)
 
+    # gent's float start holds to 4 eps relative of the rational formula at its own floats
+    # (measured 1.23 eps)
     monkeypatch.setattr(relent, "_mode_slope", recording_slope)
+    worst = 0.0
     for _, k2, kt in _mode_draws(50, 1010):
         starts.clear()
         relent.minimize_mode(k2, kt)
-        exact = sympy.sqrt(Rational(k2) / (2 * Rational(kt))) - Rational(1, 2)
-        assert math.isclose(starts[0], float(exact.evalf(30)), rel_tol=4 * sys.float_info.epsilon), (k2, kt)
+        exact_d = d.subs({a: Rational(k2) / (2 * Rational(kt)), _KT: Rational(kt)})
+        exact = float((exact_d / (sqrt(exact_d + Rational(1, 4)) + half)).evalf(30))
+        worst = max(worst, abs(starts[0] - exact) / exact)
+    assert worst <= 4 * sys.float_info.epsilon
 
 
 def test_form_I_c_and_d_are_singular_values():

@@ -780,6 +780,8 @@ def test_rotated_one_mode_moments():
         ([[0.0, 1e-3], [1e-3, 1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
         ([[1.0, math.nan], [math.nan, 1.0]], NonPositiveDefinite, "covariance matrix is not positive definite"),
         ([[0.3, 0.1], [0.1, 0.3]], UnphysicalState, "kappa = 1/2 - 0.217, "),
+        # det V = 0 lies within its rounding of 0 and is read as nu = 0
+        ([[1.0, 1.0], [1.0, 1.0]], UnphysicalState, "kappa = 1/2 - 0.5, "),
     ],
 )
 def test_rotated_one_mode_refusals(monkeypatch, v, error, message):
@@ -884,6 +886,20 @@ def test_rotated_one_mode_kappa_is_read_at_the_entry_scale():
             rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
             v = rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) / 2 @ rot.T
             assert fock.gaussian_state_from_cm(v, 8).log_weights is None, (r, phi)
+
+
+@pytest.mark.parametrize("r", [7, 10, 12])
+def test_rotated_pure_one_mode_beyond_the_rounding_is_ill_conditioned(r):
+    # det V = v_qq v_pp - v_qp^2 rounds by up to about eps (v_qq v_pp + v_qp^2), far above
+    # det V = 1/4 here: at r = 10 and 12 it rounds to 0 or below on 109 and 134 of these
+    # angles.  Read as nu = 0 within that rounding, every one is ill-conditioned at its
+    # entry scale, as every one is at r = 7, and none is called not positive definite
+    rng = np.random.default_rng(5)
+    for phi in rng.uniform(0, np.pi, 200):
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        v = rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) / 2 @ rot.T
+        with pytest.raises(NumericalDegeneracy, match="^ill-conditioned: kappa = "):
+            fock.gaussian_state_from_cm(v, 8)
 
 
 @pytest.mark.parametrize(
