@@ -21,7 +21,7 @@ import sys
 # the matrix layers (cm_core, standard_forms, fock) load numpy: the commands
 # that need them import them where they run, so the others start without it
 from . import __version__, bures, relent
-from .errors import DecompositionFailure, NonPositiveDefinite, NumericalDegeneracy
+from .errors import NonPositiveDefinite, NumericalDegeneracy
 from .errors import SupportViolation, UnphysicalState
 from .scalar import OneModeCM, StandardFormI, SymmetricState, above_vacuum, physical_kappa, rounding_tol
 from .scalar import VACUUM, form_I_spectrum, symmetric_sts
@@ -387,8 +387,6 @@ def main(argv=None) -> int:
         _fail(EXIT_UNPHYSICAL, f"unphysical state: {exc}")
     except NumericalDegeneracy as exc:  # the message names the state's parameters or entries
         _fail(EXIT_PARSE, str(exc))
-    except DecompositionFailure as exc:
-        _fail(EXIT_PARSE, f"decomposition failure: {exc}")
     except SupportViolation as exc:
         _fail(EXIT_SUPPORT, f"support violation: {exc}")
     raise SystemExit(code)

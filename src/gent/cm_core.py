@@ -1,11 +1,11 @@
 """Covariance-matrix core: symplectic spectra, physicality and separability.
 
 The matrix layer.  A CM's spectrum is that of its standard form I, in
-closed form: no eigensolve decides physicality or PPT.  ``sqrt_cm`` (one
-``eigh``) serves the Fock oracle's two-mode Williamson factors, which only
-build gates: the oracle refuses a two-mode CM, and fills its thermal cores, on
-the spectrum kept here for the last matrix (``_spectrum_and_scale``).  The threshold rule it
-decides with (``above_vacuum``, ``rounding_tol`` and their constants),
+closed form: no eigensolve decides physicality or PPT.  The Fock oracle
+refuses a two-mode CM, and fills its thermal cores, on the spectrum kept here
+for the last matrix (``_spectrum_and_scale``), and factors it in closed form;
+``sqrt_cm`` (one ``eigh``) has no caller in the package and is left to tests.
+The threshold rule (``above_vacuum``, ``rounding_tol`` and their constants),
 ``OneModeCM``, the ``SymplecticSpectrum`` record and its closed form
 ``form_I_spectrum`` are defined in the numpy-free ``gent.scalar`` and
 re-exported here, so both layers share one definition of each.  Importing

@@ -1,15 +1,13 @@
 """Brute-force ground truth in a truncated number basis.
 
-A one-mode state, diagonal or rotated, is its thermal core under one
-squeezer along its principal axis and one phase, in closed form.  A two-mode
-state is realized by a Williamson decomposition of the covariance matrix
-followed by an Euler (passive - squeeze - passive) factorization of the
-symplectic, applied as unitary gates to a product of thermal states.  A
-two-mode CM is refused, and its thermal cores are filled, on the closed-form
-spectrum and the threshold rule of ``cm_core.is_physical``, so the
-factorizations only build gates; a OneModeCM and a diagonal one-mode CM on
-``OneModeCM.physical_nu``, as every one-mode function reads it, and a
-rotated one on its sqrt(det V) at its entry scale.
+A one-mode state is its thermal core under one squeezer and one phase.  A
+two-mode state is its core, a CM without q-p correlation, under a rotation, a
+pair of squeezes and a rotation, and for a CM with q-p correlation under the
+local symplectic that reduces it to standard form I, a phase, a squeeze and a
+phase per mode.  Every factor is closed-form 2x2 algebra: no np.linalg routine
+reads the CM.  A two-mode CM is refused, and its thermal cores are filled, on
+the spectrum and rule of ``cm_core.is_physical``; a one-mode CM as
+``_one_mode_state`` reads it.
 A state is kept factored, rho = U diag(w) U^dag, with w the thermal-core
 weights and their exact logarithm; every functional reads these factors,
 and dense matrices are derived only on demand.  Every gate commutes with the
@@ -25,22 +23,17 @@ entropy is -sum w ln w, since U is unitary.  Truncated states are never
 renormalized; the trace deficit is carried so tests can reject inadmissible
 truncations.
 
-A two-mode covariance matrix whose q-p block is exactly zero (V = T V T with
-T = diag(1, -1, 1, -1)) is factored in mode space, from its q and p blocks,
-into rotations and squeezes.  Any other two-mode matrix takes ``williamson``
-and ``euler_decompose``.  That predicate is the only choice of route; the
-factorizations, ``_passive_mode_unitary`` and the passive and squeeze
-actions serve two modes only.
+A two-mode CM whose q-p block is exactly zero is its own core and takes no
+phase; that predicate is the only choice of route.  ``williamson`` and
+``euler_decompose`` serve tests only, as an independent reference.
 
-Every two-mode passive gate, of either route and of ``apply_gate``, is its mode
-unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}): phases, diagonal
-in the number basis, around one real rotation that acts sector by sector
-from cached eigenpairs.  No gate runs an eigensolve, and U and rho are real
-float64 arrays (half the memory, a fraction of the arithmetic) unless a
-nonzero phase acts, as it never does on the real route.  On the complete
-sectors n1 + n2 < N the product is the Fock unitary of u; on the truncated
-ones each factor is the exponential of its truncated generator.  A gate
-that is exactly the identity is not applied.
+Every two-mode passive gate is phases, diagonal in the number basis, and real
+rotations that act sector by sector from cached eigenpairs (``apply_gate``
+reads its mode unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}) so).
+No gate runs an eigensolve, and U and rho are real float64 arrays unless a
+nonzero phase acts.  On the complete sectors n1 + n2 < N the product is the
+Fock unitary of u; on the truncated ones each factor is the exponential of
+its truncated generator.  A gate that is exactly the identity is not applied.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .cm_core import VACUUM, OneModeCM, _spectrum_and_scale, entry_scale, omega, physical_kappa, sqrt_cm
+from .cm_core import VACUUM, OneModeCM, _spectrum_and_scale, entry_scale, omega, physical_kappa
 from .errors import (
     DecompositionFailure,
     DimensionMismatch,
@@ -63,6 +56,7 @@ from .errors import (
 )
 from .optics import BeamSplitterParams as BeamSplitter
 from .optics import bs_symplectic
+from .standard_forms import form_I_reduction, svd_2x2, unit_root
 
 TRACE_DEFICIT_TOL = 1e-8
 WILLIAMSON_TOL = 1e-9  # reconstruction error of V, relative to its largest entry
@@ -291,6 +285,8 @@ def _squeeze_action(squeezes, n: int, blocks) -> tuple[np.ndarray, ...]:
     S1 (x) S2 acts on run q of class p, the levels (class q) x (class p ^ q),
     as the kron of S1's block q and S2's block p ^ q.
     """
+    if not any(squeezes):
+        return blocks
     ops = [_squeeze_blocks(r, n) for r in squeezes]
     if blocks is None:
         return _kron_blocks(*ops)
@@ -421,19 +417,18 @@ def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
 
 
 def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic S and spectrum kappa_1 >= ... >= kappa_n with V = S D S^T.
+    """Symplectic S and spectrum kappa_1 >= ... >= kappa_n with V = S D S^T, D = diag(kappa_i, kappa_i).
 
-    D = diag(kappa_1, kappa_1, ..., kappa_n, kappa_n).  R = V^{1/2} comes from
-    ``cm_core.sqrt_cm``, and the Hermitian i R Omega R, i times a real antisymmetric
-    matrix, has eigenvalues -+kappa.  The eigenvectors x + iy of the
-    -kappa give orthonormal column pairs sqrt(2) (x, y) of an orthogonal O
-    with O^T R Omega R O = kappa J on each pair (also where kappas repeat:
-    eigh returns an orthonormal basis of each eigenspace), and
-    S = R O D^{-1/2} is symplectic.
+    The eigenvectors x + iy of the -kappa of i R Omega R, R = V^{1/2}, give the column
+    pairs sqrt(2) (x, y) of an orthogonal O with O^T R Omega R O = kappa J, and
+    S = R O D^{-1/2}.  Tests take it and ``euler_decompose`` as an independent reference.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
-    root = sqrt_cm(v)
+    lam, q = np.linalg.eigh(v)
+    if lam[0] <= 0:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    root = (q * np.sqrt(lam)) @ q.T
     om = omega(n)
     ev, z = np.linalg.eigh(1j * (root @ om @ root))
     kappas = -ev[:n]
@@ -450,19 +445,11 @@ def williamson(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor a symplectic S = K1 Z K2 with K passive and Z diagonal squeezes.
 
-    Uses the polar decomposition S = O P.  One SVD S = W diag(z) V^T gives the
-    eigenpairs (z, V) of P = (S^T S)^{1/2} and O = W V^T, with an error of order
-    eps cond(S); an eigh of S^T S would square the condition number.
-    The positive symplectic P is diagonalized by a passive K built from its
-    eigenvectors, whose partner columns are -Omega times the primaries (P v =
-    z v gives P (-Omega v) = (-Omega v) / z).  Primaries are taken in order of
-    falling z, each projected against the pairs already chosen.  Within a
-    degenerate eigenspace (all of it for a passive S, where P = I) the raw
-    eigenvectors need not come in symplectic pairs, and one that the chosen
-    pairs already span, or nearly, is passed over for the next.  Until half of
-    an eigenspace of dimension 2m is chosen, one of its eigenvectors not yet
-    passed over keeps a residual of norm at least 1/sqrt(m), so the cut-off
-    1/2 always finds the primaries for up to four modes.
+    One SVD S = W diag(z) V^T gives the polar factors O = W V^T and P = (S^T S)^{1/2}.  A
+    passive K diagonalizes P: its primary columns are P's eigenvectors in order of falling z,
+    each projected against the pairs already chosen and passed over below norm 1/2 (so a
+    degenerate eigenspace, as of a passive S, still yields symplectic pairs), and its partner
+    columns are -Omega times the primaries (P v = z v gives P (-Omega v) = (-Omega v) / z).
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
@@ -507,128 +494,126 @@ def _passive_mode_unitary(k: np.ndarray) -> np.ndarray:
     return a + 1j * c
 
 
-def _nearest_rotation(r: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Column order and signs that turn the 2x2 orthogonal r into the rotation nearest I.
-
-    The columns swap when the off-diagonal outweighs the diagonal (ties
-    stay), then signs make det +1 and the trace positive, so the angle lies
-    in [-pi/4, pi/4]: a truncated rotation is exact only on the complete
-    sectors, and no factor should turn by 90 or 180 degrees needlessly.
-    """
-    order = [1, 0] if abs(r[0, 1]) + abs(r[1, 0]) > abs(r[0, 0]) + abs(r[1, 1]) else [0, 1]
-    q = r[:, order]
-    det_sign = np.sign(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
-    return order, np.sign(q[0, 0] + det_sign * q[1, 1]) * np.array([1.0, det_sign])
-
-
-def _qp_free_factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Williamson and Euler factors, all real, of a two-mode V with no q-p correlation.
-
-    In the ordering (q1, q2, p1, p2) such a V is V_q (+) V_p, and the
-    symplectic S = M (+) M^{-T} with M = V_q^{1/2} O kappa^{-1/2} gives
-    V = S (kappa (+) kappa) S^T, where V_q^{1/2} V_p V_q^{1/2} = O kappa^2 O^T.
-    The SVD M = R1 e^r R2^T is S = K1 Z K2 with K1 = R1 (+) R1,
-    K2 = R2^T (+) R2^T and the squeezes Z = e^r (+) e^{-r}, its columns
-    reordered and signed so that R1, then R2^T, is the rotation nearest I
-    (``_nearest_rotation``; a column of R2^T takes its kappa along).
-    Returns (kappas, R2^T, r, R1): the mode-space unitaries of K2 and K1 are
-    the rotations themselves.
-    """
-    vq, vp = v[::2, ::2], v[1::2, 1::2]
-    root = sqrt_cm(vq)
-    kappa_sq, o = np.linalg.eigh(root @ vp @ root)
-    kappas = np.sqrt(kappa_sq)
-    r1, e, r2t = np.linalg.svd(root @ o / np.sqrt(kappas))
-    order, signs = _nearest_rotation(r1)  # M = R1 e R2^T for any common order and signs
-    r1, e, r2t = r1[:, order] * signs, e[order], r2t[order] * signs[:, None]
-    order, signs = _nearest_rotation(r2t)  # M P D factors V as well, with the kappas reordered by P
-    r2t, kappas = r2t[:, order] * signs, kappas[order]
-    mq, mp = (r1 * e) @ r2t, (r1 / e) @ r2t  # the q and p blocks of S
-    symplectic_err = np.max(np.abs(mq @ mp.T - np.eye(len(e))))
-    reconstruction_err = max(
-        np.max(np.abs((mq * kappas) @ mq.T - vq)), np.max(np.abs((mp * kappas) @ mp.T - vp))
-    ) / max(1.0, np.max(np.abs(v)))
-    if symplectic_err > 1e-7 or reconstruction_err > WILLIAMSON_TOL:
-        raise DecompositionFailure("mode-space factors fail the symplectic/reconstruction check")
-    return kappas, r2t, np.log(e), r1
-
-
 # the rounding of v_qq v_pp - v_qp^2 per unit of v_qq v_pp + v_qp^2: measured up to 1.5 eps
 # on pure rotated CMs, r = 5 to 15 (numpy rng 5)
 _DET_ROUNDING = 8 * np.finfo(float).eps
 
 
-def _one_mode_state(v, n: int) -> FockOperator:
-    """The one-mode state of V = R(phi) diag(nu e^{2r}, nu e^{-2r}) R(phi)^T, in closed form.
+def _principal_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(phi, r, nu) with [[x, y], [y, z]] = nu R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T, nu = sqrt(det V).
 
-    It is the thermal core of nu, the squeezer of r and the phase e^{i phi n},
-    the Fock unitary of R(phi).  phi turns q onto the principal axis nearest
-    it, |phi| <= pi/4 from tan 2 phi = 2 v_qp / (v_qq - v_pp), so a diagonal V
-    takes phi = 0 and no phase; e^{2r} = (v_qq + v_qp tan phi) / sqrt(det V)
-    is V's variance along that axis over nu.  A OneModeCM or a diagonal V is
-    read, and refused, by ``OneModeCM.physical_nu``.  A rotated V that is not
-    positive definite raises NonPositiveDefinite with ``sqrt_cm``'s message;
-    its det V cancels as a two-mode kappa does, so its nu is
-    ``physical_kappa(sqrt(det V))`` at its entry scale.  A det V at or below 0 but
-    within its rounding, 8 eps (v_qq v_pp + v_qp^2), is read as nu = 0 (a pure V
-    with entries above about 1e8 rounds there on about half the angles), which
-    ``physical_kappa`` refuses as ill-conditioned at that scale, and as below the
-    vacuum at entries of order 1.  No np.linalg routine reads V.
+    phi turns q onto the nearest principal axis (|phi| <= pi/4, tan 2 phi = 2y / (x - z)), and
+    e^{2r} = (x + y tan phi) / nu, or nu / (z - y tan phi) where x + y tan phi < x cancels.  The entries
+    are first scaled by a power of two, exactly, so that det V neither overflows nor underflows.
+    Raises NonPositiveDefinite unless x > 0 and det V > -8 eps (x z + y^2), its rounding; a det V
+    within that rounding of 0 gives nu = r = 0.
     """
-    one = isinstance(v, OneModeCM)
-    (x, y), (_, z) = ((v.sigma_qq, 0.0), (0.0, v.sigma_pp)) if one else np.asarray(v, dtype=float).tolist()
+    e = (math.frexp(x)[1] + math.frexp(z)[1]) // 2
+    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
     det = x * z - y * y
-    if y and not (x > 0 and det > -_DET_ROUNDING * (x * z + y * y)):  # also a NaN
+    if not (x > 0 and det > -_DET_ROUNDING * (x * z + y * y)):  # also a NaN
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    nu = physical_kappa(math.sqrt(max(det, 0.0)), entry_scale(v)) if y else (v if one else OneModeCM(x, z)).physical_nu()
     phi = 0.5 * (math.atan2(2 * y, x - z) if x >= z else math.atan2(-2 * y, z - x))
-    r = 0.5 * math.log((x + y * math.tan(phi)) / math.sqrt(det))
+    if det <= 0:
+        return phi, 0.0, 0.0
+    root, t = math.sqrt(det), y * math.tan(phi)  # t >= 0 for x >= z, else t <= 0
+    r = 0.5 * math.log((x + t) / root) if t >= 0 else -0.5 * math.log((z - t) / root)
+    return phi, r, math.ldexp(root, e)
+
+
+def _one_mode_state(v, n: int) -> FockOperator:
+    """The thermal core of nu under the squeezer of r and the phase e^{i phi n} (``_principal_axis``).
+
+    A OneModeCM, a diagonal V and a rotated V whose v_qq v_pp overflows are read, and refused,
+    by ``OneModeCM.physical_nu`` of the diagonal.  Any other rotated V's det V cancels as a
+    two-mode kappa does, so its nu is ``physical_kappa(sqrt(det V))`` at its entry scale, where a
+    det V within its rounding of 0 (a pure V with entries above about 1e8 rounds there on about
+    half the angles) is refused as ill-conditioned, or below the vacuum at entries of order 1.
+    """
+    diagonal = v if isinstance(v, OneModeCM) else None
+    (x, y), (_, z) = ((v.sigma_qq, 0.0), (0.0, v.sigma_pp)) if diagonal else np.asarray(v, dtype=float).tolist()
+    phi, r, root = _principal_axis(x, y, z)
+    nu = physical_kappa(root, entry_scale(v)) if y and x * z < math.inf else (diagonal or OneModeCM(x, z)).physical_nu()
     core = thermal_state(nu, n)
     return replace(core, blocks=_phase_action((phi,), n, _squeeze_blocks(r, n) if r else core.blocks))
 
 
+def _quarter_turns(t: float) -> int:
+    """The k that leaves t - k pi/2 in (-pi/4 + 1e-9, pi/4 + 1e-9]: rounding leaves the 50:50 beam
+    splitter of a core with b1 = b2 about 1e-15 from pi/4 or -pi/4, and every one turns by +pi/4."""
+    return math.ceil((t - math.pi / 4 - 1e-9) / (math.pi / 2))
+
+
+def _core_factors(vq, vp, kappas) -> tuple[tuple[float, float], float, tuple[float, float], float]:
+    """(kappas of modes 1 and 2, t2, (r1, r2), t1) of a two-mode V without q-p correlation.
+
+    V = V_q (+) V_p in the ordering (q1, q2, p1, p2), each given as (x00, x01, x11), is
+    S (kappa (+) kappa) S^T with S = M (+) M^{-T}, M = R(t1) diag(e^r1, e^r2) R(t2)^T, and
+    ``kappas`` = (kappa_+, kappa_-) read from the spectrum.  Uncorrelated modes take no rotation,
+    and equal diagonals (b1 = b2) the paper's 50:50 beam splitter R(pi/4): mode i then has
+    variances (q_i, p_i), r_i = ln(q_i / p_i) / 4 and the kappa of rank q_i p_i.  Otherwise
+    M = V_q^{1/2} R(o) kappa^{-1/2}, R(o) the left rotation of V_q^{1/2} V_p^{1/2}, whose singular
+    values are the kappas.  A quarter turn of t1 swaps the squeezes and one of t2 the kappas, so
+    both lie in [-pi/4, pi/4]; equal kappas commute with R(t2), which is then left out.
+    """
+    (q0, q1, q2), (p0, p1, p2) = vq, vp
+    if not (q1 or p1) or (q0 == q2 and p0 == p2):  # uncorrelated modes, or the 50:50 beam splitter
+        t1, modes = (math.pi / 4, ((q0 + q1, p0 + p1), (q0 - q1, p0 - p1))) if q1 or p1 else (0.0, ((q0, p0), (q2, p2)))
+        k = kappas if modes[0][0] * modes[0][1] >= modes[1][0] * modes[1][1] else kappas[::-1]
+        return k, 0.0, tuple(0.25 * math.log(q / p) for q, p in modes), t1
+    bq, (a0, a1, _, a2) = unit_root(q0, q1, q1, q2)
+    _, (c0, c1, _, c2) = unit_root(p0, p1, p1, p2)
+    o = svd_2x2(a0 * c0 + a1 * c1, a0 * c1 + a1 * c2, a1 * c0 + a2 * c1, a1 * c1 + a2 * c2)[0]
+    cos, sin, f0, f1 = math.cos(o), math.sin(o), math.sqrt(bq / kappas[0]), math.sqrt(bq / kappas[1])
+    m = (a0 * cos + a1 * sin) * f0, (a1 * cos - a0 * sin) * f1, (a1 * cos + a2 * sin) * f0, (a2 * cos - a1 * sin) * f1
+    t1, e1, e2, t2 = svd_2x2(*m)  # of M = sqrt(bq) A R(o) kappa^{-1/2}
+    turns = _quarter_turns(t1)
+    t1, t2 = t1 - turns * (math.pi / 2), t2 - turns * (math.pi / 2)
+    squeezes = (math.log(e2), math.log(e1)) if turns % 2 else (math.log(e1), math.log(e2))
+    if kappas[0] == kappas[1]:
+        return kappas, 0.0, squeezes, t1
+    turns = _quarter_turns(t2)
+    return (kappas[::-1] if turns % 2 else kappas), t2 - turns * (math.pi / 2), squeezes, t1
+
+
+def _two_mode_factors(v: np.ndarray, kappas: tuple[float, float]):
+    """(kappas of modes 1 and 2, gates): the gates (action, angles or squeezes) that take the thermal cores to V.
+
+    A V without q-p correlation is its own core: R(t2)^T, the squeezes and R(t1), all real.  Any
+    other V is L V_I L^T with its standard form I V_I the core and L = M1 (+) M2, M_i = N_i^{-1} R(a_i)
+    (``form_I_reduction``), N_i^{-1} = (V_i / b_i)^{1/2} = R(phi_i) diag(e^s_i, e^-s_i) R(phi_i)^T
+    (``_principal_axis``): M_i is the phase a_i - phi_i, the squeeze s_i and the phase phi_i.
+    """
+    (v00, v01, v02, v03), (_, v11, v12, v13), (_, _, v22, v23), (_, _, _, v33) = v.tolist()
+    vq, vp, local = (v00, v02, v22), (v11, v13, v33), []
+    if v01 or v03 or v12 or v23:
+        form, (a1, a2) = form_I_reduction(v)
+        vq, vp = (form.b1, form.c, form.b2), (form.b1, form.d, form.b2)
+        (phi1, s1, _), (phi2, s2, _) = _principal_axis(v00, v01, v11), _principal_axis(v22, v23, v33)
+        local = [(_phase_action, (a1 - phi1, a2 - phi2)), (_squeeze_action, (s1, s2)), (_phase_action, (phi1, phi2))]
+    kappas, t2, squeezes, t1 = _core_factors(vq, vp, kappas)
+    return kappas, [(_rotation_action, -t2), (_squeeze_action, squeezes), (_rotation_action, t1), *local]
+
+
 def gaussian_state_from_cm(v, n: int) -> FockOperator:
-    """Build the undisplaced Gaussian state of covariance matrix v.
+    """Build the undisplaced Gaussian state of covariance matrix v: a OneModeCM, a 2x2 or a 4x4 array.
 
-    Accepts a OneModeCM, a 2x2 or a 4x4 array.  One mode, diagonal or rotated,
-    is a thermal core under one squeezer and one phase (``_one_mode_state``).
-    A 4x4 V = S D S^T with S = K1 Z K2 is realized as the thermal cores of D
-    under the passive unitary of K2, written directly into the class blocks
-    and without its right phases (diagonal, as the cores are, they leave rho
-    as it is), then the squeezers of Z and the passive unitary of K1, acting on
-    those blocks.  A gate that is exactly the identity is skipped: until one
-    acts, the cores' identity blocks stand.  A 4x4 V with no q-p correlation
-    (V = T V T, T = diag(1, -1, 1, -1)) takes ``_qp_free_factors``, any other
-    V ``williamson`` and ``euler_decompose``.
-
-    A 4x4 V is first decided on the spectrum and entry scale that ``cm_core`` keeps for
-    the last matrix, as ``cm_core.is_physical`` decides it and before any eigensolve:
-    NonPositiveDefinite, UnphysicalState below the vacuum (named ``kappa_-``) or
-    NumericalDegeneracy where the rule cannot decide.  Its cores take
-    ``physical_kappa(kappa_+-, scale)`` of that spectrum, matched to the factors' modes by
-    rank.  Within its band of 1/2 a kappa is exactly 1/2 and its core pure.
+    One mode is ``_one_mode_state``.  A 4x4 V is first decided as ``cm_core.is_physical`` decides
+    it, on the spectrum and entry scale that ``cm_core`` keeps for the last matrix:
+    NonPositiveDefinite, UnphysicalState (``kappa_-``) or NumericalDegeneracy.  Its thermal cores
+    take ``physical_kappa(kappa_+-, scale)``, exactly 1/2 within the band, and its gates
+    (``_two_mode_factors``) act on their class blocks in turn.  No np.linalg routine reads V.
     """
     if isinstance(v, OneModeCM) or np.shape(v) == (2, 2):
         return _one_mode_state(v, n)
     v = np.asarray(v, dtype=float)
     if v.shape != (4, 4):
         raise DimensionMismatch(f"a CM of one or two modes is 2x2 or 4x4, got shape {v.shape}")
-    spec, scale = _spectrum_and_scale(v)  # cm_core.is_physical's spectrum and rule, before any eigensolve
-    exact = [physical_kappa(spec.kappa_minus, scale, "kappa_-"), physical_kappa(spec.kappa_plus, scale)]
-    if v[::2, 1::2].any():
-        s, kappas = williamson(v)
-        k1, z, k2 = euler_decompose(s)
-        first, last = _passive_mode_unitary(k2), _passive_mode_unitary(k1)
-        squeezes = np.log(np.diag(z)[::2])
-    else:
-        kappas, first, squeezes, last = _qp_free_factors(v)
-    # matched to the factors' modes by rank
-    cores = [thermal_state(kappa, n) for kappa in (exact if kappas[0] <= kappas[-1] else exact[::-1])]
-    alpha, theta, _ = _mode_angles(first)
-    blocks = _phase_action(alpha, n, _rotation_action(theta, n, None))  # None: the identity
-    if any(squeezes):
-        blocks = _squeeze_action(squeezes, n, blocks)
-    blocks = _passive_action(last, n, blocks)
+    spec, scale = _spectrum_and_scale(v)  # cm_core.is_physical's spectrum and rule, before any factor
+    minus = physical_kappa(spec.kappa_minus, scale, "kappa_-")
+    kappas, gates = _two_mode_factors(v, (physical_kappa(spec.kappa_plus, scale), minus))
+    blocks = reduce(lambda blocks, gate: gate[0](gate[1], n, blocks), gates, None)  # None: the identity
+    cores = [thermal_state(kappa, n) for kappa in kappas]
     return tensor(*cores) if blocks is None else _product(*cores, blocks)
 
 

@@ -47,46 +47,61 @@ def make_scaled_cm(sc: ScaledState) -> np.ndarray:
     )
 
 
-def _local_normalizer(p: float, q: float, r: float, s: float) -> tuple[float, tuple[float, ...]]:
-    """(b, N) for the block V_i = [[p, q], [r, s]]: N symplectic with N V_i N^T = b I,
-    b = sqrt(det V_i), and N = (n00, n01, n10, n11) read row by row.  A block that is not
-    positive definite leaves V not positive definite, and is refused with V's message."""
+def unit_root(p: float, q: float, r: float, s: float) -> tuple[float, tuple[float, ...]]:
+    """(b, A), b = sqrt(det V_i) and A = (V_i / b)^{1/2} row by row, of V_i = [[p, q], [r, s]];
+    a block that is not positive definite is refused with V's message."""
     det = p * s - q * r
     if det <= 0 or p <= 0:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
     b = math.sqrt(det)
     p, q, r, s = p / b, q / b, r / b, s / b
-    # for det A = 1, (A + I) / sqrt(tr A + 2) squares to A, and A^-1 = adj(A)
+    # for det V/b = 1, (V/b + I) / sqrt(tr V/b + 2) squares to V/b
     k = math.sqrt(p + s + 2)
-    return b, ((s + 1) / k, -q / k, -r / k, (p + 1) / k)
+    return b, ((p + 1) / k, q / k, r / k, (s + 1) / k)
 
 
-def to_standard_form_I(v: np.ndarray) -> StandardFormI:
-    """Bring V to standard form I by local symplectic operations.
+def svd_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, float, float, float]:
+    """(t1, s1, s2, t2) with M = [[m00, m01], [m10, m11]] = R(t1) diag(s1, s2) R(t2)^T, R(t) the rotation by t.
 
-    Normalizing both diagonal blocks to b_i I leaves the off-diagonal block
-    C' = N1 C N2^T = R1 diag(c, d) R2^T with rotations R1, R2, so c and |d| are
-    the singular values of C'.  For a 2x2 matrix M they are the half sum and
-    half difference of hypot(m00 + m11, m10 - m01) and hypot(m00 - m11,
-    m10 + m01); |d| is taken as |det C'| / c, at most c, and sign(d) = sign(det C).
-    All of it is scalar 2x2 algebra on the entries of V.
+    M is p R(t1 - t2) plus q times the reflection of angle t1 + t2, p = hypot(m00 + m11, m10 - m01)/2
+    and q = hypot(m00 - m11, m10 + m01)/2, so s1 = p + q >= |s2| and s2 = det M / s1 (0 for M = 0).
+    """
+    e, h, f, g = m00 + m11, m10 - m01, m00 - m11, m10 + m01
+    s1 = (math.hypot(e, h) + math.hypot(f, g)) / 2
+    s2 = (m00 * m11 - m01 * m10) / s1 if s1 else 0.0
+    a, b = math.atan2(h, e), math.atan2(g, f)
+    return (b + a) / 2, s1, s2, (b - a) / 2
+
+
+def form_I_reduction(v: np.ndarray) -> tuple[StandardFormI, tuple[float, float]]:
+    """Standard form I of V and the angles (a1, a2) of the local symplectic that reduces V to it.
+
+    N_i = (V_i / b_i)^{-1/2} (``unit_root``) gives N_i V_i N_i^T = b_i I and leaves
+    C' = N1 C N2^T = R(a1) diag(c, d) R(a2)^T (``svd_2x2``), so V = L V_I L^T with
+    L = N1^{-1} R(a1) (+) N2^{-1} R(a2); |d| is taken as |det C'| / c, at most c, and
+    sign(d) = sign(det C).  All of it is scalar 2x2 algebra on the entries of V.
     """
     entries = np.asarray(v, dtype=float).ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise ValueError("covariance matrix has a non-finite entry")
     v00, v01, v02, v03, v10, v11, v12, v13, _, _, v22, v23, _, _, v32, v33 = entries
-    b1, (p00, p01, p10, p11) = _local_normalizer(v00, v01, v10, v11)  # N1
-    b2, (q00, q01, q10, q11) = _local_normalizer(v22, v23, v32, v33)  # N2
-    # C' = (N1 C) N2^T with C = [[v02, v03], [v12, v13]]
-    l00, l01 = p00 * v02 + p01 * v12, p00 * v03 + p01 * v13
-    l10, l11 = p10 * v02 + p11 * v12, p10 * v03 + p11 * v13
-    m00, m01 = l00 * q00 + l01 * q01, l00 * q10 + l01 * q11
-    m10, m11 = l10 * q00 + l11 * q01, l10 * q10 + l11 * q11
-    c = (math.hypot(m00 + m11, m10 - m01) + math.hypot(m00 - m11, m10 + m01)) / 2
+    b1, (p11, p01, p10, p00) = unit_root(v00, v01, v10, v11)
+    b2, (q11, q01, q10, q00) = unit_root(v22, v23, v32, v33)
+    # C' = (N1 C) N2^T, C = [[v02, v03], [v12, v13]], N1 = adj A1 = [[p00, -p01], [-p10, p11]], N2 alike
+    l00, l01 = p00 * v02 - p01 * v12, p00 * v03 - p01 * v13
+    l10, l11 = p11 * v12 - p10 * v02, p11 * v13 - p10 * v03
+    m00, m01 = l00 * q00 - l01 * q01, l01 * q11 - l00 * q10
+    m10, m11 = l10 * q00 - l11 * q01, l11 * q11 - l10 * q10
+    a1, c, s2, a2 = svd_2x2(m00, m01, m10, m11)
     det_c = v02 * v13 - v03 * v12
     # |det C'| / c can round above c where c = |d| (a pure state): keep c >= |d|
-    d = math.copysign(min(abs(m00 * m11 - m01 * m10) / c, c), det_c) if det_c else 0.0
-    return StandardFormI(b1, b2, c, d)
+    d = math.copysign(min(abs(s2), c), det_c) if det_c else 0.0
+    return StandardFormI(b1, b2, c, d), (a1, a2)
+
+
+def to_standard_form_I(v: np.ndarray) -> StandardFormI:
+    """Bring V to standard form I by local symplectic operations (``form_I_reduction``)."""
+    return form_I_reduction(v)[0]
 
 
 def form_II_symmetric(s: SymmetricState) -> tuple[float, np.ndarray]:

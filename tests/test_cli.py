@@ -1079,15 +1079,16 @@ def test_non_positive_definite_cm_is_unphysical_in_oracle(capsys, tmp_path):
     assert "unphysical" in err
 
 
-def test_oracle_decomposition_failure_exits_parse(tmp_path):
-    # entries of about e^12 defeat the decomposition checks; the CLI reports it in one line
+def test_oracle_builds_a_strongly_squeezed_cm(tmp_path):
+    # entries of about e^12: check --cm calls the file physical and entangled, and the Fock
+    # build, whose factors are closed forms with no check of their own, builds it
     path = tmp_path / "sts6.json"
     dump_cm_json(symmetric_sts(6).to_cm(), path)
+    assert _python("-m", "gent.cli", "check", "--cm", str(path)).returncode == cli.EXIT_ENTANGLED
     proc = _python("-m", "gent.cli", "oracle", "entropy", "--cm1", str(path), "--dim", "6")
-    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: decomposition failure:")
-    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["value"] == payload["closed_form"] == 0
 
 
 @pytest.mark.parametrize("functional, first, second", [("fidelity", "state", "cm"), ("relent", "cm", "state")])

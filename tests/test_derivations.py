@@ -14,10 +14,10 @@ import numpy as np
 import sympy
 from sympy import Rational, log, sqrt
 
-from gent import bures, relent
+from gent import bures, cm_core, fock, relent
 from gent.formation import entanglement_of_formation
 from gent.scalar import StandardFormI, SymmetricState, form_I_spectrum, physical_kappa, symmetric_sts
-from gent.standard_forms import to_standard_form_I
+from gent.standard_forms import form_I_reduction, svd_2x2, to_standard_form_I
 
 from conftest import random_entangled_symmetric
 
@@ -549,3 +549,199 @@ def test_verifier_argmax_is_the_inverse_of_the_beam_splitter_map(monkeypatch):
             for g, w in zip((argmax.b, argmax.c, argmax.d_abs, u_arg), want):
                 worst = max(worst, float(abs(g - w) / w / eps))
     assert worst <= 4, worst
+
+
+def _rot(m):
+    """R(t) = [[cos t, -sin t], [sin t, cos t]] with tan(t/2) = m, rational in m."""
+    c, s = (1 - m**2) / (1 + m**2), 2 * m / (1 + m**2)
+    return sympy.Matrix([[c, -s], [s, c]])
+
+
+def _mp_rot(t):
+    return mpmath.matrix([[mpmath.cos(t), -mpmath.sin(t)], [mpmath.sin(t), mpmath.cos(t)]])
+
+
+def _mp_max(m):
+    return max(abs(t) for t in m)
+
+
+def test_shared_svd_angles():
+    # svd_2x2 reads M = R(t1) diag(s1, s2) R(t2)^T from e, h = m00 + m11, m10 - m01, which are
+    # 2P (cos, sin)(t1 - t2), and f, g = m00 - m11, m10 + m01, which are 2Q (cos, sin)(t1 + t2),
+    # with s1, s2 = P +- Q: so t1 - t2 = atan2(h, e), t1 + t2 = atan2(g, f), P = hypot(e, h)/2
+    # and Q = hypot(f, g)/2
+    m1, m2 = sympy.symbols("m1 m2", real=True)
+    big_p, big_q = sympy.symbols("P Q", positive=True)
+    m = _rot(m1) * sympy.diag(big_p + big_q, big_p - big_q) * _rot(m2).T
+    diff, total = _rot(m1) * _rot(m2).T, _rot(m1) * _rot(m2)  # R(t1 - t2), R(t1 + t2)
+    e, h, f, g = m[0, 0] + m[1, 1], m[1, 0] - m[0, 1], m[0, 0] - m[1, 1], m[1, 0] + m[0, 1]
+    for got, want in ((e, diff[0, 0]), (h, diff[1, 0]), (f, total[0, 0]), (g, total[1, 0])):
+        assert sympy.cancel(got - want * (2 * big_p if got in (e, h) else 2 * big_q)) == 0
+    # gent's angles and singular values at seeded rational M, rebuilt at 50 digits: measured
+    # 1.5 eps of s1; bound 4 eps
+    rng = random.Random(3636)
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(300):
+            entries = [float(Rational(rng.randint(-90, 90), rng.randint(1, 30))) for _ in range(4)]
+            t1, s1, s2, t2 = svd_2x2(*entries)
+            rebuilt = _mp_rot(t1) * mpmath.diag([s1, s2]) * _mp_rot(t2).T
+            gap = _mp_max(rebuilt - mpmath.matrix([entries[:2], entries[2:]]))
+            worst = max(worst, float(gap / s1 / eps)) if s1 else worst
+    assert worst <= 4, worst
+
+
+def test_one_mode_phi_and_e2r():
+    # V = nu R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T: tan 2 phi = 2 v_qp / (v_qq - v_pp),
+    # v_qq + v_qp tan phi = nu e^{2r}, v_pp - v_qp tan phi = nu e^{-2r} and det V = nu^2; and
+    # (V / nu + I) / (e^r + e^-r), the square root of V / nu that unit_root forms (its trace
+    # plus 2 is (e^r + e^-r)^2), is R(phi) diag(e^r, e^-r) R(phi)^T
+    m, big_e, nu = sympy.symbols("m E nu", positive=True)
+    rot = _rot(m)
+    v = nu * rot * sympy.diag(big_e**2, big_e**-2) * rot.T
+    x_, y_, z_ = v[0, 0], v[0, 1], v[1, 1]
+    c, s = rot[0, 0], rot[1, 0]
+    tan = s / c
+    for expr in (x_ + y_ * tan - nu * big_e**2, z_ - y_ * tan - nu / big_e**2, x_ * z_ - y_**2 - nu**2,
+                 2 * y_ * (c * c - s * s) - (x_ - z_) * 2 * s * c):
+        assert sympy.cancel(expr) == 0
+    a = v / nu
+    assert sympy.cancel(a.trace() + 2 - (big_e + 1 / big_e) ** 2) == 0
+    root = (a + sympy.eye(2)) / (big_e + 1 / big_e)
+    assert all(sympy.cancel(t) == 0 for t in root - rot * sympy.diag(big_e, 1 / big_e) * rot.T)
+    # gent's (phi, r, nu) at seeded rational positive definite V against the same reading at 50
+    # digits: measured 0.25 eps in phi, 1.4 eps in r (relative where |r| > 1) and 1.2 times the
+    # rounding of det V in nu; bounds 2, 4 and 4
+    rng = random.Random(3637)
+    eps = sys.float_info.epsilon
+    worst = [0.0] * 3
+    with mpmath.workdps(50):
+        done = 0
+        while done < 300:
+            x0, z0 = (Rational(rng.randint(1, 90), rng.randint(1, 30)) for _ in range(2))
+            y0 = Rational(rng.randint(-90, 90), rng.randint(1, 30))
+            if not x0 * z0 > y0**2:
+                continue
+            done += 1
+            x1, y1, z1 = (float(t) for t in (x0, y0, z0))
+            phi, r, nu_ = fock._principal_axis(x1, y1, z1)
+            fx, fy, fz = (mpmath.mpf(t) for t in (x1, y1, z1))
+            phi_ = (mpmath.atan2(2 * fy, fx - fz) if fx >= fz else mpmath.atan2(-2 * fy, fz - fx)) / 2
+            root_ = mpmath.sqrt(fx * fz - fy**2)
+            r_ = mpmath.log((fx + fy * mpmath.tan(phi_)) / root_) / 2
+            # det V = x z - y^2 rounds by about eps (x z + y^2), and nu by that over 2 nu
+            det_rounding = eps * (fx * fz + fy**2) / (2 * root_)
+            worst = [max(w, float(g)) for w, g in zip(worst, (abs(phi - phi_) / eps, abs(r - r_) / max(1, abs(r_)) / eps,
+                                                               abs(nu_ - root_) / det_rounding))]
+    assert worst[0] <= 2 and worst[1] <= 4 and worst[2] <= 4, worst
+
+
+def _rational_qp_free(rng, kind=0):
+    """Seeded rational V without q-p correlation, physical as a float V: kind 0 general,
+    1 with equal diagonals (b1 = b2), 2 with uncorrelated modes."""
+    while True:
+        vq, vp = ([Rational(rng.randint(10, 60), 20), Rational(rng.randint(-25, 25), 20),
+                   Rational(rng.randint(10, 60), 20)] for _ in range(2))
+        if kind == 1:
+            vq[2], vp[2] = vq[0], vp[0]
+        elif kind == 2:
+            vq[1] = vp[1] = 0
+        if vq[0] * vq[2] <= vq[1] ** 2 or vp[0] * vp[2] <= vp[1] ** 2:
+            continue
+        v = np.zeros((4, 4))
+        v[::2, ::2] = [[vq[0], vq[1]], [vq[1], vq[2]]]
+        v[1::2, 1::2] = [[vp[0], vp[1]], [vp[1], vp[2]]]
+        if form_I_spectrum(to_standard_form_I(v)).kappa_minus > 0.5 + 1e-3:
+            return v
+
+
+def test_core_factorization():
+    # a unit-determinant A has ((A + I) / sqrt(tr A + 2))^2 = A (Cayley-Hamilton), so
+    # V_q^{1/2} = sqrt(b_q) that root of V_q / b_q; for V without q-p correlation
+    # det(y I - (Omega V)^2) = (y^2 + tr(V_q V_p) y + det(V_q V_p))^2, so the kappa^2 are the
+    # eigenvalues of V_q^{1/2} V_p V_q^{1/2} = X X^T, X = V_q^{1/2} V_p^{1/2}, and with
+    # R(o) kappa^2 R(o)^T = X X^T, M = V_q^{1/2} R(o) kappa^{-1/2} has M kappa M^T = V_q and
+    # M^-T kappa M^-1 = V_p.  For equal diagonals, R(pi/4) diag(e1, e2) with
+    # e_i^4 = q_i/p_i and kappa_i^2 = q_i p_i, q_+- = x00 +- x01, p_+- = p00 +- p01, does so too
+    p, q = sympy.symbols("p q", positive=True)
+    a = sympy.Matrix([[p, q], [q, (1 + q**2) / p]])
+    assert all(sympy.cancel(t) == 0 for t in (a + sympy.eye(2)) ** 2 / (a.trace() + 2) - a)
+    sym = sympy.symbols("x00 x01 x11 p00 p01 p11 y", real=True)
+    x00, x01, x11, p00, p01, p11, y = sym
+    vq, vp = sympy.Matrix([[x00, x01], [x01, x11]]), sympy.Matrix([[p00, p01], [p01, p11]])
+    v = sympy.zeros(4, 4)
+    for i in range(2):
+        for j in range(2):
+            v[2 * i, 2 * j], v[2 * i + 1, 2 * j + 1] = vq[i, j], vp[i, j]
+    omega = sympy.Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    charpoly = (y * sympy.eye(4) - (omega * v) ** 2).det()
+    assert sympy.expand(charpoly - (y**2 + (vq * vp).trace() * y + (vq * vp).det()) ** 2) == 0
+    qs, ps = sympy.symbols("q_p q_m", positive=True), sympy.symbols("p_p p_m", positive=True)
+    m = sympy.Matrix([[1, -1], [1, 1]]) / sqrt(2) * sympy.diag(*((qi / pi) ** Rational(1, 4) for qi, pi in zip(qs, ps)))
+    kappa = sympy.diag(*(sqrt(qi * pi) for qi, pi in zip(qs, ps)))
+    half = [(qs[0] + qs[1]) / 2, (qs[0] - qs[1]) / 2, (ps[0] + ps[1]) / 2, (ps[0] - ps[1]) / 2]
+    for got, (d, o) in ((m * kappa * m.T, half[:2]), (m.inv().T * kappa * m.inv(), half[2:])):
+        assert all(sympy.simplify(t) == 0 for t in got - sympy.Matrix([[d, o], [o, d]]))
+    # gent's factors of seeded rational V (general, equal diagonals, uncorrelated modes), with the
+    # kappas the build reads, rebuilt at 50 digits against V: measured 5.5 eps of the largest
+    # entry; bound 12 eps
+    rng = random.Random(3638)
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in range(300):
+            v_ = _rational_qp_free(rng, i % 3)
+            spec = form_I_spectrum(to_standard_form_I(v_))
+            kappas, t2, (r1, r2), t1 = fock._core_factors(
+                (v_[0, 0], v_[0, 2], v_[2, 2]), (v_[1, 1], v_[1, 3], v_[3, 3]), (spec.kappa_plus, spec.kappa_minus))
+            mm = _mp_rot(t1) * mpmath.diag([mpmath.exp(r1), mpmath.exp(r2)]) * _mp_rot(t2).T
+            k_ = mpmath.diag(list(kappas))
+            for got, want in ((mm * k_ * mm.T, v_[::2, ::2]), (mpmath.inverse(mm).T * k_ * mpmath.inverse(mm), v_[1::2, 1::2])):
+                worst = max(worst, float(_mp_max(got - mpmath.matrix(want.tolist())) / np.abs(v_).max() / eps))
+    assert worst <= 12, worst
+
+
+def test_local_layer_is_the_inverse_normalizer_and_rotation():
+    # V = L V_I L^T with L = M1 (+) M2, M_i = N_i^{-1} R(a_i): N_i^{-1} = (V_i / b_i)^{1/2} is
+    # R(phi_i) diag(e^s, e^-s) R(phi_i)^T (test_one_mode_phi_and_e2r), so
+    # M_i = R(phi_i) diag(e^s, e^-s) R(a_i - phi_i): R(phi)^T = R(-phi), and R(-phi) R(a) is the
+    # rotation by a - phi
+    m1, m2 = sympy.symbols("m1 m2", real=True)
+    assert all(sympy.cancel(t) == 0 for t in _rot(m1).T - _rot(-m1))
+    product = _rot(-m1) * _rot(m2)
+    assert sympy.cancel(product[0, 0] - product[1, 1]) == 0 and sympy.cancel(product[0, 1] + product[1, 0]) == 0
+    assert sympy.cancel(product[0, 0] ** 2 + product[1, 0] ** 2 - 1) == 0
+    # the local layer of seeded q-p correlated V = T W T^T (W without q-p correlation, T a
+    # rational local symplectic) against N_i^{-1} R(a_i) at 50 digits, with N_i^{-1} the square
+    # root of V_i / b_i and b_i, a_i gent's form I and angles: measured 6.7 eps of the largest
+    # entry; bound 16 eps.  (Against the b_i of the exact det V_i it is up to 3.5e3 eps: det V_i
+    # cancels in floats, and the form and its local layer share its rounding.)
+    rng = random.Random(3639)
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(100):
+            w = _rational_qp_free(rng)
+            t = np.zeros((4, 4))
+            for k in (0, 2):
+                a00, a01, a10 = (Rational(rng.randint(-30, 30), rng.randint(5, 20)) for _ in range(3))
+                if a00 == 0:
+                    continue
+                t[k : k + 2, k : k + 2] = [[a00, a01], [a10, (1 + a01 * a10) / a00]]  # det 1
+            if not t[0, 0] or not t[2, 2]:
+                continue
+            v = t @ w @ t.T
+            v = (v + v.T) / 2
+            spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
+            kappas = physical_kappa(spec.kappa_plus, scale), physical_kappa(spec.kappa_minus, scale)
+            (_, into), (_, squeezes), (_, out) = fock._two_mode_factors(v, kappas)[1][3:]  # the local layer
+            form, angles = form_I_reduction(v)
+            for i, b in enumerate((form.b1, form.b2)):
+                block = mpmath.matrix(v[2 * i : 2 * i + 2, 2 * i : 2 * i + 2].tolist()) / b
+                det = mpmath.sqrt(mpmath.det(block))  # the root, as unit_root's identity gives it
+                root = (block + det * mpmath.eye(2)) / mpmath.sqrt(block[0, 0] + block[1, 1] + 2 * det)
+                want = root * _mp_rot(angles[i])
+                got = _mp_rot(out[i]) * mpmath.diag([mpmath.exp(squeezes[i]), mpmath.exp(-squeezes[i])]) * _mp_rot(into[i])
+                worst = max(worst, float(_mp_max(got - want) / _mp_max(want) / eps))
+    assert worst <= 16, worst

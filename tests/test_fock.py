@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +432,37 @@ def _local_rotation(a1, a2):
     return out
 
 
+def _rot2(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _factors(v):
+    """``fock._two_mode_factors`` of V, with the kappas that the build reads from its spectrum."""
+    spec, scale = cm_core.symplectic_spectrum(v), cm_core.entry_scale(v)
+    kappas = cm_core.physical_kappa(spec.kappa_plus, scale), cm_core.physical_kappa(spec.kappa_minus, scale)
+    return fock._two_mode_factors(np.asarray(v, dtype=float), kappas)
+
+
+def _factored_cm(factors):
+    """V rebuilt from ``_two_mode_factors``: the cores' CM under each gate's symplectic in turn."""
+    kappas, gates = factors
+    v = np.diag(np.repeat(kappas, 2))
+    for action, arg in gates:
+        s = np.zeros((4, 4))
+        if action is fock._rotation_action:  # R(arg) on (q1, q2) and on (p1, p2)
+            s[::2, ::2] = s[1::2, 1::2] = _rot2(arg)
+        elif action is fock._squeeze_action:
+            s = np.diag(np.exp([arg[0], -arg[0], arg[1], -arg[1]]))
+        else:  # the phases, R(arg_i) on (q_i, p_i)
+            s[:2, :2], s[2:, 2:] = _rot2(arg[0]), _rot2(arg[1])
+        v = s @ v @ s.T
+    return v
+
+
+def _rotation_angles(gates):
+    return [arg for action, arg in gates if action is fock._rotation_action]
+
+
 def test_factor_is_real_without_qp_correlation(rng):
     real = [
         OneModeCM(0.9, 0.7),
@@ -466,8 +498,10 @@ def test_real_factors_of_degenerate_inputs_reproduce_moments():
         assert _unitary(rho).dtype == np.float64
         np.testing.assert_allclose(fock.moments_from_fock(rho), v, atol=3e-7)
     assert fock.gaussian_state_from_cm(0.5 * np.eye(4), n).log_weights is None
-    _, first, _, last = fock._qp_free_factors(REFLECTED_SCALED_CM)
-    assert np.linalg.det(first) == pytest.approx(1.0) and np.linalg.det(last) == pytest.approx(1.0)
+    # numpy's SVD took reflections here: the closed form's factors are rotations nearest I
+    _, gates = _factors(REFLECTED_SCALED_CM)
+    assert len(gates) == 3 and all(abs(t) <= math.pi / 4 + 1e-9 for t in _rotation_angles(gates))
+    np.testing.assert_allclose(_factored_cm(_factors(REFLECTED_SCALED_CM)), REFLECTED_SCALED_CM, rtol=0, atol=1e-15)
 
 
 def test_real_passive_blocks_match_complex(rng):
@@ -532,21 +566,130 @@ def test_mode_angles_round_trip():
                 assert angles[1] == math.atan2(u[1, 0].real, u[0, 0].real)
 
 
-def test_build_leaves_out_right_phases_of_first_gate(rng):
-    # they are diagonal in the number basis, as the thermal core is, so rho
-    # is that of the full gate chain
-    n = 10
-    for _ in range(3):
+def _decomposition_chain_two_mode(v, n):
+    """A two-mode V as the gate chain of ``williamson`` and ``euler_decompose``, the independent reference.
+
+    S = K1 Z K2: the cores of williamson's kappas, read at the entry scale, under the
+    passive unitary of K2, Z's squeezers and the passive unitary of K1, each in full.
+    """
+    s, kappas = fock.williamson(v)
+    k1, z, k2 = fock.euler_decompose(s)
+    blocks = fock._passive_action(fock._passive_mode_unitary(k2), n, None)
+    blocks = fock._squeeze_action(np.log(np.diag(z)[::2]), n, blocks)
+    blocks = fock._passive_action(fock._passive_mode_unitary(k1), n, blocks)
+    scale = cm_core.entry_scale(v)
+    return replace(fock.tensor(*(fock.thermal_state(cm_core.physical_kappa(k, scale), n) for k in kappas)), blocks=blocks)
+
+
+def test_qp_correlated_build_matches_the_decomposition_chain():
+    # weak CMs with q-p correlation (nu in [1/2, 0.7], local squeezes up to e^0.3) at N = 12: the
+    # closed form and the reference chain truncate different gates, measured 6.5e-5 apart
+    # (the opposite sign of the local phases misses V by O(1))
+    from conftest import _random_bs
+
+    rng = np.random.default_rng(36)
+    n = 12
+    worst = 0.0
+    for _ in range(20):
+        s = random_local_symplectic(rng, 0.3) @ _random_bs(rng)
+        v = s @ np.diag(np.repeat(rng.uniform(0.5, 0.7, 2), 2)) @ s.T
+        assert v[::2, 1::2].any()
+        worst = max(worst, np.max(np.abs(fock.gaussian_state_from_cm(v, n).matrix - _decomposition_chain_two_mode(v, n).matrix)))
+    assert worst < 2e-4
+
+
+def _ci_qp_pair():
+    """CI's two CMs, SymmetricState(1, 0.8, 0.6) and StandardFormI(0.9, 1.1, 0.3, -0.2), under its local symplectic."""
+    from gent.scalar import SymmetricState
+
+    local = np.zeros((4, 4))  # per mode, a rotation, a squeeze and a rotation
+    for k, (a1, r, a2) in enumerate([(0.7, 0.4, -1.1), (-0.3, -0.25, 0.9)]):
+        local[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _rot2(a1) @ np.diag([math.exp(r), math.exp(-r)]) @ _rot2(a2)
+    return [local @ v @ local.T for v in (SymmetricState(1, 0.8, 0.6).to_cm(), StandardFormI(0.9, 1.1, 0.3, -0.2).to_cm())]
+
+
+def test_qp_correlated_moments_at_n_30():
+    # CI's pair, which the console-script step reads as --cm files: truncation leaves the moments
+    # measured 8.2e-6 and 1.6e-6 from V (3.6e-5 and 2.5e-6 on the Williamson/Euler route); the
+    # factors themselves meet V to rounding
+    for v, bound in zip(_ci_qp_pair(), (1e-5, 2e-6)):
+        assert np.max(np.abs(_factored_cm(_factors(v)) - v)) < 1e-14
+        assert np.max(np.abs(fock.moments_from_fock(fock.gaussian_state_from_cm(v, 30)) - v)) < bound
+
+
+def test_random_factors_reproduce_v(rng):
+    # every piece is 2x2 algebra: measured 1.6e-15 of the entry scale over these draws
+    worst = 0.0
+    for _ in range(300):
         v = random_physical_cm(rng)
-        s, kappas = fock.williamson(v)
-        k1, z, k2 = fock.euler_decompose(s)
-        first = fock._passive_mode_unitary(k2)
-        assert any(fock._mode_angles(first)[2])
-        blocks = fock._passive_action(first, n, None)
-        blocks = fock._squeeze_action(np.log(np.diag(z)[::2]), n, blocks)
-        blocks = fock._passive_action(fock._passive_mode_unitary(k1), n, blocks)
-        chain = replace(fock.tensor(*(fock.thermal_state(k, n) for k in kappas)), blocks=blocks)
-        assert np.max(np.abs(fock.gaussian_state_from_cm(v, n).matrix - chain.matrix)) < 1e-13
+        worst = max(worst, np.max(np.abs(_factored_cm(_factors(v)) - v)) / cm_core.entry_scale(v))
+    assert worst < 8e-15
+
+
+def test_strongly_squeezed_states_are_built():
+    # all 56 symmetric_sts(r), r in [4, 6.8) by 0.05, are physical by cm_core's rule; the
+    # Williamson and mode-space checks refused 38.  Their kappas are exactly 1/2, so the
+    # factors meet V to the rounding of a kappa at its entry scale: measured 4.9 eps scale^2
+    # of the entry scale (1.9e-5 at r = 6.75)
+    eps = np.finfo(float).eps
+    rs = np.arange(4, 6.8, 0.05)
+    for r in rs:
+        v = symmetric_sts(r).to_cm()
+        assert cm_core.is_physical(v)
+        state = fock.gaussian_state_from_cm(v, 6)
+        assert state.log_weights is None
+        scale = cm_core.entry_scale(v)
+        assert np.max(np.abs(_factored_cm(_factors(v)) - v)) <= 8 * eps * scale**3, r
+    assert len(rs) == 56
+
+
+def _oracle_workload_cms(tmp_path, monkeypatch):
+    """The oracle workload's rhos and probes at seed 1, as perfbench draws them."""
+    pytest.importorskip("scipy")  # perfbench's checks use scipy and mpmath
+    pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    oracle = workloads.Oracle(tmp_path)
+    oracle.generate(1)
+    return [v for _, v in oracle.rhos] + [v for probes in oracle.probes for v in probes], workloads.ORACLE_N
+
+
+def test_qp_free_build_is_real_with_one_squeeze_and_two_rotations(tmp_path, monkeypatch):
+    cms, n = _oracle_workload_cms(tmp_path, monkeypatch)
+    calls = []
+    for name in ("_squeeze_action", "_rotation_action", "_phase_action"):
+        action = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda *args, _name=name, _action=action: calls.append((_name, args[0])) or _action(*args))
+    for v in cms:
+        assert not v[::2, 1::2].any()
+        calls.clear()
+        state = fock.gaussian_state_from_cm(v, n)
+        assert [b.dtype for b in state.blocks] == [np.float64, np.float64]
+        acting = [name for name, arg in calls if np.any(arg)]
+        assert acting.count("_squeeze_action") == 1 and acting.count("_rotation_action") <= 2
+        assert "_phase_action" not in acting
+
+
+def _physical_draws():
+    """The 200 pure states under local symplectics of ``test_physical_states_are_built``."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        t = random_local_symplectic(rng)
+        yield t @ symmetric_sts(4.0).to_cm() @ t.T
+
+
+def test_two_mode_build_calls_no_linalg(tmp_path, monkeypatch):
+    # the oracle workload's rhos and probes, CI's two CMs with q-p correlation and the 200 draws of
+    # test_physical_states_are_built, once the squeezer's and the sectors' eigenpairs are cached
+    cms, n = _oracle_workload_cms(tmp_path, monkeypatch)
+    inputs = [(v, n) for v in cms] + [(v, 30) for v in _ci_qp_pair()] + [(v, 6) for v in _physical_draws()]
+    expected = [fock.gaussian_state_from_cm(v, dim) for v, dim in inputs]  # also fills the per-N caches
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    for (v, dim), ref in zip(inputs, expected):
+        state = fock.gaussian_state_from_cm(v, dim)
+        for b, b_ref in zip(state.blocks, ref.blocks):
+            assert np.array_equal(b, b_ref)
 
 
 def test_passive_gates_call_no_linalg(monkeypatch):
@@ -808,6 +951,7 @@ def test_rotated_one_mode_refusals(monkeypatch, v, error, message):
         (OneModeCM(1e-3, 1.0), UnphysicalState),
         (np.diag([0.2, 0.5]), UnphysicalState),
         (OneModeCM(1e200, 1e200), NumericalDegeneracy),  # det V overflows
+        (np.array([[1e200, 0.5e200], [0.5e200, 1e200]]), NumericalDegeneracy),  # rotated, det V overflows
     ],
 )
 def test_one_mode_refusals(v, error):
@@ -841,12 +985,9 @@ def test_cm_of_neither_one_nor_two_modes_is_refused_at_entry(n):
 def test_physical_states_are_built(monkeypatch):
     # pure states under local symplectics, entries up to a few thousand: every
     # one is physical by cm_core's threshold rule, which the build shares, and
-    # every one is built: euler_decompose's polar factor holds at cond(S) ~ 1e4
-    rng = np.random.default_rng(7)
+    # every one is built
     refused = []
-    for _ in range(200):
-        t = random_local_symplectic(rng)
-        v = t @ symmetric_sts(4.0).to_cm() @ t.T
+    for v in _physical_draws():
         assert cm_core.is_physical(v)
         try:
             fock.gaussian_state_from_cm(v, 6)
@@ -961,8 +1102,9 @@ def test_identity_gates_are_skipped():
     b = np.diag([1.2 * math.exp(-0.2), 1.2 * math.exp(0.2)])
     v = np.zeros((4, 4))
     v[:2, :2], v[2:, 2:] = a, b
-    _, first, _, last = fock._qp_free_factors(v)
-    assert fock._passive_action(first, n, None) is None and fock._passive_action(last, n, None) is None
+    _, gates = _factors(v)
+    assert len(gates) == 3 and _rotation_angles(gates) == [0, 0]
+    assert all(fock._rotation_action(t, n, None) is None for t in _rotation_angles(gates))
     build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
     state, ref = build(v), fock.tensor(build(a), build(b))
     for block, block_ref in zip(state.blocks, ref.blocks):
@@ -979,14 +1121,12 @@ def test_identity_gates_are_skipped():
 
 
 def test_diagonal_state_is_the_product_of_its_modes():
-    # eigh and the SVD order by eigenvalue, which would swap the modes of this
-    # V through two truncated 90 degree rotations; the factors take the
-    # rotations nearest I instead, here I itself
+    # an SVD that orders by singular value would swap the modes of this V through
+    # two truncated 90 degree rotations; the factors take the rotations nearest I
+    # instead, here I itself
     n = 8
     v = np.diag([0.6, 0.9, 2.0, 0.8])
-    _, first, _, last = fock._qp_free_factors(v)
-    np.testing.assert_array_equal(first, np.eye(2))
-    np.testing.assert_array_equal(last, np.eye(2))
+    assert _rotation_angles(_factors(v)[1]) == [0, 0]
     build = lambda v: fock.gaussian_state_from_cm(v, n)  # noqa: E731
     product = fock.tensor(build(v[:2, :2]), build(v[2:, 2:]))
     assert np.max(np.abs(build(v).matrix - product.matrix)) < 1e-14
