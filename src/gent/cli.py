@@ -94,8 +94,8 @@ def _read_form(args):
     (the largest entry of the CM) and its symplectic spectrum, in closed form from standard
     form I (``form_I_spectrum``) for every input form.
 
-    A --cm file goes through the matrix layer: ``symplectic_spectrum``, which refuses a V that
-    is not positive definite with its message, then ``to_standard_form_I``.  Parameters go
+    A --cm file is reduced once by the matrix layer (``to_standard_form_I``), the reduction that
+    ``cm_core.symplectic_spectrum`` reads, with its refusals and messages.  Parameters go
     through the scalar core, b as given but raised to exactly 1/2 from below within the rule,
     so that check decides on the floats of the measures (``_symmetric_state``).
     """
@@ -104,9 +104,8 @@ def _read_form(args):
         from . import cm_core, standard_forms
 
         v = _load_cm(args.cm, "--cm")
-        spec = cm_core.symplectic_spectrum(v)
-        return standard_forms.to_standard_form_I(v), cm_core.entry_scale(v), spec
-    if args.r is not None:
+        form, scale = standard_forms.to_standard_form_I(v), cm_core.entry_scale(v)
+    elif args.r is not None:
         nbar = 0.0 if args.nbar is None else args.nbar
         if args.r < 0:
             _fail(EXIT_PARSE, "--r: must be nonnegative")
@@ -370,10 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="truncated-Fock brute-force cross-checks")
     p_oracle.add_argument("functional", choices=["fidelity", "relent", "entropy"])
-    p_oracle.add_argument("--state1", help="one-mode diagonal CM 'sigma_qq,sigma_pp'")
-    p_oracle.add_argument("--state2", help="one-mode diagonal CM 'sigma_qq,sigma_pp'")
-    p_oracle.add_argument("--cm1", help="two-mode CM JSON file")
-    p_oracle.add_argument("--cm2", help="two-mode CM JSON file")
+    for k in (1, 2):  # state k is one of the two, never both
+        pair = p_oracle.add_mutually_exclusive_group()
+        pair.add_argument(f"--state{k}", help="one-mode diagonal CM 'sigma_qq,sigma_pp'")
+        pair.add_argument(f"--cm{k}", help="two-mode CM JSON file")
     p_oracle.add_argument("--dim", type=int, help="Fock levels per mode")
     p_oracle.set_defaults(func=cmd_oracle)
     return parser

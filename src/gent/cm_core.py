@@ -3,8 +3,7 @@
 The matrix layer.  A CM's spectrum is that of its standard form I, in
 closed form: no eigensolve decides physicality or PPT.  The Fock oracle
 refuses a two-mode CM, and fills its thermal cores, on the spectrum kept here
-for the last matrix (``_spectrum_and_scale``), and factors it in closed form;
-``sqrt_cm`` (one ``eigh``) has no caller in the package and is left to tests.
+for the last matrix (``_spectrum_and_scale``), and factors it in closed form.
 The threshold rule (``above_vacuum``, ``rounding_tol`` and their constants),
 ``OneModeCM``, the ``SymplecticSpectrum`` record and its closed form
 ``form_I_spectrum`` are defined in the numpy-free ``gent.scalar`` and
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDefinite
 from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar core
     KAPPA_TOL,
     MAX_ROUNDING_TOL,
@@ -70,14 +68,6 @@ def partial_transpose(v: np.ndarray) -> np.ndarray:
 def entry_scale(v: np.ndarray) -> float:
     """Largest entry of a CM: the ``scale`` of ``rounding_tol``."""
     return float(np.abs(v).max())
-
-
-def sqrt_cm(v: np.ndarray) -> np.ndarray:
-    """R = V^{1/2} from one eigh(V); raises NonPositiveDefinite unless V > 0."""
-    lam, q = np.linalg.eigh(np.asarray(v, dtype=float))
-    if lam[0] <= 0:
-        raise NonPositiveDefinite("covariance matrix is not positive definite")
-    return (q * np.sqrt(lam)) @ q.T
 
 
 # (key, (spectrum, entry scale)) of the last matrix read, keyed by its shape and bytes

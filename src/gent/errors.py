@@ -42,7 +42,7 @@ class DimensionMismatch(GentError):
 
 
 class DecompositionFailure(GentError):
-    """Williamson/Euler decomposition failed the symplectic check."""
+    """``fock.williamson`` or ``fock.euler_decompose`` failed its check; nothing else raises it."""
 
 
 class TruncationWarning(UserWarning):

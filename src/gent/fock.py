@@ -28,17 +28,17 @@ phase; that predicate is the only choice of route.  ``williamson`` and
 ``euler_decompose`` serve tests only, as an independent reference.
 
 Every two-mode passive gate is phases, diagonal in the number basis, and real
-rotations that act sector by sector from cached eigenpairs (``apply_gate``
-reads its mode unitary u = diag(e^{i alpha}) R(theta) diag(e^{i beta}) so).
-No gate runs an eigensolve, and U and rho are real float64 arrays unless a
-nonzero phase acts.  On the complete sectors n1 + n2 < N the product is the
-Fock unitary of u; on the truncated ones each factor is the exponential of
-its truncated generator.  A gate that is exactly the identity is not applied.
+rotations that act sector by sector from cached eigenpairs: ``apply_gate``
+takes the beam splitter's mode unitary diag(1, e^{-i phi}) R(theta/2)
+diag(1, e^{i phi}) from its own angles.  No gate runs an eigensolve, and U
+and rho are real float64 arrays unless a nonzero phase acts.  On the
+complete sectors n1 + n2 < N the product is the Fock unitary of the mode
+unitary; on the truncated ones each factor is the exponential of its
+truncated generator.  A gate that is exactly the identity is not applied.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -55,7 +55,6 @@ from .errors import (
     TruncationWarning,
 )
 from .optics import BeamSplitterParams as BeamSplitter
-from .optics import bs_symplectic
 from .standard_forms import form_I_reduction, svd_2x2, unit_root
 
 TRACE_DEFICIT_TOL = 1e-8
@@ -339,24 +338,6 @@ def _photon_sectors(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndar
     return (*_read_only(*np.linalg.eigh(hop)), tuple(classes))
 
 
-def _mode_angles(u: np.ndarray) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
-    """(alpha, theta, beta) with u = diag(e^{i alpha}) R(theta) diag(e^{i beta}), R(theta) = [[c, -s], [s, c]].
-
-    A rotation (no imaginary part, det u = +1) takes theta = atan2(u10, u00)
-    and no phases.  Any other two-mode u is e^{ig} D(x) R(theta) D(y) with
-    D(x) = diag(e^{ix}, e^{-ix}) and g = arg(det u)/2 (Reck et al., PRL 73,
-    58 (1994)): the first column of e^{-ig} u, an SU(2) matrix, is
-    (e^{i(x+y)} cos theta, e^{i(y-x)} sin theta) and fixes the second.
-    """
-    r = u.real
-    if not u.imag.any() and r[0, 0] * r[1, 1] > r[0, 1] * r[1, 0]:
-        return (0.0, 0.0), math.atan2(r[1, 0], r[0, 0]), (0.0, 0.0)
-    g = cmath.phase(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) / 2
-    xy, yx = (cmath.phase(cmath.exp(-1j * g) * w) for w in u[:, 0])  # x + y and y - x
-    x, y = (xy - yx) / 2, (xy + yx) / 2
-    return (g + x, g - x), math.atan2(abs(u[1, 0]), abs(u[0, 0])), (y, -y)
-
-
 def _phase_action(angles: tuple[float, ...], n: int, blocks) -> tuple[np.ndarray, ...]:
     """diag(e^{i sum_k angles_k n_k}), the Fock unitary of diag(e^{i angles}), on the rows of class blocks."""
     if not any(angles):
@@ -394,23 +375,19 @@ def _rotation_action(theta: float, n: int, blocks) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _passive_action(u: np.ndarray, n: int, blocks) -> tuple[np.ndarray, ...]:
-    """Fock-space unitary of a mode-space unitary u (a_j -> sum u_jk a_k), on the rows of class blocks.
-
-    u = diag(e^{i alpha}) R(theta) diag(e^{i beta}) (``_mode_angles``) acts
-    factor by factor, right to left.
-    """
-    alpha, theta, beta = _mode_angles(u)
-    blocks = _phase_action(beta, n, blocks)
-    blocks = _rotation_action(theta, n, blocks)
-    return _phase_action(alpha, n, blocks)
-
-
 def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
+    """The beam splitter's Fock unitary on a two-mode state, factor by factor, right to left.
+
+    Its mode unitary (a_j -> sum u_jk a_k, read from ``optics.bs_symplectic``) is
+    u = diag(1, e^{-i phi}) R(theta/2) diag(1, e^{i phi}); at theta = 0 it is the
+    identity and takes no phase, and phi = 0 keeps a real state real.
+    """
     if state.n_modes != 2:
         raise DimensionMismatch("beam splitter needs a two-mode state")
-    u = _passive_mode_unitary(bs_symplectic(gate))
-    return replace(state, blocks=_passive_action(u, state.dim_per_mode, state.blocks))
+    n, phi = state.dim_per_mode, gate.phi if gate.theta else 0.0
+    blocks = _phase_action((0.0, phi), n, state.blocks)
+    blocks = _rotation_action(gate.theta / 2, n, blocks)
+    return replace(state, blocks=_phase_action((0.0, -phi), n, blocks))
 
 
 # decompositions -------------------------------------------------------------
@@ -482,16 +459,6 @@ def euler_decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.max(np.abs(k1 @ z @ k2 - s)) > 1e-7:
         raise DecompositionFailure("Euler factors do not reproduce S")
     return k1, z, k2
-
-
-def _passive_mode_unitary(k: np.ndarray) -> np.ndarray:
-    """Complex mode-space unitary of a passive (orthogonal symplectic) K."""
-    n = k.shape[0] // 2
-    blk = k.reshape(n, 2, n, 2)  # blk[j, :, m, :] is the 2x2 block of modes j and m
-    a, b, c, d = blk[:, 0, :, 0], blk[:, 0, :, 1], blk[:, 1, :, 0], blk[:, 1, :, 1]
-    if np.max(np.abs(a - d)) > 1e-8 or np.max(np.abs(b + c)) > 1e-8:
-        raise DecompositionFailure("K is not passive (blocks do not commute with J)")
-    return a + 1j * c
 
 
 # the rounding of v_qq v_pp - v_qp^2 per unit of v_qq v_pp + v_qp^2: measured up to 1.5 eps

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gent
-from gent import cli, cm_core
+from gent import cli, cm_core, standard_forms
 from gent.bures import bures_entanglement
 from gent.errors import NonPositiveDefinite, UnphysicalState
 from gent.relent import rel_ent_entanglement
@@ -83,8 +83,8 @@ standard form I:    b1 = 1  b2 = 1  c = 0.8  d = -0.6
 @pytest.mark.parametrize("bcd", list(CHECK_REPORTS))
 def test_check_report_byte_for_byte(capsys, monkeypatch, tmp_path, bcd, form):
     calls = []
-    spectrum = cm_core.symplectic_spectrum
-    monkeypatch.setattr(cm_core, "symplectic_spectrum", lambda v: calls.append(1) or spectrum(v))
+    reduction = standard_forms.form_I_reduction
+    monkeypatch.setattr(standard_forms, "form_I_reduction", lambda v: calls.append(1) or reduction(v))
     b, c, d = bcd
     argv = ["--b", b, "--c", c, "--d", d]
     if form == "--cm":
@@ -93,7 +93,7 @@ def test_check_report_byte_for_byte(capsys, monkeypatch, tmp_path, bcd, form):
     code, out, err = run_cli(capsys, "check", *argv)
     assert (code, out) == CHECK_REPORTS[bcd]
     assert err == ""
-    # one spectrum decides physicality and separability of a matrix; parameters need no solve
+    # one reduction of a matrix gives its form and spectrum; parameters need none
     assert len(calls) == (form == "--cm")
 
 
@@ -1089,6 +1089,19 @@ def test_oracle_builds_a_strongly_squeezed_cm(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["value"] == payload["closed_form"] == 0
+
+
+@pytest.mark.parametrize("functional, k", [("entropy", 1), ("fidelity", 2)])
+def test_oracle_state_and_cm_of_one_state_exit_parse(tmp_path, functional, k):
+    # --stateK and --cmK name the same state: the pair is refused, never one of them dropped
+    path = tmp_path / "vacuum.json"
+    dump_cm_json(0.5 * np.eye(4), path)
+    flags = ["--state1", "0.7,0.6", "--state2", "1,0.8"][: 2 * k] + [f"--cm{k}", str(path)]
+    proc = _python("-m", "gent.cli", "oracle", functional, *flags, "--dim", "10")
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: gent oracle")
+    assert proc.stderr.splitlines()[-1] == f"gent oracle: error: argument --cm{k}: not allowed with argument --state{k}"
 
 
 @pytest.mark.parametrize("functional, first, second", [("fidelity", "state", "cm"), ("relent", "cm", "state")])

@@ -120,7 +120,8 @@ def test_strongly_squeezed_pure_states_decided():
     om = cm_core.omega(2)
     forms = (om, cm_core.LAMBDA_PT @ om @ cm_core.LAMBDA_PT)
     for _, v in draws:
-        root = cm_core.sqrt_cm(v)
+        lam, q = np.linalg.eigh(v)
+        root = (q * np.sqrt(lam)) @ q.T  # V^{1/2}
         for form in forms:
             ev = np.linalg.eigvalsh(1j * (root @ form @ root))
             assert np.max(np.abs(ev + ev[::-1])) <= 8 * eps * np.linalg.norm(v, 2)

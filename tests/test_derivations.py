@@ -14,7 +14,7 @@ import numpy as np
 import sympy
 from sympy import Rational, log, sqrt
 
-from gent import bures, cm_core, fock, relent
+from gent import bures, cm_core, fock, relent, standard_forms
 from gent.formation import entanglement_of_formation
 from gent.scalar import StandardFormI, SymmetricState, form_I_spectrum, physical_kappa, symmetric_sts
 from gent.standard_forms import form_I_reduction, svd_2x2, to_standard_form_I
@@ -549,6 +549,33 @@ def test_verifier_argmax_is_the_inverse_of_the_beam_splitter_map(monkeypatch):
             for g, w in zip((argmax.b, argmax.c, argmax.d_abs, u_arg), want):
                 worst = max(worst, float(abs(g - w) / w / eps))
     assert worst <= 4, worst
+
+
+def test_form_II_squeeze_balances_the_beam_splitter_modes():
+    # form_II_symmetric's v = sqrt((b - |d|)/(b - c)) squeezes both modes of a symmetric state so
+    # that the 50:50 beam splitter's image ((b+c)v, (b-|d|)/v, (b-c)v, (b+|d|)/v) is
+    # (kappa_+^2/kt, kt, kt, kappa_-^2/kt), kt = sqrt((b - c)(b - |d|)): the variances that
+    # numeric_max_fidelity takes for its form-II state.  Written in e = b - c > 0 and
+    # e + g = b - |d|, g = c - |d| >= 0, so that each root is real
+    c, e, g = sympy.symbols("c e g", positive=True)
+    b, d = c + e, c - g
+    v = sqrt((b - d) / (b - c))
+    kt = sqrt((b - c) * (b - d))
+    kp2, km2 = (b - d) * (b + c), (b + d) * (b - c)
+    for got, want in zip(((b + c) * v, (b - d) / v, (b - c) * v, (b + d) / v), (kp2 / kt, kt, kt, km2 / kt)):
+        assert sympy.simplify(got - want) == 0
+    # the floats of v and of the form-II CM's entries (b v, b/v, c v, -|d|/v) on seeded entangled
+    # states, against 50 digits from the same b, c and |d|: measured within 0.99 eps relative
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    for s in random_entangled_symmetric(np.random.default_rng(37), 200):
+        v_f, cm = standard_forms.form_II_symmetric(s)
+        with mpmath.workdps(50):
+            b_, c_, d_ = (mpmath.mpf(t) for t in (s.b, s.c, s.d_abs))
+            v_ = mpmath.sqrt((b_ - d_) / (b_ - c_))
+            for got, want in zip((v_f, cm[0, 0], cm[1, 1], cm[0, 2], cm[1, 3]), (v_, b_ * v_, b_ / v_, c_ * v_, -d_ / v_)):
+                worst = max(worst, float(abs(got - want) / abs(want) / eps))
+    assert worst <= 2, worst
 
 
 def _rot(m):
