@@ -94,17 +94,17 @@ def _read_form(args):
     (the largest entry of the CM) and its symplectic spectrum, in closed form from standard
     form I (``form_I_spectrum``) for every input form.
 
-    A --cm file is reduced once by the matrix layer (``to_standard_form_I``), the reduction that
-    ``cm_core.symplectic_spectrum`` reads, with its refusals and messages.  Parameters go
-    through the scalar core, b as given but raised to exactly 1/2 from below within the rule,
-    so that check decides on the floats of the measures (``_symmetric_state``).
+    A --cm file's form, scale and spectrum are the record of its one reduction that
+    ``cm_core.symplectic_spectrum`` reads (``standard_forms.form_I_record``), with its refusals and
+    messages.  Parameters go through the scalar core, b as given but raised to exactly 1/2 from
+    below within the rule, so that check decides on the floats of the measures (``_symmetric_state``).
     """
     _check_companions(args)
+    spec = None
     if args.cm is not None:
-        from . import cm_core, standard_forms
+        from . import standard_forms
 
-        v = _load_cm(args.cm, "--cm")
-        form, scale = standard_forms.to_standard_form_I(v), cm_core.entry_scale(v)
+        form, spec, scale, _ = standard_forms.form_I_record(_load_cm(args.cm, "--cm"))
     elif args.r is not None:
         nbar = 0.0 if args.nbar is None else args.nbar
         if args.r < 0:
@@ -123,7 +123,7 @@ def _read_form(args):
         b = max(b, VACUUM) if above_vacuum(b, b) else b
         form, scale = StandardFormI(b, b, c_abs, 0.0 - d_abs if (c < 0) != (d < 0) else d_abs), max(b, c_abs)
     # raises NonPositiveDefinite unless b > c, as symplectic_spectrum refuses V
-    return form, scale, form_I_spectrum(form)
+    return form, scale, spec or form_I_spectrum(form)
 
 
 def _symmetric_state(args) -> SymmetricState:
@@ -294,7 +294,7 @@ def _oracle_inputs(args):
 
 
 def cmd_oracle(args) -> int:
-    from . import cm_core, fock  # only the oracle needs fock; the other commands start without it
+    from . import fock, standard_forms  # only the oracle needs fock; the other commands start without it
 
     inputs = _oracle_inputs(args)
     need = 1 if args.functional == "entropy" else 2
@@ -320,8 +320,8 @@ def cmd_oracle(args) -> int:
         payload["value"] = fock.entropy_fock(rho)
         if isinstance(cm_a, OneModeCM):
             payload["closed_form"] = relent.von_neumann_entropy(cm_a)
-        else:  # the entropy sum over the spectrum, each kappa read as the Fock build reads it
-            spec, scale = cm_core.symplectic_spectrum(cm_a), cm_core.entry_scale(cm_a)
+        else:  # the entropy sum over the spectrum of the record the Fock build read, each kappa read as it reads it
+            _, spec, scale, _ = standard_forms.form_I_record(cm_a)
             kappas = (spec.kappa_plus, spec.kappa_minus)
             payload["closed_form"] = sum(relent._entropy_excess(physical_kappa(k, scale) - 0.5) for k in kappas)
     if "closed_form" in payload:

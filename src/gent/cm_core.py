@@ -2,8 +2,8 @@
 
 The matrix layer.  A CM's spectrum is that of its standard form I, in
 closed form: no eigensolve decides physicality or PPT.  The Fock oracle
-refuses a two-mode CM, and fills its thermal cores, on the spectrum kept here
-for the last matrix (``_spectrum_and_scale``), and factors it in closed form.
+refuses a two-mode CM, and fills its thermal cores, on the spectrum read here
+(``_spectrum_and_scale``) from ``standard_forms.form_I_record``, and factors it in closed form.
 The threshold rule (``above_vacuum``, ``rounding_tol`` and their constants),
 ``OneModeCM``, the ``SymplecticSpectrum`` record and its closed form
 ``form_I_spectrum`` are defined in the numpy-free ``gent.scalar`` and
@@ -33,7 +33,7 @@ from .scalar import (  # noqa: F401  re-exported: one definition, in the scalar 
     physical_kappa,
     rounding_tol,
 )
-from .standard_forms import to_standard_form_I
+from .standard_forms import form_I_record
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -70,21 +70,10 @@ def entry_scale(v: np.ndarray) -> float:
     return float(np.abs(v).max())
 
 
-# (key, (spectrum, entry scale)) of the last matrix read, keyed by its shape and bytes
-_last_spectrum: tuple = (None, None)
-
-
 def _spectrum_and_scale(v: np.ndarray) -> tuple[SymplecticSpectrum, float]:
-    """``symplectic_spectrum(v)`` and ``entry_scale(v)``, kept for the last matrix."""
-    global _last_spectrum
-    v = np.asarray(v, dtype=float)
-    key = (v.shape, v.tobytes())
-    last_key, last = _last_spectrum  # one read: another thread may replace it
-    if last_key == key:
-        return last
-    last = form_I_spectrum(to_standard_form_I(v)), entry_scale(v)
-    _last_spectrum = (key, last)
-    return last
+    """``symplectic_spectrum(v)`` and ``entry_scale(v)``, read from ``standard_forms.form_I_record``."""
+    form, spec, scale, _ = form_I_record(v)
+    return spec or form_I_spectrum(form), scale  # form_I_spectrum refuses a V the record has no spectrum of
 
 
 def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
@@ -96,9 +85,9 @@ def symplectic_spectrum(v: np.ndarray) -> SymplecticSpectrum:
     ("covariance matrix is not positive definite") where a diagonal block is not
     positive definite or b1 b2 <= c^2, and ValueError on a non-finite entry.
 
-    The spectrum of the last matrix is kept with its entry scale, keyed by its
-    content, so that ``is_physical``, ``is_separable``, the Fock build and a caller
-    asking about the same V share one reduction; a matrix changed in place is read again.
+    It is read from the record of the last matrix (``standard_forms.form_I_record``), so that
+    ``is_physical``, ``is_separable``, ``to_standard_form_I``, the Fock build and a caller asking
+    about the same V share one reduction; a matrix changed in place is read again.
     """
     return _spectrum_and_scale(v)[0]
 

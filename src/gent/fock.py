@@ -342,7 +342,8 @@ def _phase_action(angles: tuple[float, ...], n: int, blocks) -> tuple[np.ndarray
     """diag(e^{i sum_k angles_k n_k}), the Fock unitary of diag(e^{i angles}), on the rows of class blocks."""
     if not any(angles):
         return blocks
-    levels = np.exp(1j * reduce(np.add.outer, [a * np.arange(n) for a in angles]).ravel())
+    turns = reduce(np.add.outer, [a * np.arange(n) for a in angles]).ravel()  # e^{+-i pi n} = (-1)^n is real
+    levels = np.cos(turns).round() if all(abs(a) in (0.0, math.pi) for a in angles) else np.exp(1j * turns)
     phases = [levels[idx] for idx in _parity_classes(n, len(angles))]
     if blocks is None:
         return tuple(np.diag(ph) for ph in phases)
@@ -380,7 +381,7 @@ def apply_gate(state: FockOperator, gate: BeamSplitter) -> FockOperator:
 
     Its mode unitary (a_j -> sum u_jk a_k, read from ``optics.bs_symplectic``) is
     u = diag(1, e^{-i phi}) R(theta/2) diag(1, e^{i phi}); at theta = 0 it is the
-    identity and takes no phase, and phi = 0 keeps a real state real.
+    identity and takes no phase, and phi = 0 or pi keeps a real state real.
     """
     if state.n_modes != 2:
         raise DimensionMismatch("beam splitter needs a two-mode state")
@@ -566,7 +567,7 @@ def gaussian_state_from_cm(v, n: int) -> FockOperator:
     """Build the undisplaced Gaussian state of covariance matrix v: a OneModeCM, a 2x2 or a 4x4 array.
 
     One mode is ``_one_mode_state``.  A 4x4 V is first decided as ``cm_core.is_physical`` decides
-    it, on the spectrum and entry scale that ``cm_core`` keeps for the last matrix:
+    it, on the spectrum and entry scale of its one reduction (``standard_forms.form_I_record``):
     NonPositiveDefinite, UnphysicalState (``kappa_-``) or NumericalDegeneracy.  Its thermal cores
     take ``physical_kappa(kappa_+-, scale)``, exactly 1/2 within the band, and its gates
     (``_two_mode_factors``) act on their class blocks in turn.  No np.linalg routine reads V.

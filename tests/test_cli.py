@@ -81,10 +81,8 @@ standard form I:    b1 = 1  b2 = 1  c = 0.8  d = -0.6
 
 @pytest.mark.parametrize("form", ["--b", "--cm"])
 @pytest.mark.parametrize("bcd", list(CHECK_REPORTS))
-def test_check_report_byte_for_byte(capsys, monkeypatch, tmp_path, bcd, form):
-    calls = []
-    reduction = standard_forms.form_I_reduction
-    monkeypatch.setattr(standard_forms, "form_I_reduction", lambda v: calls.append(1) or reduction(v))
+def test_check_report_byte_for_byte(capsys, tmp_path, bcd, form):
+    standard_forms._reduce.cache_clear()
     b, c, d = bcd
     argv = ["--b", b, "--c", c, "--d", d]
     if form == "--cm":
@@ -94,7 +92,7 @@ def test_check_report_byte_for_byte(capsys, monkeypatch, tmp_path, bcd, form):
     assert (code, out) == CHECK_REPORTS[bcd]
     assert err == ""
     # one reduction of a matrix gives its form and spectrum; parameters need none
-    assert len(calls) == (form == "--cm")
+    assert standard_forms._reduce.cache_info().misses == (form == "--cm")
 
 
 # parameter inputs at the edge of the rounding band: an eigensolve of the first one's CM

@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from gent import cm_core, standard_forms
+from gent import cm_core, fock, standard_forms
 from gent.errors import NonPositiveDefinite, NumericalDegeneracy, UnphysicalState
+from gent.scalar import form_I_spectrum
 from gent.standard_forms import StandardFormI, symmetric_sts
 
 from conftest import NoLinalg, dump_cm_json, random_local_symplectic, random_physical_cm, squeezed_pure_cms
@@ -185,39 +186,63 @@ def test_non_finite_entries_refused(value, entry):
 
 
 def test_one_cm_costs_one_form_I_reduction_and_no_eigensolve(monkeypatch, rng):
-    calls = []
-    reduce = cm_core.to_standard_form_I
-    monkeypatch.setattr(cm_core, "to_standard_form_I", lambda v: calls.append(1) or reduce(v))
-    monkeypatch.setattr(cm_core, "_last_spectrum", (None, None))
+    # reductions are counted at the reducing function: the misses of its one-entry cache
+    standard_forms._reduce.cache_clear()
+    calls = lambda: standard_forms._reduce.cache_info().misses  # noqa: E731
+
+    # a q-p-correlated Fock build reads its spectrum, scale and local angles from one reduction
+    w = random_physical_cm(rng)
+    assert w[0, 1] and w[2, 3] and w[0, 3]
+    fock.gaussian_state_from_cm(w, 4)
+    assert calls() == 1
+    standard_forms._reduce.cache_clear()
+
     v = random_physical_cm(rng)
     monkeypatch.setattr(np, "linalg", NoLinalg())  # no np.linalg routine decides physicality or PPT
 
+    def no_angles(*args):
+        raise AssertionError("math.atan2 called: only form_I_reduction forms the local angles")
+
+    atan2 = math.atan2
+    monkeypatch.setattr(math, "atan2", no_angles)
     phys, sep, spec = cm_core.is_physical(v), cm_core.is_separable(v), cm_core.symplectic_spectrum(v)
-    assert len(calls) == 1
-    standard_forms.to_standard_form_I(v)
+    form = standard_forms.to_standard_form_I(v)
+    assert calls() == 1
+    assert form_I_spectrum(form) == spec
+    monkeypatch.setattr(math, "atan2", atan2)
+    assert standard_forms.form_I_reduction(v)[0] == form  # the angles, from the record
+    assert calls() == 1
 
     # equal content in another array is the same matrix
     twin = v.copy()
     assert (cm_core.is_physical(twin), cm_core.is_separable(twin)) == (phys, sep)
     assert cm_core.symplectic_spectrum(twin) == spec
-    assert len(calls) == 1
+    assert calls() == 1
 
     # a matrix changed in place is read again, and its spectrum is its own
     v[0, 0] += 0.25
     changed = cm_core.symplectic_spectrum(v)
-    assert len(calls) == 2
+    assert calls() == 2
     assert changed != spec
     assert cm_core.symplectic_spectrum(v.copy()) == changed
 
     # one entry: a third matrix evicts the second, and a refused matrix is not kept
     cm_core.symplectic_spectrum(twin)
     cm_core.symplectic_spectrum(v)
-    assert len(calls) == 4
+    assert calls() == 4
     bad = -np.eye(4)
     for _ in range(2):
         with pytest.raises(NonPositiveDefinite, match="^covariance matrix is not positive definite$"):
             cm_core.symplectic_spectrum(bad)
-    assert len(calls) == 6
+    assert calls() == 6
+    # one whose blocks are positive definite but b1 b2 <= c^2 has a form I and no spectrum: its
+    # record is kept, and every spectrum read of it refuses it
+    wide = StandardFormI(1.0, 1.0, 1.2, 0.0)
+    for _ in range(2):
+        assert standard_forms.to_standard_form_I(wide.to_cm()) == wide
+        with pytest.raises(NonPositiveDefinite, match="^covariance matrix is not positive definite$"):
+            cm_core.is_physical(wide.to_cm())
+    assert calls() == 7
 
 
 def _exact_spectrum(v):
